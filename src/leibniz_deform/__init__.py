@@ -34,7 +34,6 @@ from .deform import (
     ObstructionReport,
     TruncatedPolynomial,
     check_equivalence,
-    deformation_bracket,
     extend_to_order,
     leibniz_defect,
     massey2,
@@ -75,7 +74,7 @@ __all__ = [
     "cocycle_relations", "cohomology", "lambda6_reference_representatives",
     "with_representatives",
     "Deformation", "LocalBase", "MasseyWitness", "ObstructionReport",
-    "TruncatedPolynomial", "check_equivalence", "deformation_bracket",
+    "TruncatedPolynomial", "check_equivalence",
     "extend_to_order", "leibniz_defect", "massey2", "massey3",
     "obstruction_classes", "push_forward", "universal_infinitesimal",
     "versal_construct",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, FormatError
-from .linalg import F0, Vec, as_scalar, vec_is_zero, vec_sub, zero_vec
+from .linalg import F0, Vec, as_scalar, vec_is_zero
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Subcommands: check, cohomology, massey, infinitesimal, versal, pushforward.
 The algebra argument is a JSON file path or the builtin name ``lambda6``.
 Exit status is 1 on input parse errors, 2 on precondition faults, 0 otherwise.
-All computation is deterministic; the environment variable
-LEIBNIZ_DEFORM_SEED is documented as unused.
+All computation is deterministic.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
-from .algebra import LeibnizAlgebra
+from .algebra import LeibnizAlgebra, validate
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import (
     F0,
@@ -303,9 +303,17 @@ class CohomologySpace:
 
 @lru_cache(maxsize=None)
 def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
-    """ZL^p, BL^p and HL^p with deterministic greedy representatives."""
+    """ZL^p, BL^p and HL^p with deterministic greedy representatives.
+
+    Raises PreconditionError, naming the first violating basis triple, when
+    the algebra does not satisfy the Leibniz identity.
+    """
     if p < 1:
         raise PreconditionError("cohomology degree must be at least 1")
+    violations = validate(alg)
+    if violations:
+        triple = ",".join(alg.label(i) for i in violations[0][0])
+        raise PreconditionError(f"not a Leibniz algebra: the identity fails on ({triple})")
     zl = kernel_basis(coboundary_matrix(alg, p))
     bl = image_basis(coboundary_matrix(alg, p - 1))
     reps_basis, project = quotient_representatives(bl, zl)

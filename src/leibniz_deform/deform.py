@@ -383,11 +383,6 @@ class Deformation:
         return Deformation(self.algebra, base, new_terms)
 
 
-def deformation_bracket(d: Deformation, x: AVector, y: AVector) -> AVector:
-    """Bilinear extension of the deformed bracket over the base."""
-    return d.bracket(x, y)
-
-
 def default_parameter_names(count: int) -> tuple[str, ...]:
     if count <= len(_DEFAULT_NAMES):
         return _DEFAULT_NAMES[:count]

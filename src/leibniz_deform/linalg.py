@@ -1,16 +1,30 @@
 """Deterministic exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` values, which are always stored in lowest
-terms with a positive denominator; no floating point is used anywhere.
-Pivoting is fixed once and for all (first nonzero entry scanning
-top-to-bottom, left-to-right; free variables zeroed in particular solutions)
-so every result is byte-stable between runs.
+Scalars are ``fractions.Fraction`` values in lowest terms; no floating point
+is used anywhere.  Elimination is sparse: a row being reduced is a dict from
+column index to its nonzero ``Fraction`` entries, absent columns being zero.
+A ``Reducer`` grows a fully reduced echelon basis one inserted vector at a
+time, optionally recording each pivot row as a combination of the inserted
+vectors.
+
+Factor once: each ``Matrix`` is eliminated at most once per side, and the
+result is cached on the instance.  Its rows give ``rref``, ``rank`` and
+``kernel_basis``; its columns, inserted in order with combinations tracked,
+give ``image_basis`` and ``solve``.  Later queries on the same matrix, and the
+``project`` returned by ``quotient_representatives``, only reduce one vector
+against the stored pivot rows.
+
+Outputs do not depend on how elimination is organised: the reduced row
+echelon form is unique, its pivot columns are the greedily independent
+columns, quotient representatives are chosen greedily in the order given, and
+``solve`` returns the unique solution with every free variable zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
@@ -19,6 +33,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 Vec = tuple[Fraction, ...]
+Sparse = dict[int, Fraction]
 
 
 def as_scalar(x) -> Fraction:
@@ -38,16 +53,110 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
 def vec_is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
+
+
+def _sparse(v: Sequence) -> Sparse:
+    # Dense zeros are mostly the shared F0; the identity test skips the
+    # comparatively slow Fraction.__bool__ for them.
+    return {j: x for j, x in enumerate(v) if x is not F0 and x}
+
+
+def _axpy(y: Sparse, a: Fraction, x: Sparse) -> None:
+    """y += a * x in place, dropping entries that cancel; a must be nonzero."""
+    for c, xc in x.items():
+        t = y.get(c)
+        if t is None:
+            y[c] = a * xc
+        else:
+            t += a * xc
+            if t:
+                y[c] = t
+            else:
+                del y[c]
+
+
+class Reducer:
+    """Sparse incremental Gauss-Jordan elimination.
+
+    ``rows`` maps each pivot column to its fully reduced pivot row.  With
+    ``track``, ``combos`` maps each pivot column to the coefficients, keyed
+    by insertion index, of the inserted vectors that sum to its row.
+    ``independent`` lists the insertion indices that raised the rank.
+    """
+
+    def __init__(self, track: bool = False):
+        self.rows: dict[int, Sparse] = {}
+        self.combos: Optional[dict[int, Sparse]] = {} if track else None
+        self.independent: list[int] = []
+        self.inserted = 0
+
+    def _reduce(self, v: Sparse) -> tuple[Sparse, list[tuple[int, Fraction]]]:
+        """The residual of v modulo the pivot rows, and the multiples subtracted.
+
+        Pivot rows vanish at each other's pivot columns, so the multiples are
+        just v's own entries at pivot columns.
+        """
+        rows = self.rows
+        hits = [(p, x) for p, x in v.items() if p in rows]
+        residual = dict(v)
+        for p, f in hits:
+            _axpy(residual, -f, rows[p])
+        return residual, hits
+
+    def insert(self, v: Sparse) -> bool:
+        """Add v to the spanning set; True when it raised the rank."""
+        index = self.inserted
+        self.inserted += 1
+        row, hits = self._reduce(v)
+        if not row:
+            return False
+        p = min(row)
+        inv = 1 / row[p]
+        if inv != 1:
+            row = {c: x * inv for c, x in row.items()}
+        combos = self.combos
+        if combos is not None:
+            combo = {index: F1}
+            for q, f in hits:
+                _axpy(combo, -f, combos[q])
+            if inv != 1:
+                combo = {i: x * inv for i, x in combo.items()}
+        for q, other in self.rows.items():
+            f = other.get(p)
+            if f:
+                _axpy(other, -f, row)
+                if combos is not None:
+                    _axpy(combos[q], -f, combo)
+        self.rows[p] = row
+        if combos is not None:
+            combos[p] = combo
+        self.independent.append(index)
+        return True
+
+    def coordinates(self, v: Sparse) -> Optional[Sparse]:
+        """Coefficients, keyed by insertion index, of the independent inserted
+        vectors that sum to v; None when v is outside their span.  Needs ``track``."""
+        residual, hits = self._reduce(v)
+        if residual:
+            return None
+        out: Sparse = {}
+        for p, f in hits:
+            _axpy(out, f, self.combos[p])
+        return out
+
+
+def _eliminate(vectors: Iterable[Sequence], track: bool = False) -> Reducer:
+    """Insert dense vectors, in order, into a fresh reducer."""
+    reducer = Reducer(track)
+    for v in vectors:
+        reducer.insert(_sparse(v))
+    return reducer
 
 
 @dataclass(frozen=True)
@@ -113,11 +222,17 @@ class Matrix:
             out.append(tuple(row))
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.entries)
+
+    @cached_property
+    def _row_echelon(self) -> Reducer:
+        return _eliminate(self.entries)
+
+    @cached_property
+    def _column_echelon(self) -> Reducer:
+        columns = zip(*self.entries) if self.rows else [()] * self.cols
+        return _eliminate(columns, track=True)
 
 
 @dataclass(frozen=True)
@@ -139,37 +254,20 @@ class SubspaceBasis:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    work = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pr = None
-        for i in range(r, m.rows):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        if pv != 1:
-            work[r] = [x / pv for x in work[r]]
-        prow = work[r]
-        for i in range(m.rows):
-            f = work[i][c]
-            if i != r and f:
-                row = work[i]
-                work[i] = [a - f * b for a, b in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-    return Matrix(m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots)
+    echelon = m._row_echelon
+    pivots = tuple(sorted(echelon.rows))
+    dense = []
+    for p in pivots:
+        row = [F0] * m.cols
+        for c, x in echelon.rows[p].items():
+            row[c] = x
+        dense.append(tuple(row))
+    dense.extend([zero_vec(m.cols)] * (m.rows - len(pivots)))
+    return Matrix(m.rows, m.cols, tuple(dense)), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(m._row_echelon.rows)
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -178,24 +276,20 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     The basis is the standard free-variable one read off the reduced echelon
     form, with free variables taken in increasing column order.
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [F0] * m.cols
+    rows = m._row_echelon.rows
+    vectors = {f: [F0] * m.cols for f in range(m.cols) if f not in rows}
+    for f, v in vectors.items():
         v[f] = F1
-        for ri, p in enumerate(pivots):
-            v[p] = -reduced.entries[ri][f]
-        vectors.append(tuple(v))
-    return SubspaceBasis(m.cols, tuple(vectors))
+    for p, row in rows.items():
+        for c, x in row.items():
+            if c != p:
+                vectors[c][p] = -x
+    return SubspaceBasis(m.cols, tuple(tuple(v) for v in vectors.values()))
 
 
 def image_basis(m: Matrix) -> SubspaceBasis:
     """Basis of the column space: the original columns in pivot positions."""
-    _, pivots = rref(m)
-    return SubspaceBasis(m.rows, tuple(m.column(p) for p in pivots))
+    return SubspaceBasis(m.rows, tuple(m.column(j) for j in m._column_echelon.independent))
 
 
 def solve(m: Matrix, rhs: Sequence) -> Optional[Vec]:
@@ -206,15 +300,10 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[Vec]:
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"solve: {m.rows} rows vs right-hand side of length {len(rhs)}")
-    b = vec(rhs)
-    aug = Matrix(m.rows, m.cols + 1, tuple(row + (b[i],) for i, row in enumerate(m.entries)))
-    reduced, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
+    coords = m._column_echelon.coordinates(_sparse(vec(rhs)))
+    if coords is None:
         return None
-    x = [F0] * m.cols
-    for ri, p in enumerate(pivots):
-        x[p] = reduced.entries[ri][m.cols]
-    return tuple(x)
+    return tuple(coords.get(j, F0) for j in range(m.cols))
 
 
 def quotient_representatives(
@@ -229,32 +318,26 @@ def quotient_representatives(
     """
     if sub.ambient_dim != full.ambient_dim:
         raise DimensionMismatch("sub and full live in different ambient spaces")
-    full_rank = rank(Matrix.from_rows(list(full.vectors)) if full.vectors else Matrix.zeros(0, full.ambient_dim))
-    joint = list(full.vectors) + list(sub.vectors)
-    joint_rank = rank(Matrix.from_rows(joint) if joint else Matrix.zeros(0, full.ambient_dim))
-    if joint_rank != full_rank:
+    span = _eliminate(full.vectors)
+    if any(span._reduce(_sparse(v))[0] for v in sub.vectors):
         raise PreconditionError("sub is not contained in the span of full")
 
-    selected = list(sub.vectors)
-    reps: list[Vec] = []
-    cur_rank = rank(Matrix.from_rows(selected)) if selected else 0
-    for v in full.vectors:
-        if cur_rank == full_rank:
-            break
-        cand = rank(Matrix.from_rows(selected + [v]))
-        if cand > cur_rank:
-            selected.append(v)
-            reps.append(v)
-            cur_rank = cand
-
-    columns = list(sub.vectors) + reps
+    joint = _eliminate(sub.vectors, track=True)
     nsub = len(sub.vectors)
-    span_matrix = Matrix.from_columns(columns, nrows=full.ambient_dim)
+    rep_indices = []  # insertion indices into joint: sub first, then full
+    for j, v in enumerate(full.vectors):
+        if len(joint.rows) == len(span.rows):
+            break
+        if joint.insert(_sparse(v)):
+            rep_indices.append(nsub + j)
+    reps = tuple(full.vectors[i - nsub] for i in rep_indices)
 
     def project(v: Sequence) -> Vec:
-        sol = solve(span_matrix, v)
-        if sol is None:
+        if len(v) != full.ambient_dim:
+            raise DimensionMismatch(f"project: ambient dimension {full.ambient_dim} vs vector of length {len(v)}")
+        coords = joint.coordinates(_sparse(vec(v)))
+        if coords is None:
             raise PreconditionError("vector is not in the span of full")
-        return sol[nsub:]
+        return tuple(coords.get(i, F0) for i in rep_indices)
 
-    return SubspaceBasis(full.ambient_dim, tuple(reps)), project
+    return SubspaceBasis(full.ambient_dim, reps), project

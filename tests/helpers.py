@@ -1,9 +1,10 @@
 """Shared test oracles and frozen reference data.
 
 The oracles here are deliberately independent of the package internals:
-fraction-free rank, permutation-filter shuffle enumeration and a circle
-product built on it.  The frozen cocycle families certify the computed
-degree-2 and degree-3 kernels of the builtin algebra.
+fraction-free rank, dense Gauss-Jordan elimination and the results derived
+from it, permutation-filter shuffle enumeration and a circle product built on
+it.  The frozen cocycle families certify the computed degree-2 and degree-3
+kernels of the builtin algebra.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, bracket_eval, lambda6, validate
 from leibniz_deform.cochain import Cochain, eval_with_vector_slot
 from leibniz_deform.graded import GradedElement
-from leibniz_deform.linalg import Matrix, solve, vec_add, vec_scale, zero_vec
+from leibniz_deform.linalg import F0, F1, Matrix, solve, vec_add, vec_scale, zero_vec
 
 F = Fraction
 
@@ -66,6 +67,93 @@ def _gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Dense Gauss-Jordan oracle for the sparse elimination core, and the kernel,
+# image, solution and quotient representatives read off it the textbook way
+# ---------------------------------------------------------------------------
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form by dense elimination, pivoting on the first
+    nonzero entry scanning top-to-bottom, left-to-right."""
+    work = [list(row) for row in m.entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pr = None
+        for i in range(r, m.rows):
+            if work[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        if pv != 1:
+            work[r] = [x / pv for x in work[r]]
+        prow = work[r]
+        for i in range(m.rows):
+            f = work[i][c]
+            if i != r and f:
+                row = work[i]
+                work[i] = [a - f * b for a, b in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return Matrix(m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots)
+
+
+def dense_kernel(m: Matrix) -> tuple[tuple, ...]:
+    """Free-variable kernel basis, free variables in increasing column order."""
+    reduced, pivots = dense_rref(m)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [F0] * m.cols
+        v[f] = F1
+        for ri, p in enumerate(pivots):
+            v[p] = -reduced.entries[ri][f]
+        vectors.append(tuple(v))
+    return tuple(vectors)
+
+
+def dense_image(m: Matrix) -> tuple[tuple, ...]:
+    return tuple(m.column(p) for p in dense_rref(m)[1])
+
+
+def dense_solve(m: Matrix, rhs) -> tuple | None:
+    """Free-variables-zero solution from the reduced augmented matrix, or None."""
+    aug = Matrix(m.rows, m.cols + 1, tuple(row + (F(rhs[i]),) for i, row in enumerate(m.entries)))
+    reduced, pivots = dense_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [F0] * m.cols
+    for ri, p in enumerate(pivots):
+        x[p] = reduced.entries[ri][m.cols]
+    return tuple(x)
+
+
+def greedy_representatives(sub_vectors, full_vectors) -> tuple[tuple, ...]:
+    """Extend sub by the members of full that raise the rank, one full
+    elimination per candidate."""
+
+    def rank_of(vectors):
+        return len(dense_rref(Matrix.from_rows(vectors))[1]) if vectors else 0
+
+    selected = list(sub_vectors)
+    reps = []
+    cur = rank_of(selected)
+    for v in full_vectors:
+        if rank_of(selected + [v]) > cur:
+            selected.append(v)
+            reps.append(v)
+            cur += 1
+    return tuple(reps)
+
+
+# ---------------------------------------------------------------------------
 # Independent shuffle and circle-product oracles
 # ---------------------------------------------------------------------------
 
@@ -111,6 +199,16 @@ def circle_by_filter(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) ->
 # ---------------------------------------------------------------------------
 # Random validated Leibniz algebras: base-change conjugates of a small zoo
 # ---------------------------------------------------------------------------
+
+
+def nf4() -> LeibnizAlgebra:
+    """The null-filiform algebra [e_i,e_1] = e_{i+1} for i = 1..3."""
+    return LeibnizAlgebra.from_brackets(4, {(i, 0): {i + 1: 1} for i in range(3)})
+
+
+def misoriented_nf4() -> LeibnizAlgebra:
+    """[e_1,e_i] = e_{i+1}: NF4 with its brackets mirrored, not a Leibniz algebra."""
+    return LeibnizAlgebra.from_brackets(4, {(0, i): {i + 1: 1} for i in range(3)})
 
 
 def square_algebra(dim: int) -> LeibnizAlgebra:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import misoriented_nf4
 from leibniz_deform.algebra import algebra_to_json, lambda6
 from leibniz_deform.cli import parse_poly, run
 from leibniz_deform.deform import LocalBase
@@ -123,6 +124,17 @@ def test_precondition_fault_exits_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "versal", "lambda6", "--reps", str(path))
     assert code == 2
     assert "fault" in err
+
+
+def test_cohomology_of_non_leibniz_input_exits_two(capsys, tmp_path):
+    path = tmp_path / "misoriented_nf4.json"
+    path.write_text(algebra_to_json(misoriented_nf4()), encoding="utf-8")
+    for degree in ("2", "3"):
+        code, out, err = invoke(capsys, "cohomology", "--degree", degree, str(path))
+        assert code == 2
+        assert out == ""
+        assert "fault: not a Leibniz algebra" in err
+        assert "(e_1,e_1,e_1)" in err
 
 
 def test_reps_file_reproduces_reference_table(capsys, tmp_path):

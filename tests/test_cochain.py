@@ -11,6 +11,7 @@ from helpers import (
     ZL2_CONSTRAINTS,
     constraint_vector,
     expected_delta_g,
+    misoriented_nf4,
     random_cochain,
     random_leibniz_algebra,
 )
@@ -219,3 +220,9 @@ def test_matrix_agrees_with_coboundary_on_random_cochains():
 def test_cohomology_requires_positive_degree():
     with pytest.raises(PreconditionError):
         cohomology(lambda6(), 0)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_cohomology_rejects_non_leibniz_input_naming_the_triple(degree):
+    with pytest.raises(PreconditionError, match=r"\(e_1,e_1,e_1\)"):
+        cohomology(misoriented_nf4(), degree)

@@ -19,7 +19,6 @@ from leibniz_deform.deform import (
     ObstructionReport,
     TruncatedPolynomial,
     check_equivalence,
-    deformation_bracket,
     extend_to_order,
     leibniz_defect,
     massey2,
@@ -135,7 +134,7 @@ def test_single_cocycle_first_order_defect_vanishes():
 def test_bracket_e1_e3_under_versal():
     alg = lambda6()
     d, _ = versal_construct(alg, 3, lambda6_reference_representatives())
-    out = deformation_bracket(d, d.embed_basis(0), d.embed_basis(2))
+    out = d.bracket(d.embed_basis(0), d.embed_basis(2))
     s = d.base.generator("s")
     assert out == (s, d.base.one(), d.base.zero())
 
@@ -162,7 +161,7 @@ def test_bracket_bilinearity_over_base_with_truncation():
     t = d.base.generator("t")
     zero = d.base.zero()
     x = (zero, zero, t)  # t (x) e3
-    out = deformation_bracket(d, x, x)
+    out = d.bracket(x, x)
     # t^2 [e3,e3] = t^2 e1; the order-1 corrections are cut off at order 2
     assert out == (t * t, zero, zero)
 
