@@ -56,10 +56,12 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
         raise FormatError(f"cannot read representatives file {spec!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
-    if not isinstance(doc, dict) or "cochains" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("cochains"), list):
         raise FormatError("representatives file must be an object with a 'cochains' list")
     reps = []
-    for item in doc["cochains"]:
+    for index, item in enumerate(doc["cochains"]):
+        if not isinstance(item, dict):
+            raise FormatError(f"entry {index} of 'cochains' is not an object")
         item = dict(item)
         item.setdefault("arity", 2)
         item.setdefault("dim", doc.get("dim", alg.dim))

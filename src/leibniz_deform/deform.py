@@ -10,17 +10,23 @@ The failure of the Leibniz identity for the deformed bracket,
 
     D(x,y,z) = [x,[y,z]] - [[x,y],z] + [[x,z],y],
 
-expands monomial by monomial.  Its degree-u entry is
+is a sum of circle products.  With psi_0 the bracket of the algebra as a
+2-cochain, D = - sum t^m t^m' (psi_m o psi_m') over the ordered pairs of
+monomials carrying a term, psi_0 included.  Each product is summed into the
+normal form of m m' in the base, which a relation that is not homogeneous can
+move to another degree, and pairs above the truncation order are skipped.
+Collecting the pairs that contain psi_0 gives the degree-u entry
 
     D_u = (coboundary of psi_u) - (1/2) sum_{m m' = u} [psi_m, psi_m']
 
-where the sum runs over ordered pairs of nonconstant monomials and [,] is the
-superbracket; the implementation sums ordered pairs once each, which avoids
-the division by two.  When D vanishes through degree k, the degree-(k+1)
-entries are closed 3-cochains whose classes obstruct extension: the
-deformation extends to order k+1 iff they all vanish, and the new terms are
-particular solutions of (coboundary) psi_u = -D_u.  Accumulating the nonzero
-class polynomials as base relations instead yields the versal construction.
+over ordered pairs of nonconstant monomials, with [,] the superbracket.  When
+D vanishes through degree k, the degree-(k+1) entries are closed 3-cochains
+whose classes obstruct extension: the deformation extends to order k+1 iff
+they all vanish, and the new terms are particular solutions of (coboundary)
+psi_u = -D_u.  Accumulating the nonzero class polynomials as base relations
+instead yields the versal construction.  These order-by-order steps group the
+products by the degree of m m', which is where they land when the relations
+are homogeneous, as the versal construction's are.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .cochain import (
     cohomology,
 )
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
-from .graded import GradedElement, graded_bracket
+from .graded import GradedElement, circle, graded_bracket
 from .linalg import F0, F1, Vec, as_scalar, solve, vec_is_zero
 
 Monomial = tuple[int, ...]
@@ -417,6 +423,34 @@ def universal_infinitesimal(
     return Deformation(alg, base, terms)
 
 
+def _defect_in_degree(d: Deformation, j: int) -> dict[Monomial, Cochain]:
+    """The defect summed over the ordered pairs of terms of total degree j.
+
+    Keyed by the monomials the products land on; a monomial that no product
+    reaches is left out.
+    """
+    alg = d.algebra
+    mu = Cochain(2, alg.dim, tuple(v for plane in alg.structure_constants for v in plane))
+    by_degree = {0: [(d.base.zero_monomial(), GradedElement.of(mu))]}
+    for mono, psi in d.terms.items():
+        by_degree.setdefault(_degree(mono), []).append((mono, GradedElement.of(psi)))
+    sums: dict[Monomial, list[Fraction]] = {}
+    for a in range(j + 1):
+        for m1, psi1 in by_degree.get(a, ()):
+            for m2, psi2 in by_degree.get(j - a, ()):
+                # empty above the truncation order
+                landing = TruncatedPolynomial(d.base, {_mono_mul(m1, m2): F1}).coeffs
+                if not landing:
+                    continue
+                product = circle(alg, psi1, psi2).cochain.flat()
+                for m, c in landing.items():
+                    acc = sums.setdefault(m, [F0] * len(product))
+                    for i, x in enumerate(product):
+                        if x:
+                            acc[i] -= c * x
+    return {m: Cochain.from_flat(3, alg.dim, acc) for m, acc in sums.items()}
+
+
 def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     """Per-monomial failure of the Leibniz identity for the deformed bracket.
 
@@ -424,22 +458,12 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     included); the deformation satisfies the identity over its truncated base
     iff every entry is zero.
     """
-    n = d.algebra.dim
-    monos = d.base.monomials()
-    tables: dict[Monomial, list[Vec]] = {m: [] for m in monos}
-    embeds = [d.embed_basis(i) for i in range(n)]
-    pair = {}
-    for b in range(n):
-        for c in range(n):
-            pair[(b, c)] = d.basis_bracket(b, c)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        t1 = d.bracket(embeds[a], pair[(b, c)])
-        t2 = d.bracket(pair[(a, b)], embeds[c])
-        t3 = d.bracket(pair[(a, c)], embeds[b])
-        jet = tuple(t1[k] - t2[k] + t3[k] for k in range(n))
-        for m in monos:
-            tables[m].append(tuple(p.coeff(m) for p in jet))
-    return {m: Cochain(3, n, tuple(tables[m])) for m in monos}
+    zero = Cochain.zeros(3, d.algebra.dim)
+    defect = dict.fromkeys(d.base.monomials(), zero)
+    for j in range(d.base.truncation_order + 1):
+        for mono, entry in _defect_in_degree(d, j).items():
+            defect[mono] = defect[mono] + entry
+    return defect
 
 
 def obstruction_classes(
@@ -457,17 +481,20 @@ def obstruction_classes(
     if hl3 is None:
         hl3 = cohomology(d.algebra, 3)
     flat = d.truncate_terms(k)
-    defect = leibniz_defect(flat)
-    for mono, entry in defect.items():
-        if _degree(mono) <= k and not entry.is_zero():
+    for j in range(k + 1):
+        nonzero = [m for m, entry in _defect_in_degree(flat, j).items() if not entry.is_zero()]
+        if nonzero:
+            mono = min(nonzero, key=_render_key)
             raise PreconditionError(
                 f"defect does not vanish at degree {_degree(mono)} (monomial {mono})"
             )
+    defect = _defect_in_degree(flat, k + 1)
+    zero = Cochain.zeros(3, d.algebra.dim)
     classes: dict[Monomial, Vec] = {}
     for mono in d.base.monomials(k + 1):
         if _degree(mono) != k + 1:
             continue
-        entry = defect[mono]
+        entry = defect.get(mono, zero)
         if not coboundary(d.algebra, entry).is_zero():
             raise LeibnizDeformError(
                 "obstruction candidate is not closed; this signals an internal sign error"
@@ -478,16 +505,18 @@ def obstruction_classes(
         poly = TruncatedPolynomial(d.base, {m: coords[j] for m, coords in classes.items()})
         if not poly.is_zero():
             relation_polynomials.append((j, poly))
-    return ObstructionReport(k + 1, classes, tuple(relation_polynomials))
+    return ObstructionReport(k + 1, classes, tuple(relation_polynomials), defect)
 
 
 @dataclass
 class ObstructionReport:
-    """Obstruction classes at one order, plus the induced base relations."""
+    """Obstruction classes at one order, the induced base relations, and the
+    defect entries of that order that some product reaches."""
 
     order: int
     classes: dict[Monomial, Vec]
     relation_polynomials: tuple[tuple[int, TruncatedPolynomial], ...]
+    defect: dict[Monomial, Cochain]
 
     def all_zero(self) -> bool:
         return all(vec_is_zero(c) for c in self.classes.values())
@@ -506,25 +535,20 @@ def extend_to_order(
     if not report.all_zero():
         return report
     alg = d.algebra
-    flat = d.truncate_terms(k)
-    defect = leibniz_defect(flat)
     delta2 = coboundary_matrix(alg, 2)
-    new_terms = dict(flat.terms)
-    for mono in d.base.monomials(k + 1):
-        if _degree(mono) != k + 1:
-            continue
-        entry = defect[mono]
-        if entry.is_zero():
+    new_terms = dict(d.truncate_terms(k).terms)
+    for mono in report.classes:
+        entry = report.defect.get(mono)
+        if entry is None or entry.is_zero():
             continue
         rhs = tuple(-x for x in entry.flat())
         sol = solve(delta2, rhs)
         assert sol is not None  # the class vanished, so the entry is a coboundary
         new_terms[mono] = Cochain.from_flat(2, alg.dim, sol)
     extended = Deformation(alg, d.base, new_terms)
-    check = leibniz_defect(extended.truncate_terms(k + 1))
-    for mono, entry in check.items():
-        if _degree(mono) <= k + 1 and not entry.is_zero():
-            raise LeibnizDeformError("extension failed to kill the defect; internal error")
+    # pairs of lower total degree do not involve the new terms
+    if not all(entry.is_zero() for entry in _defect_in_degree(extended, k + 1).values()):
+        raise LeibnizDeformError("extension failed to kill the defect; internal error")
     return extended
 
 

@@ -46,7 +46,8 @@ def _parity_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def shuffles(p: int, q: int) -> list[Shuffle]:
+@lru_cache(maxsize=None)
+def shuffles(p: int, q: int) -> tuple[Shuffle, ...]:
     """All (p,q)-shuffles, lexicographic by permutation image.
 
     Generated by choosing the image set of the first block; the count is
@@ -60,12 +61,7 @@ def shuffles(p: int, q: int) -> list[Shuffle]:
         rest = tuple(x for x in letters if x not in first)
         perm = first + rest
         out.append(Shuffle(p, q, perm, _parity_sign(perm)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _shuffle_data(p: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple((s.permutation, s.sign) for s in shuffles(p, q))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def circle(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedEle
     n = alg.dim
     p, q = a.degree, b.degree
     arity = p + q + 1
-    shuffle_table = {k: _shuffle_data(q, p - k + 1) for k in range(1, p + 2)}
+    shuffle_table = {k: shuffles(q, p - k + 1) for k in range(1, p + 2)}
     values = []
     for x in itertools.product(range(n), repeat=arity):
         acc = [F0] * n
@@ -100,13 +96,14 @@ def circle(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedEle
             k_sign = -1 if (q * (k - 1)) % 2 else 1
             window = x[k:]  # arguments x_{k+1} .. x_{p+q+1}
             prefix = x[: k - 1]
-            for perm, psign in shuffle_table[k]:
+            for sh in shuffle_table[k]:
+                perm = sh.permutation
                 inner_args = (x[k - 1],) + tuple(window[j - 1] for j in perm[:q])
                 inner = fb.eval_basis(inner_args)
                 if vec_is_zero(inner):
                     continue
                 suffix = tuple(window[j - 1] for j in perm[q:])
-                s = k_sign * psign
+                s = k_sign * sh.sign
                 for c, coeff in enumerate(inner):
                     if coeff:
                         row = fa.eval_basis(prefix + (c,) + suffix)

@@ -58,7 +58,7 @@ def vec_scale(c: Fraction, a: Vec) -> Vec:
 
 
 def vec_is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def _sparse(v: Sequence) -> Sparse:
@@ -204,8 +204,8 @@ class Matrix:
     def matvec(self, v: Sequence) -> Vec:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        w = vec(v)
-        return tuple(sum((r[j] * w[j] for j in range(self.cols) if w[j]), F0) for r in self.entries)
+        nz = [(j, x) for j, x in enumerate(vec(v)) if x]
+        return tuple(sum((r[j] * x for j, x in nz if r[j]), F0) for r in self.entries)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

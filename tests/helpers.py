@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the package internals:
 fraction-free rank, dense Gauss-Jordan elimination and the results derived
-from it, permutation-filter shuffle enumeration and a circle product built on
-it.  The frozen cocycle families certify the computed degree-2 and degree-3
+from it, the coboundary evaluated from its defining formula, permutation-filter
+shuffle enumeration and a circle product built on it, and the deformation
+defect expanded from the deformed bracket.  The frozen cocycle families certify the computed degree-2 and degree-3
 kernels of the builtin algebra.
 """
 
@@ -14,9 +15,10 @@ import random
 from fractions import Fraction
 
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, bracket_eval, lambda6, validate
-from leibniz_deform.cochain import Cochain, eval_with_vector_slot
+from leibniz_deform.cochain import Cochain
+from leibniz_deform.deform import Deformation
 from leibniz_deform.graded import GradedElement
-from leibniz_deform.linalg import F0, F1, Matrix, solve, vec_add, vec_scale, zero_vec
+from leibniz_deform.linalg import F0, F1, Matrix, Vec, solve, vec_add, vec_is_zero, vec_scale, zero_vec
 
 F = Fraction
 
@@ -154,6 +156,72 @@ def greedy_representatives(sub_vectors, full_vectors) -> tuple[tuple, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Direct coboundary oracle: the defining formula evaluated on every basis tuple
+# ---------------------------------------------------------------------------
+
+
+def eval_with_vector_slot(
+    f: Cochain, prefix: tuple[int, ...], vector: Vec, suffix: tuple[int, ...]
+) -> Vec:
+    """Evaluate f on basis arguments with one general vector in the middle slot."""
+    out = zero_vec(f.dim)
+    for c, coeff in enumerate(vector):
+        if coeff:
+            out = vec_add(out, vec_scale(coeff, f.eval_basis(prefix + (c,) + suffix)))
+    return out
+
+
+def direct_coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
+    """The coboundary of f evaluated term by term from its defining formula."""
+    n = alg.dim
+    p = f.arity
+    values = []
+    for x in itertools.product(range(n), repeat=p + 1):
+        acc = [F0] * n
+
+        def add(sign: int, v: Vec):
+            if sign == 1:
+                for k in range(n):
+                    if v[k]:
+                        acc[k] += v[k]
+            else:
+                for k in range(n):
+                    if v[k]:
+                        acc[k] -= v[k]
+
+        # [x_1, f(x_2 .. x_{p+1})]
+        inner = f.eval_basis(x[1:])
+        row = alg.structure_constants[x[0]]
+        for c, coeff in enumerate(inner):
+            if coeff:
+                add(1, vec_scale(coeff, row[c]))
+
+        # (-1)^i [f(x_1 .. ^x_i .. x_{p+1}), x_i] for i = 2 .. p+1 (1-based)
+        for i1 in range(2, p + 2):
+            args = x[: i1 - 1] + x[i1:]
+            v = f.eval_basis(args)
+            sign = 1 if i1 % 2 == 0 else -1
+            xi = x[i1 - 1]
+            for c, coeff in enumerate(v):
+                if coeff:
+                    add(sign, vec_scale(coeff, alg.structure_constants[c][xi]))
+
+        # (-1)^{j+1} f(x_1,..,x_{i-1},[x_i,x_j],x_{i+1},..,^x_j,..) for i < j
+        for i1 in range(1, p + 1):
+            for j1 in range(i1 + 1, p + 2):
+                bracket = alg.bracket_basis(x[i1 - 1], x[j1 - 1])
+                if vec_is_zero(bracket):
+                    continue
+                prefix = x[: i1 - 1]
+                suffix = x[i1: j1 - 1] + x[j1:]
+                sign = 1 if (j1 + 1) % 2 == 0 else -1
+                add(sign, eval_with_vector_slot(f, prefix, bracket, suffix))
+
+        values.append(tuple(acc))
+    return Cochain(p + 1, n, tuple(values))
+
+
+# ---------------------------------------------------------------------------
 # Independent shuffle and circle-product oracles
 # ---------------------------------------------------------------------------
 
@@ -194,6 +262,29 @@ def circle_by_filter(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) ->
                 acc = vec_add(acc, vec_scale(F(k_sign * sgn), term))
         values.append(acc)
     return Cochain(arity, n, tuple(values))
+
+
+# ---------------------------------------------------------------------------
+# Defect oracle: the Leibniz identity expanded through the deformed bracket
+# ---------------------------------------------------------------------------
+
+
+def bracket_defect(d: Deformation) -> dict:
+    """Per-monomial defect [x,[y,z]] - [[x,y],z] + [[x,z],y] on every basis
+    triple, each bracket evaluated over the base by ``Deformation.bracket``."""
+    n = d.algebra.dim
+    monos = d.base.monomials()
+    tables = {m: [] for m in monos}
+    embeds = [d.embed_basis(i) for i in range(n)]
+    pair = {(b, c): d.basis_bracket(b, c) for b in range(n) for c in range(n)}
+    for a, b, c in itertools.product(range(n), repeat=3):
+        t1 = d.bracket(embeds[a], pair[(b, c)])
+        t2 = d.bracket(pair[(a, b)], embeds[c])
+        t3 = d.bracket(pair[(a, c)], embeds[b])
+        jet = tuple(t1[k] - t2[k] + t3[k] for k in range(n))
+        for m in monos:
+            tables[m].append(tuple(p.coeff(m) for p in jet))
+    return {m: Cochain(3, n, tuple(tables[m])) for m in monos}
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,24 @@ def test_reps_file_reproduces_reference_table(capsys, tmp_path):
     assert "[e_1,e_3] = e_2 + s*e_1" in out
 
 
+@pytest.mark.parametrize("command", ["massey", "versal", "infinitesimal"])
+@pytest.mark.parametrize(
+    "cochains, message",
+    [
+        (5, "'cochains' list"),
+        ([5], "entry 0 of 'cochains' is not an object"),
+        ([{"entries": []}, "x"], "entry 1 of 'cochains' is not an object"),
+    ],
+)
+def test_malformed_reps_file_exits_one(capsys, tmp_path, command, cochains, message):
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps({"cochains": cochains}), encoding="utf-8")
+    code, out, err = invoke(capsys, command, "lambda6", "--reps", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):
     path = tmp_path / "ab.json"
     path.write_text('{"dim": 2, "brackets": []}', encoding="utf-8")

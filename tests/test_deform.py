@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_cochain, random_leibniz_algebra
+from helpers import bracket_defect, random_cochain, random_leibniz_algebra
+from leibniz_deform import deform
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import (
     Cochain,
@@ -217,6 +218,83 @@ def test_quadratic_part_ordered_pairs_equal_half_symmetrized():
     gb = lambda x, y: graded_bracket(alg, GradedElement.of(x), GradedElement.of(y)).cochain
     half_sym = (gb(a, b) + gb(b, a)).scale(F(-1, 2))
     assert defect[(1, 1)] == half_sym
+
+
+# Relations in the first parameter, as exponent -> coefficient, with the
+# largest t-exponent a term may carry and stay in normal form.  Bases with
+# several relations are left out: their reduction is not a normal form, so
+# neither side would be a sound reference there.
+DEFECT_RELATIONS = {
+    "none": ({}, 3),
+    "t^2": ({2: 1}, 1),
+    "t^2 - t^3": ({2: 1, 3: -1}, 2),
+}
+
+
+def _random_deformation(rng, relation):
+    alg = random_leibniz_algebra(rng)
+    names = ("t", "s", "u")[: rng.randint(1, 3)]
+    base = LocalBase(names, rng.randint(2, 4))
+    rel, max_t = DEFECT_RELATIONS[relation]
+    pad = (0,) * (len(names) - 1)
+    if rel:
+        # raw data, so a t^3 above the truncation order stays in the relation
+        base = base.with_relations([tuple(((e,) + pad, F(c)) for e, c in rel.items())])
+    monos = [
+        m
+        for m in LocalBase(names, 3).monomials()
+        if 1 <= sum(m) <= 3 and m[0] <= max_t
+    ]
+    chosen = {(1,) + pad} | set(rng.sample(monos, rng.randint(0, min(3, len(monos)))))
+    terms = {m: random_cochain(rng, 2, alg.dim, density=0.6) for m in sorted(chosen)}
+    return Deformation(alg, base, terms)
+
+
+@pytest.mark.parametrize("relation", sorted(DEFECT_RELATIONS))
+@pytest.mark.parametrize("seed", range(6))
+def test_defect_equals_bracket_expansion(relation, seed):
+    d = _random_deformation(random.Random(seed * 31 + 7), relation)
+    assert leibniz_defect(d) == bracket_defect(d)
+
+
+def test_defect_sums_products_moved_down_by_a_nonhomogeneous_relation():
+    # t^2 = t^3 in the base, so t * t^2 and t^2 * t land on t^2 together
+    # with t * t
+    rng = random.Random(41)
+    alg = random_leibniz_algebra(rng)
+    base = LocalBase(("t",), 4).with_relations([(((2,), F(1)), ((3,), F(-1)))])
+    a = random_cochain(rng, 2, alg.dim, density=1.0)
+    b = random_cochain(rng, 2, alg.dim, density=1.0)
+    d = Deformation(alg, base, {(1,): a, (2,): b})
+    defect = leibniz_defect(d)
+    assert defect == bracket_defect(d)
+    assert not defect[(2,)].is_zero()
+    assert all(defect[m].is_zero() for m in ((3,), (4,)))
+
+
+def test_versal_loop_uses_one_defect_per_order_and_no_brackets(monkeypatch):
+    brackets = []
+    bracket = Deformation.bracket
+    monkeypatch.setattr(
+        Deformation, "bracket", lambda self, x, y: brackets.append(1) or bracket(self, x, y)
+    )
+    degrees = []
+    core = deform._defect_in_degree
+    monkeypatch.setattr(deform, "_defect_in_degree", lambda d, j: degrees.append(j) or core(d, j))
+    top_degree_evaluations = {}
+    extend = deform.extend_to_order
+
+    def counted_extend(d, k, hl3=None):
+        start = len(degrees)
+        out = extend(d, k, hl3)
+        top_degree_evaluations[k] = degrees[start:].count(k + 1)
+        return out
+
+    monkeypatch.setattr(deform, "extend_to_order", counted_extend)
+    versal_construct(lambda6(), 6)
+    assert brackets == []
+    # once for the obstruction classes and the solve, once for the post-check
+    assert top_degree_evaluations == {k: 2 for k in range(1, 6)}
 
 
 # ---------------------------------------------------------------------------
