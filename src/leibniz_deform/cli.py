@@ -65,7 +65,13 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
         item = dict(item)
         item.setdefault("arity", 2)
         item.setdefault("dim", doc.get("dim", alg.dim))
-        reps.append(cochain_from_json(item))
+        rep = cochain_from_json(item)
+        if rep.arity != 2 or rep.dim != alg.dim:
+            raise FormatError(
+                f"entry {index} of 'cochains' has arity {rep.arity} and dimension {rep.dim};"
+                f" expected arity 2 and dimension {alg.dim}"
+            )
+        reps.append(rep)
     return reps
 
 

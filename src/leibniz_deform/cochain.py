@@ -119,11 +119,7 @@ class Cochain:
         )
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_shape(other)
-        return Cochain(
-            self.arity, self.dim,
-            tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(self.values, other.values)),
-        )
+        return self + (-other)
 
     def __neg__(self) -> "Cochain":
         return self.scale(Fraction(-1))

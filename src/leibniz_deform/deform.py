@@ -47,7 +47,7 @@ from .cochain import (
 )
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import GradedElement, circle, graded_bracket
-from .linalg import F0, F1, Vec, as_scalar, solve, vec_is_zero
+from .linalg import F0, F1, Vec, as_scalar, solve, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
@@ -423,32 +423,36 @@ def universal_infinitesimal(
     return Deformation(alg, base, terms)
 
 
-def _defect_in_degree(d: Deformation, j: int) -> dict[Monomial, Cochain]:
-    """The defect summed over the ordered pairs of terms of total degree j.
+def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict[Monomial, Cochain]]:
+    """Per degree j of ``degrees``, the defect summed over the ordered pairs of
+    terms of total degree j.
 
-    Keyed by the monomials the products land on; a monomial that no product
-    reaches is left out.
+    Each entry is keyed by the monomials the products land on; a monomial that
+    no product reaches is left out.
     """
     alg = d.algebra
     mu = Cochain(2, alg.dim, tuple(v for plane in alg.structure_constants for v in plane))
     by_degree = {0: [(d.base.zero_monomial(), GradedElement.of(mu))]}
     for mono, psi in d.terms.items():
         by_degree.setdefault(_degree(mono), []).append((mono, GradedElement.of(psi)))
-    sums: dict[Monomial, list[Fraction]] = {}
-    for a in range(j + 1):
-        for m1, psi1 in by_degree.get(a, ()):
-            for m2, psi2 in by_degree.get(j - a, ()):
-                # empty above the truncation order
-                landing = TruncatedPolynomial(d.base, {_mono_mul(m1, m2): F1}).coeffs
-                if not landing:
-                    continue
-                product = circle(alg, psi1, psi2).cochain.flat()
-                for m, c in landing.items():
-                    acc = sums.setdefault(m, [F0] * len(product))
-                    for i, x in enumerate(product):
-                        if x:
-                            acc[i] -= c * x
-    return {m: Cochain.from_flat(3, alg.dim, acc) for m, acc in sums.items()}
+    out = {}
+    for j in degrees:
+        sums: dict[Monomial, list[Fraction]] = {}
+        for a in range(j + 1):
+            for m1, psi1 in by_degree.get(a, ()):
+                for m2, psi2 in by_degree.get(j - a, ()):
+                    # empty above the truncation order
+                    landing = TruncatedPolynomial(d.base, {_mono_mul(m1, m2): F1}).coeffs
+                    if not landing:
+                        continue
+                    product = circle(alg, psi1, psi2).cochain.flat()
+                    for m, c in landing.items():
+                        acc = sums.setdefault(m, [F0] * len(product))
+                        for i, x in enumerate(product):
+                            if x:
+                                acc[i] -= c * x
+        out[j] = {m: Cochain.from_flat(3, alg.dim, acc) for m, acc in sums.items()}
+    return out
 
 
 def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
@@ -460,8 +464,8 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     """
     zero = Cochain.zeros(3, d.algebra.dim)
     defect = dict.fromkeys(d.base.monomials(), zero)
-    for j in range(d.base.truncation_order + 1):
-        for mono, entry in _defect_in_degree(d, j).items():
+    for entries in _defect_in_degrees(d, range(d.base.truncation_order + 1)).values():
+        for mono, entry in entries.items():
             defect[mono] = defect[mono] + entry
     return defect
 
@@ -471,30 +475,35 @@ def obstruction_classes(
 ) -> "ObstructionReport":
     """Classes of the degree-(k+1) defect entries of a deformation flat to order k.
 
-    Requires the defect to vanish in every degree up to k.  Each degree-(k+1)
-    entry is checked to be closed (anything else signals a sign error) and
-    projected to degree-3 cohomology; the per-class-direction polynomials that
-    must vanish on the base are assembled from the projections.
+    Requires the defect to vanish in every degree up to k; all degrees up to
+    k+1 are computed in one pass.  Each nonzero degree-(k+1) entry is checked
+    to be closed (anything else signals a sign error) and projected to
+    degree-3 cohomology, and a zero entry has the zero class; the
+    per-class-direction polynomials that must vanish on the base are
+    assembled from the projections.
     """
     if k < 1:
         raise PreconditionError("order must be at least 1")
     if hl3 is None:
         hl3 = cohomology(d.algebra, 3)
-    flat = d.truncate_terms(k)
-    for j in range(k + 1):
-        nonzero = [m for m, entry in _defect_in_degree(flat, j).items() if not entry.is_zero()]
+    by_degree = _defect_in_degrees(d.truncate_terms(k), range(k + 2))
+    defect = by_degree.pop(k + 1)
+    for entries in by_degree.values():
+        nonzero = [m for m, entry in entries.items() if not entry.is_zero()]
         if nonzero:
             mono = min(nonzero, key=_render_key)
             raise PreconditionError(
                 f"defect does not vanish at degree {_degree(mono)} (monomial {mono})"
             )
-    defect = _defect_in_degree(flat, k + 1)
-    zero = Cochain.zeros(3, d.algebra.dim)
+    zero_class = zero_vec(hl3.dim)
     classes: dict[Monomial, Vec] = {}
     for mono in d.base.monomials(k + 1):
         if _degree(mono) != k + 1:
             continue
-        entry = defect.get(mono, zero)
+        entry = defect.get(mono)
+        if entry is None or entry.is_zero():
+            classes[mono] = zero_class
+            continue
         if not coboundary(d.algebra, entry).is_zero():
             raise LeibnizDeformError(
                 "obstruction candidate is not closed; this signals an internal sign error"
@@ -547,7 +556,8 @@ def extend_to_order(
         new_terms[mono] = Cochain.from_flat(2, alg.dim, sol)
     extended = Deformation(alg, d.base, new_terms)
     # pairs of lower total degree do not involve the new terms
-    if not all(entry.is_zero() for entry in _defect_in_degree(extended, k + 1).values()):
+    top = _defect_in_degrees(extended, (k + 1,))[k + 1]
+    if not all(entry.is_zero() for entry in top.values()):
         raise LeibnizDeformError("extension failed to kill the defect; internal error")
     return extended
 
@@ -642,10 +652,14 @@ def push_forward(
 ) -> Deformation:
     """Transport a deformation along a base homomorphism.
 
-    The homomorphism is given by the images of the generators, which must be
-    polynomials over the target base with zero constant term.
+    The homomorphism is given by the images of the generators, one for each
+    source generator and no other, which must be polynomials over the target
+    base with zero constant term.
     """
     n = d.algebra.dim
+    for gen in images:
+        if gen not in d.base.generators:
+            raise PreconditionError(f"image supplied for {gen!r}, which is not a source generator")
     for gen in d.base.generators:
         if gen not in images:
             raise PreconditionError(f"no image supplied for generator {gen!r}")

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .algebra import LeibnizAlgebra
 from .cochain import Cochain, coboundary
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import F0, vec_is_zero
+from .linalg import F0, zero_vec
 
 
 @dataclass(frozen=True)
@@ -81,38 +81,56 @@ class GradedElement:
 
 
 def circle(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedElement:
-    """The circle product; the result has degree deg(a) + deg(b)."""
+    """The circle product; the result has degree deg(a) + deg(b).
+
+    Only the nonzero entries of the operands are visited: for each slot k,
+    every nonzero value b(y_0..y_q) whose c-th coordinate is nonzero meets
+    every nonzero value of a with c in slot k, once per shuffle, and their
+    product lands on the one output tuple that shuffle builds from a's prefix,
+    y_0 and the shuffled window.  The result is a dense cochain as usual.
+    ``circle_by_filter`` in ``tests/helpers.py``, which evaluates the formula
+    above on every output tuple, is the test oracle.
+    """
     fa, fb = a.cochain, b.cochain
     if fa.dim != alg.dim or fb.dim != alg.dim:
         raise DimensionMismatch("cochain dimension differs from algebra dimension")
     n = alg.dim
     p, q = a.degree, b.degree
     arity = p + q + 1
-    shuffle_table = {k: shuffles(q, p - k + 1) for k in range(1, p + 2)}
-    values = []
-    for x in itertools.product(range(n), repeat=arity):
-        acc = [F0] * n
-        for k in range(1, p + 2):
-            k_sign = -1 if (q * (k - 1)) % 2 else 1
-            window = x[k:]  # arguments x_{k+1} .. x_{p+q+1}
-            prefix = x[: k - 1]
-            for sh in shuffle_table[k]:
-                perm = sh.permutation
-                inner_args = (x[k - 1],) + tuple(window[j - 1] for j in perm[:q])
-                inner = fb.eval_basis(inner_args)
-                if vec_is_zero(inner):
-                    continue
-                suffix = tuple(window[j - 1] for j in perm[q:])
-                s = k_sign * sh.sign
-                for c, coeff in enumerate(inner):
-                    if coeff:
-                        row = fa.eval_basis(prefix + (c,) + suffix)
-                        w = coeff if s == 1 else -coeff
-                        for t in range(n):
-                            if row[t]:
-                                acc[t] += w * row[t]
-        values.append(tuple(acc))
-    return GradedElement(Cochain(arity, n, tuple(values)), p + q)
+    a_entries = list(fa.nonzero_entries())
+    b_entries = list(fb.nonzero_entries())
+    acc: dict[tuple[int, ...], list[Fraction]] = {}
+    for k in range(1, p + 2):
+        k_sign = -1 if (q * (k - 1)) % 2 else 1
+        by_slot: dict[int, list] = {}
+        for args, value in a_entries:
+            by_slot.setdefault(args[k - 1], []).append((args[: k - 1], args[k:], value))
+        for sh in shuffles(q, p - k + 1):
+            perm = sh.permutation
+            s = k_sign * sh.sign
+            for b_args, b_value in b_entries:
+                for c, coeff in enumerate(b_value):
+                    if not coeff or c not in by_slot:
+                        continue
+                    w = coeff if s == 1 else -coeff
+                    for prefix, rest, a_value in by_slot[c]:
+                        # window position perm[j] holds b's (j+1)-th argument
+                        # for j < q, then a's arguments after slot k
+                        window = [0] * (arity - k)
+                        for pos, arg in zip(perm, b_args[1:] + rest):
+                            window[pos - 1] = arg
+                        x = prefix + (b_args[0],) + tuple(window)
+                        row = acc.get(x)
+                        if row is None:
+                            row = acc[x] = [F0] * n
+                        for t, y in enumerate(a_value):
+                            if y:
+                                row[t] += w * y
+    zero = zero_vec(n)
+    values = tuple(
+        tuple(acc[x]) if x in acc else zero for x in itertools.product(range(n), repeat=arity)
+    )
+    return GradedElement(Cochain(arity, n, values), p + q)
 
 
 def graded_bracket(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedElement:

@@ -50,11 +50,12 @@ def zero_vec(n: int) -> Vec:
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    # Zero entries are skipped: most cochain entries are zero.
+    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else F0 for x in a)
 
 
 def vec_is_zero(a: Vec) -> bool:

@@ -171,6 +171,39 @@ def test_malformed_reps_file_exits_one(capsys, tmp_path, command, cochains, mess
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["massey", "versal", "infinitesimal"])
+@pytest.mark.parametrize(
+    "cochains, message",
+    [
+        (
+            [{"arity": 2, "dim": 3, "entries": []}, {"arity": 3, "dim": 3, "entries": []}],
+            "entry 1 of 'cochains' has arity 3 and dimension 3; expected arity 2 and dimension 3",
+        ),
+        (
+            [{"arity": 2, "dim": 2, "entries": []}],
+            "entry 0 of 'cochains' has arity 2 and dimension 2; expected arity 2 and dimension 3",
+        ),
+    ],
+)
+def test_reps_of_wrong_arity_or_dimension_exit_one(capsys, tmp_path, command, cochains, message):
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps({"cochains": cochains}), encoding="utf-8")
+    code, out, err = invoke(capsys, command, "lambda6", "--reps", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_pushforward_of_unknown_generator_exits_two(capsys):
+    code, out, err = invoke(
+        capsys, "pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--sub", "q=1",
+        "--to", "x",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "fault: image supplied for 'q', which is not a source generator\n"
+
+
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):
     path = tmp_path / "ab.json"
     path.write_text('{"dim": 2, "brackets": []}', encoding="utf-8")

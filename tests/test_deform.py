@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bracket_defect, random_cochain, random_leibniz_algebra
+from helpers import bracket_defect, nf4, random_cochain, random_leibniz_algebra
 from leibniz_deform import deform
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import (
@@ -278,23 +278,52 @@ def test_versal_loop_uses_one_defect_per_order_and_no_brackets(monkeypatch):
     monkeypatch.setattr(
         Deformation, "bracket", lambda self, x, y: brackets.append(1) or bracket(self, x, y)
     )
-    degrees = []
-    core = deform._defect_in_degree
-    monkeypatch.setattr(deform, "_defect_in_degree", lambda d, j: degrees.append(j) or core(d, j))
-    top_degree_evaluations = {}
+    passes = []  # the degrees of each call of the defect core
+    core = deform._defect_in_degrees
+    monkeypatch.setattr(
+        deform, "_defect_in_degrees", lambda d, js: passes.append(list(js)) or core(d, js)
+    )
+    per_order = {}
     extend = deform.extend_to_order
 
     def counted_extend(d, k, hl3=None):
-        start = len(degrees)
+        start = len(passes)
         out = extend(d, k, hl3)
-        top_degree_evaluations[k] = degrees[start:].count(k + 1)
+        per_order[k] = passes[start:]
         return out
 
     monkeypatch.setattr(deform, "extend_to_order", counted_extend)
     versal_construct(lambda6(), 6)
     assert brackets == []
-    # once for the obstruction classes and the solve, once for the post-check
-    assert top_degree_evaluations == {k: 2 for k in range(1, 6)}
+    # one combined pass for the precondition, the obstruction classes and the
+    # solve, then the post-check of the top degree alone
+    assert per_order == {k: [list(range(k + 2)), [k + 1]] for k in range(1, 6)}
+
+
+# Every degree-(k+1) defect entry of lambda6 up to order 20 is zero; NF4 has
+# three nonzero ones at order 2.
+@pytest.mark.parametrize("algebra, max_order, nonzero_entries", [("lambda6", 20, 0), ("nf4", 3, 3)])
+def test_obstruction_closedness_checks_only_nonzero_entries(
+    monkeypatch, algebra, max_order, nonzero_entries
+):
+    calls = []
+    real = deform.coboundary
+    monkeypatch.setattr(deform, "coboundary", lambda alg, f: calls.append(f) or real(alg, f))
+    per_order = []
+    obstruction = deform.obstruction_classes
+
+    def counted_obstruction(d, k, hl3=None):
+        start = len(calls)
+        report = obstruction(d, k, hl3)
+        nonzero = sum(1 for entry in report.defect.values() if not entry.is_zero())
+        per_order.append((len(calls) - start, nonzero))
+        return report
+
+    monkeypatch.setattr(deform, "obstruction_classes", counted_obstruction)
+    versal_construct({"lambda6": lambda6, "nf4": nf4}[algebra](), max_order)
+    assert len(per_order) == max_order - 1
+    assert all(checks == nonzero for checks, nonzero in per_order)
+    assert sum(nonzero for _, nonzero in per_order) == nonzero_entries
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +493,14 @@ def test_pushforward_rejects_nonzero_constant_term():
     target = LocalBase(("t",), 3)
     with pytest.raises(PreconditionError):
         push_forward(d, target, {"t": target.one(), "s": target.zero()})
+
+
+def test_pushforward_rejects_image_of_unknown_generator():
+    alg, d = _versal()
+    target = LocalBase(("x",), 3)
+    x = target.generator("x")
+    with pytest.raises(PreconditionError, match="'q', which is not a source generator"):
+        push_forward(d, target, {"t": x, "s": target.zero(), "q": target.one()})
 
 
 def test_pushforward_functoriality():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import circle_by_filter, random_cochain, random_leibniz_algebra, shuffles_by_filter
+from helpers import circle_by_filter, nf4, random_cochain, random_leibniz_algebra, shuffles_by_filter
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import Cochain, coboundary, lambda6_reference_representatives
 from leibniz_deform.graded import (
@@ -108,6 +108,37 @@ def test_circle_matches_filter_oracle():
             a = GradedElement.of(random_cochain(rng, pa + 1, 2))
             b = GradedElement.of(random_cochain(rng, pb + 1, 2))
             assert circle(alg, a, b).cochain == circle_by_filter(alg, a, b)
+
+
+def _very_sparse_cochain(rng, arity, dim, count):
+    """A cochain with at most ``count`` nonzero rational coordinates."""
+    entries = {}
+    for _ in range(count):
+        idx = tuple(rng.randrange(dim) for _ in range(arity))
+        coeff = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+        entries.setdefault(idx, {})[rng.randrange(dim)] = coeff
+    return Cochain.from_entries(arity, dim, entries)
+
+
+SPARSE_CIRCLE_ALGEBRAS = {
+    "lambda6": lambda6,
+    "nf4": nf4,
+    "random": lambda: random_leibniz_algebra(random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("pa, pb", [(pa, pb) for pa in range(3) for pb in range(3)])
+@pytest.mark.parametrize("algebra", sorted(SPARSE_CIRCLE_ALGEBRAS))
+def test_circle_matches_filter_oracle_on_very_sparse_cochains(algebra, pa, pb):
+    alg = SPARSE_CIRCLE_ALGEBRAS[algebra]()
+    rng = random.Random(f"{algebra}-{pa}-{pb}")
+    # a zero operand on either side, then nonzero on both
+    counts = [(0, rng.randint(1, 3)), (rng.randint(1, 3), 0)]
+    counts += [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
+    for ca, cb in counts:
+        a = GradedElement.of(_very_sparse_cochain(rng, pa + 1, alg.dim, ca))
+        b = GradedElement.of(_very_sparse_cochain(rng, pb + 1, alg.dim, cb))
+        assert circle(alg, a, b).cochain == circle_by_filter(alg, a, b)
 
 
 def test_bracket_of_reference_cocycles_vanishes():

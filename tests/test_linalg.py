@@ -16,7 +16,8 @@ from helpers import (
     random_matrix,
 )
 from leibniz_deform import cochain, linalg
-from leibniz_deform.errors import PreconditionError
+from leibniz_deform.cochain import Cochain
+from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import (
     Matrix,
     SubspaceBasis,
@@ -26,6 +27,8 @@ from leibniz_deform.linalg import (
     rank,
     rref,
     solve,
+    vec_add,
+    vec_scale,
 )
 
 F = Fraction
@@ -280,6 +283,72 @@ def test_project_returns_unique_coordinates(case, data):
     for c, r in zip(coords + noise, reps.vectors + sub.vectors):
         v = [a + c * b for a, b in zip(v, r)]
     assert project(v) == tuple(coords)
+
+
+# ---------------------------------------------------------------------------
+# Zero-skipping sums and scalings equal the plain dense formulas
+# ---------------------------------------------------------------------------
+
+# Zeros that are the shared F0, fresh Fraction(0, d) objects, or results of
+# cancellation, mixed with nonzero rationals.
+mixed_zeros = st.one_of(
+    st.just(linalg.F0),
+    st.builds(Fraction, st.just(0), st.integers(1, 9)),
+    st.integers(-9, 9).map(lambda k: Fraction(k, 3) - Fraction(k, 3)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+factors = st.one_of(st.sampled_from((linalg.F0, F(0), F(-1), F(1))), mixed_zeros)
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(0, 6))
+    vectors = st.lists(mixed_zeros, min_size=n, max_size=n).map(tuple)
+    return draw(vectors), draw(vectors)
+
+
+@given(vector_pairs(), factors)
+def test_vec_add_and_scale_equal_dense_formulas(pair, c):
+    a, b = pair
+    total = vec_add(a, b)
+    assert total == tuple(x + y for x, y in zip(a, b))
+    scaled = vec_scale(c, a)
+    assert scaled == tuple(c * x for x in a)
+    assert all(type(x) is Fraction for x in total + scaled)
+
+
+def test_vec_add_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        vec_add((F(0),), (F(1), F(0)))
+
+
+@st.composite
+def cochain_pairs(draw):
+    arity, dim = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    size = dim ** arity * dim
+    flat = st.lists(mixed_zeros, min_size=size, max_size=size)
+    return Cochain.from_flat(arity, dim, draw(flat)), Cochain.from_flat(arity, dim, draw(flat))
+
+
+def _dense(f: Cochain, values) -> Cochain:
+    return Cochain(f.arity, f.dim, tuple(tuple(v) for v in values))
+
+
+@given(cochain_pairs(), factors)
+def test_cochain_sum_difference_and_scale_equal_dense_formulas(pair, c):
+    f, g = pair
+    rows = list(zip(f.values, g.values))
+    assert f + g == _dense(f, ([x + y for x, y in zip(u, v)] for u, v in rows))
+    assert f - g == _dense(f, ([x - y for x, y in zip(u, v)] for u, v in rows))
+    assert f.scale(c) == _dense(f, ([c * x for x in u] for u in f.values))
+    assert -f == _dense(f, ([-x for x in u] for u in f.values))
+
+
+def test_cochain_sum_and_difference_reject_mismatched_shapes():
+    f, g = Cochain.zeros(2, 2), Cochain.zeros(1, 2)
+    for op in (lambda: f + g, lambda: f - g, lambda: f - Cochain.zeros(2, 3)):
+        with pytest.raises(DimensionMismatch):
+            op()
 
 
 # ---------------------------------------------------------------------------
