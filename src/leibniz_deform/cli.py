@@ -65,7 +65,10 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
         item = dict(item)
         item.setdefault("arity", 2)
         item.setdefault("dim", doc.get("dim", alg.dim))
-        rep = cochain_from_json(item)
+        try:
+            rep = cochain_from_json(item)
+        except FormatError as e:
+            raise FormatError(f"entry {index} of 'cochains': {e}") from e
         if rep.arity != 2 or rep.dim != alg.dim:
             raise FormatError(
                 f"entry {index} of 'cochains' has arity {rep.arity} and dimension {rep.dim};"

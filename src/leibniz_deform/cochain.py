@@ -35,6 +35,7 @@ from .linalg import (
     SubspaceBasis,
     Vec,
     as_scalar,
+    echelon_rows,
     image_basis,
     kernel_basis,
     quotient_representatives,
@@ -79,6 +80,8 @@ class Cochain:
                 raise DimensionMismatch(f"bad input tuple {idx}")
             t = cls._flat_input(dim, idx)
             for k, coeff in value.items():
+                if not 0 <= k < dim:
+                    raise DimensionMismatch(f"output index {k} of input tuple {idx} is outside 0..{dim - 1}")
                 table[t][k] = as_scalar(coeff)
         return cls(arity, dim, tuple(tuple(row) for row in table))
 
@@ -152,18 +155,25 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     """Matrix of the coboundary from p-cochains to (p+1)-cochains.
 
     Rows and columns use the flattened coordinates described in the module
-    docstring; the matrix has n^{p+2} rows and n^{p+1} columns.  Assembled
-    term by term from the defining formula rather than column by column; the
-    tests pin agreement with the direct evaluation ``direct_coboundary`` in
-    ``tests/helpers.py``.
+    docstring; the matrix has n^{p+2} rows and n^{p+1} columns.  It is
+    assembled as sparse rows, term by term from the defining formula, visiting
+    only the nonzero structure constants: the dense table is never built.
+    The tests pin agreement with the direct evaluation ``direct_coboundary``
+    in ``tests/helpers.py``.
     """
     if p < 0:
         raise PreconditionError("degree must be nonnegative")
     n = alg.dim
-    ncols = n ** p * n
-    nrows = n ** (p + 1) * n
-    entries = [[F0] * ncols for _ in range(nrows)]
-    sc = alg.structure_constants
+    # integral constants as ints, so that the sums below are int sums
+    sc = [
+        [[int(v) if v.denominator == 1 else v for v in row] for row in plane]
+        for plane in alg.structure_constants
+    ]
+    # [e_a, e_b] = sum_k v e_k, nonzero terms only, by the left argument a, by
+    # the right argument b, and by the pair (a, b)
+    by_left = [[(b, k, v) for b in range(n) for k, v in enumerate(sc[a][b]) if v] for a in range(n)]
+    by_right = [[(a, k, v) for a in range(n) for k, v in enumerate(sc[a][b]) if v] for b in range(n)]
+    by_pair = [[[(k, v) for k, v in enumerate(sc[a][b]) if v] for b in range(n)] for a in range(n)]
 
     def flat_input(idx: tuple[int, ...]) -> int:
         t = 0
@@ -171,45 +181,37 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
             t = t * n + i
         return t
 
+    rows: list[dict[int, object]] = []
     for x in itertools.product(range(n), repeat=p + 1):
-        row_base = flat_input(x) * n
+        out = [{} for _ in range(n)]  # the rows of the outputs e_1 .. e_n at x
 
         # [x_1, f(x_2 .. x_{p+1})]: reads f at x[1:], acts by the left bracket
         col_base = flat_input(x[1:]) * n
-        left = sc[x[0]]
-        for c in range(n):
-            for k in range(n):
-                if left[c][k]:
-                    entries[row_base + k][col_base + c] += left[c][k]
+        for c, k, v in by_left[x[0]]:
+            row = out[k]
+            row[col_base + c] = row.get(col_base + c, 0) + v
 
         # (-1)^i [f(x_1 .. ^x_i ..), x_i]
         for i1 in range(2, p + 2):
             col_base = flat_input(x[: i1 - 1] + x[i1:]) * n
             sign = 1 if i1 % 2 == 0 else -1
-            xi = x[i1 - 1]
-            for c in range(n):
-                row_c = sc[c][xi]
-                for k in range(n):
-                    if row_c[k]:
-                        entries[row_base + k][col_base + c] += sign * row_c[k]
+            for c, k, v in by_right[x[i1 - 1]]:
+                row = out[k]
+                row[col_base + c] = row.get(col_base + c, 0) + sign * v
 
         # (-1)^{j+1} f(x_1,..,[x_i,x_j],..,^x_j,..): output passes through
         for i1 in range(1, p + 1):
             for j1 in range(i1 + 1, p + 2):
-                bracket = alg.bracket_basis(x[i1 - 1], x[j1 - 1])
-                if vec_is_zero(bracket):
-                    continue
                 sign = 1 if (j1 + 1) % 2 == 0 else -1
                 prefix = x[: i1 - 1]
                 suffix = x[i1: j1 - 1] + x[j1:]
-                for c in range(n):
-                    if bracket[c]:
-                        col_base = flat_input(prefix + (c,) + suffix) * n
-                        coeff = sign * bracket[c]
-                        for k in range(n):
-                            entries[row_base + k][col_base + k] += coeff
+                for c, v in by_pair[x[i1 - 1]][x[j1 - 1]]:
+                    col_base = flat_input(prefix + (c,) + suffix) * n
+                    for k, row in enumerate(out):
+                        row[col_base + k] = row.get(col_base + k, 0) + sign * v
+        rows.extend(out)
 
-    return Matrix(nrows, ncols, tuple(tuple(r) for r in entries))
+    return Matrix.from_sparse(n ** (p + 1) * n, n ** p * n, rows)
 
 
 @dataclass
@@ -314,19 +316,14 @@ def cocycle_relations(alg: LeibnizAlgebra, p: int) -> list[str]:
     """Human-readable linear relations among cochain coordinates defining ZL^p.
 
     Each relation comes from one row of the reduced echelon form of the
-    coboundary matrix and expresses a bound coordinate a_{i_1,..,i_p}^k in
-    terms of the free ones.
+    coboundary matrix, read from its cached elimination, and expresses a
+    bound coordinate a_{i_1,..,i_p}^k in terms of the free ones.
     """
     if p < 1:
         raise PreconditionError("degree must be at least 1")
-    reduced, pivots = rref(coboundary_matrix(alg, p))
     relations = []
-    for ri, pcol in enumerate(pivots):
-        row = reduced.entries[ri]
-        terms = []
-        for c in range(pcol + 1, reduced.cols):
-            if row[c]:
-                terms.append((-row[c], c))
+    for pcol, row in echelon_rows(coboundary_matrix(alg, p)):
+        terms = [(-x, c) for c, x in row.items() if c != pcol]
         lhs = _coordinate_name(alg.dim, pcol, p)
         if not terms:
             relations.append(f"{lhs} = 0")

@@ -47,7 +47,7 @@ from .cochain import (
 )
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import GradedElement, circle, graded_bracket
-from .linalg import F0, F1, Vec, as_scalar, solve, vec_is_zero, zero_vec
+from .linalg import F0, F1, Matrix, Vec, as_scalar, rank, solve, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
@@ -700,8 +700,6 @@ def check_equivalence(
     if len(phi) != n or any(len(row) != n for row in phi):
         raise DimensionMismatch("map matrix has wrong shape")
     const = [[phi[i][j].constant_term() for j in range(n)] for i in range(n)]
-    from .linalg import Matrix, rank
-
     if rank(Matrix.from_rows(const)) != n:
         return False, "constant part of the matrix is not invertible"
     identity = all(const[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))

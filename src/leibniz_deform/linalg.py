@@ -1,18 +1,27 @@
 """Deterministic exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` values in lowest terms; no floating point
-is used anywhere.  Elimination is sparse: a row being reduced is a dict from
-column index to its nonzero ``Fraction`` entries, absent columns being zero.
-A ``Reducer`` grows a fully reduced echelon basis one inserted vector at a
-time, optionally recording each pivot row as a combination of the inserted
-vectors.
+No floating point is used anywhere.  A ``Matrix`` is stored as sparse rows:
+dicts from column index to the nonzero entries, absent columns being zero.
+A ``Reducer`` grows a fully reduced echelon basis one inserted sparse vector
+at a time, optionally recording each pivot row as a combination of the
+inserted vectors.
+
+Scalar policy: inside this module, in the stored rows and throughout
+elimination, an integral entry is a Python ``int`` and only a non-integral
+one is a ``fractions.Fraction``.  Both are exact; integer structure constants
+keep most entries integral, and ``int`` arithmetic skips the ``Fraction``
+overhead.  A pivot is inverted as ``Fraction(1, p)``, never ``1 / p``, and a
+``Fraction`` result that turns out integral is demoted back to ``int``.
+Everything that leaves the module is a ``Fraction`` in lowest terms: the
+dense ``Matrix.entries`` view, ``matvec``, ``rref``, ``echelon_rows``, kernel
+and image vectors, and ``solve`` and ``project`` coordinates.
 
 Factor once: each ``Matrix`` is eliminated at most once per side, and the
-result is cached on the instance.  Its rows give ``rref``, ``rank`` and
-``kernel_basis``; its columns, inserted in order with combinations tracked,
-give ``image_basis`` and ``solve``.  Later queries on the same matrix, and the
-``project`` returned by ``quotient_representatives``, only reduce one vector
-against the stored pivot rows.
+result is cached on the instance.  Its rows give ``rref``, ``echelon_rows``,
+``rank`` and ``kernel_basis``; its columns, inserted in order with
+combinations tracked, give ``image_basis`` and ``solve``.  Later queries on
+the same matrix, and the ``project`` returned by ``quotient_representatives``,
+only reduce one vector against the stored pivot rows.
 
 Outputs do not depend on how elimination is organised: the reduced row
 echelon form is unique, its pivot columns are the greedily independent
@@ -25,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, PreconditionError
 
@@ -33,7 +42,8 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 Vec = tuple[Fraction, ...]
-Sparse = dict[int, Fraction]
+Exact = Union[int, Fraction]  # a stored scalar: int when integral
+Sparse = dict[int, Exact]
 
 
 def as_scalar(x) -> Fraction:
@@ -62,24 +72,50 @@ def vec_is_zero(a: Vec) -> bool:
     return not any(a)
 
 
-def _sparse(v: Sequence) -> Sparse:
+def _exact(x) -> Exact:
+    """The stored form of a scalar: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = as_scalar(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _sparse(v: Sequence[Fraction]) -> Sparse:
     # Dense zeros are mostly the shared F0; the identity test skips the
     # comparatively slow Fraction.__bool__ for them.
-    return {j: x for j, x in enumerate(v) if x is not F0 and x}
+    return {j: _exact(x) for j, x in enumerate(v) if x is not F0 and x}
 
 
-def _axpy(y: Sparse, a: Fraction, x: Sparse) -> None:
-    """y += a * x in place, dropping entries that cancel; a must be nonzero."""
+def _dense(v: Sparse, n: int) -> Vec:
+    """The length-n Fraction vector with v's entries."""
+    out = [F0] * n
+    for j, x in v.items():
+        out[j] = as_scalar(x)
+    return tuple(out)
+
+
+def _axpy(y: Sparse, a: Exact, x: Sparse) -> None:
+    """y += a * x in place, dropping entries that cancel and demoting
+    integral Fractions to int; a must be nonzero."""
     for c, xc in x.items():
         t = y.get(c)
         if t is None:
-            y[c] = a * xc
+            t = a * xc
         else:
             t += a * xc
-            if t:
-                y[c] = t
-            else:
+            if not t:
                 del y[c]
+                continue
+        if type(t) is not int and t.denominator == 1:
+            t = t.numerator
+        y[c] = t
+
+
+def _scaled(a: Exact, x: Sparse) -> Sparse:
+    """a * x; a must be nonzero."""
+    out: Sparse = {}
+    _axpy(out, a, x)
+    return out
 
 
 class Reducer:
@@ -89,6 +125,7 @@ class Reducer:
     ``track``, ``combos`` maps each pivot column to the coefficients, keyed
     by insertion index, of the inserted vectors that sum to its row.
     ``independent`` lists the insertion indices that raised the rank.
+    Inserted vectors hold stored scalars and are not modified.
     """
 
     def __init__(self, track: bool = False):
@@ -97,7 +134,7 @@ class Reducer:
         self.independent: list[int] = []
         self.inserted = 0
 
-    def _reduce(self, v: Sparse) -> tuple[Sparse, list[tuple[int, Fraction]]]:
+    def _reduce(self, v: Sparse) -> tuple[Sparse, list[tuple[int, Exact]]]:
         """The residual of v modulo the pivot rows, and the multiples subtracted.
 
         Pivot rows vanish at each other's pivot columns, so the multiples are
@@ -118,16 +155,16 @@ class Reducer:
         if not row:
             return False
         p = min(row)
-        inv = 1 / row[p]
-        if inv != 1:
-            row = {c: x * inv for c, x in row.items()}
+        inv = None if row[p] == 1 else _exact(Fraction(1, row[p]))
+        if inv is not None:
+            row = _scaled(inv, row)
         combos = self.combos
         if combos is not None:
-            combo = {index: F1}
+            combo = {index: 1}
             for q, f in hits:
                 _axpy(combo, -f, combos[q])
-            if inv != 1:
-                combo = {i: x * inv for i, x in combo.items()}
+            if inv is not None:
+                combo = _scaled(inv, combo)
         for q, other in self.rows.items():
             f = other.get(p)
             if f:
@@ -152,37 +189,54 @@ class Reducer:
         return out
 
 
-def _eliminate(vectors: Iterable[Sequence], track: bool = False) -> Reducer:
-    """Insert dense vectors, in order, into a fresh reducer."""
+def _eliminate(vectors: Iterable[Sparse], track: bool = False) -> Reducer:
+    """Insert sparse vectors, in order, into a fresh reducer."""
     reducer = Reducer(track)
     for v in vectors:
-        reducer.insert(_sparse(v))
+        reducer.insert(v)
     return reducer
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix of exact rationals."""
+    """Matrix of exact rationals, stored as sparse rows.
 
-    rows: int
-    cols: int
-    entries: tuple[Vec, ...]
+    ``Matrix(rows, cols, entries)`` takes dense row-major entries, and
+    ``from_sparse`` takes rows as dicts of column to entry.  ``entries`` is
+    the dense view, all ``Fraction``, built on first use.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+        if len(entries) != rows:
             raise DimensionMismatch("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise DimensionMismatch("ragged matrix rows")
+        self.rows = rows
+        self.cols = cols
+        self._row_dicts = tuple(_sparse(vec(r)) for r in entries)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
+    def from_sparse(cls, rows: int, cols: int, row_dicts: Sequence[Mapping[int, object]]) -> "Matrix":
+        """The matrix whose row i has entry x at column c for each c: x in
+        ``row_dicts[i]``; absent columns and zero entries are zero."""
+        if len(row_dicts) != rows:
+            raise DimensionMismatch("row count does not match entries")
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._row_dicts = tuple({c: y for c, x in r.items() if (y := _exact(x))} for r in row_dicts)
+        if any(not 0 <= c < cols for r in m._row_dicts for c in r):
+            raise DimensionMismatch("column index out of range")
+        return m
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence]) -> "Matrix":
         entries = tuple(vec(r) for r in rows)
         ncols = len(entries[0]) if entries else 0
         return cls(len(entries), ncols, entries)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
+    def from_columns(cls, columns: Iterable[Sequence], nrows: Optional[int] = None) -> "Matrix":
         cols = [vec(c) for c in columns]
         if nrows is None:
             if not cols:
@@ -193,47 +247,54 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+        return cls.from_sparse(rows, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)))
+        return cls.from_sparse(n, n, [{i: 1} for i in range(n)])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._row_dicts) == (other.rows, other.cols, other._row_dicts)
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows}, {self.cols}, {self.entries!r})"
+
+    @cached_property
+    def entries(self) -> tuple[Vec, ...]:
+        return tuple(_dense(r, self.cols) for r in self._row_dicts)
+
+    @cached_property
+    def _columns(self) -> tuple[Sparse, ...]:
+        columns: list[Sparse] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._row_dicts):
+            for c, x in r.items():
+                columns[c][i] = x
+        return tuple(columns)
 
     def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
+        return _dense(self._columns[j], self.rows)
 
     def matvec(self, v: Sequence) -> Vec:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        nz = [(j, x) for j, x in enumerate(vec(v)) if x]
-        return tuple(sum((r[j] * x for j, x in nz if r[j]), F0) for r in self.entries)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matmul: inner dimensions differ")
-        out = []
-        for r in self.entries:
-            nz = [(j, r[j]) for j in range(self.cols) if r[j]]
-            row = [F0] * other.cols
-            for j, c in nz:
-                orow = other.entries[j]
-                for k in range(other.cols):
-                    if orow[k]:
-                        row[k] += c * orow[k]
-            out.append(tuple(row))
-        return Matrix(self.rows, other.cols, tuple(out))
+        out: Sparse = {}
+        columns = self._columns
+        for j, x in _sparse(vec(v)).items():
+            _axpy(out, x, columns[j])
+        return _dense(out, self.rows)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.entries)
+        return not any(self._row_dicts)
 
     @cached_property
     def _row_echelon(self) -> Reducer:
-        return _eliminate(self.entries)
+        return _eliminate(self._row_dicts)
 
     @cached_property
     def _column_echelon(self) -> Reducer:
-        columns = zip(*self.entries) if self.rows else [()] * self.cols
-        return _eliminate(columns, track=True)
+        return _eliminate(self._columns, track=True)
 
 
 @dataclass(frozen=True)
@@ -253,18 +314,18 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
+def echelon_rows(m: Matrix) -> tuple[tuple[int, dict[int, Fraction]], ...]:
+    """The nonzero rows of the reduced row echelon form, sparse: (pivot
+    column, {column: entry}) pairs, pivots and columns in increasing order."""
+    rows = m._row_echelon.rows
+    return tuple((p, {c: as_scalar(x) for c, x in sorted(rows[p].items())}) for p in sorted(rows))
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    echelon = m._row_echelon
-    pivots = tuple(sorted(echelon.rows))
-    dense = []
-    for p in pivots:
-        row = [F0] * m.cols
-        for c, x in echelon.rows[p].items():
-            row[c] = x
-        dense.append(tuple(row))
-    dense.extend([zero_vec(m.cols)] * (m.rows - len(pivots)))
-    return Matrix(m.rows, m.cols, tuple(dense)), pivots
+    reduced = echelon_rows(m)
+    rows = [row for _, row in reduced] + [{}] * (m.rows - len(reduced))
+    return Matrix.from_sparse(m.rows, m.cols, rows), tuple(p for p, _ in reduced)
 
 
 def rank(m: Matrix) -> int:
@@ -284,7 +345,7 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     for p, row in rows.items():
         for c, x in row.items():
             if c != p:
-                vectors[c][p] = -x
+                vectors[c][p] = as_scalar(-x)
     return SubspaceBasis(m.cols, tuple(tuple(v) for v in vectors.values()))
 
 
@@ -304,7 +365,7 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[Vec]:
     coords = m._column_echelon.coordinates(_sparse(vec(rhs)))
     if coords is None:
         return None
-    return tuple(coords.get(j, F0) for j in range(m.cols))
+    return _dense(coords, m.cols)
 
 
 def quotient_representatives(
@@ -319,17 +380,19 @@ def quotient_representatives(
     """
     if sub.ambient_dim != full.ambient_dim:
         raise DimensionMismatch("sub and full live in different ambient spaces")
-    span = _eliminate(full.vectors)
-    if any(span._reduce(_sparse(v))[0] for v in sub.vectors):
+    full_rows = [_sparse(v) for v in full.vectors]
+    sub_rows = [_sparse(v) for v in sub.vectors]
+    span = _eliminate(full_rows)
+    if any(span._reduce(v)[0] for v in sub_rows):
         raise PreconditionError("sub is not contained in the span of full")
 
-    joint = _eliminate(sub.vectors, track=True)
-    nsub = len(sub.vectors)
+    joint = _eliminate(sub_rows, track=True)
+    nsub = len(sub_rows)
     rep_indices = []  # insertion indices into joint: sub first, then full
-    for j, v in enumerate(full.vectors):
+    for j, v in enumerate(full_rows):
         if len(joint.rows) == len(span.rows):
             break
-        if joint.insert(_sparse(v)):
+        if joint.insert(v):
             rep_indices.append(nsub + j)
     reps = tuple(full.vectors[i - nsub] for i in rep_indices)
 
@@ -339,6 +402,6 @@ def quotient_representatives(
         coords = joint.coordinates(_sparse(vec(v)))
         if coords is None:
             raise PreconditionError("vector is not in the span of full")
-        return tuple(coords.get(i, F0) for i in rep_indices)
+        return tuple(as_scalar(coords[i]) if i in coords else F0 for i in rep_indices)
 
     return SubspaceBasis(full.ambient_dim, reps), project

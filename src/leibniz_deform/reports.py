@@ -22,6 +22,7 @@ from .deform import (
     TruncatedPolynomial,
     _render_key,
 )
+from .errors import DimensionMismatch, FormatError
 
 
 def dumps_canonical(obj) -> str:
@@ -118,21 +119,27 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(doc: dict) -> Cochain:
-    from .errors import FormatError
+    """The cochain of a ``cochain_to_json`` document; 1-based indices.
 
+    Raises FormatError for a malformed document, naming the entry whose
+    ``args`` or ``basis`` lies outside 1..dim.
+    """
     try:
         arity = int(doc["arity"])
         dim = int(doc["dim"])
         entries = {}
-        for item in doc.get("entries", []):
-            idx = tuple(int(a) - 1 for a in item["args"])
-            entries[idx] = {
-                int(term["basis"]) - 1: Fraction(str(term["coeff"]))
-                for term in item.get("value", [])
-            }
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        for pos, item in enumerate(doc.get("entries", [])):
+            args = [int(a) for a in item["args"]]
+            value = {int(term["basis"]): Fraction(str(term["coeff"])) for term in item.get("value", [])}
+            if len(args) != arity or not all(1 <= a <= dim for a in args):
+                raise FormatError(f"entry {pos} of 'entries' has args {args}; expected {arity} indices in 1..{dim}")
+            for k in value:
+                if not 1 <= k <= dim:
+                    raise FormatError(f"entry {pos} of 'entries' has basis {k}; expected an index in 1..{dim}")
+            entries[tuple(a - 1 for a in args)] = {k - 1: c for k, c in value.items()}
+        return Cochain.from_entries(arity, dim, entries)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, DimensionMismatch) as e:
         raise FormatError(f"bad cochain document: {e}") from e
-    return Cochain.from_entries(arity, dim, entries)
 
 
 def base_to_json(base: LocalBase) -> dict:

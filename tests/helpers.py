@@ -5,12 +5,14 @@ fraction-free rank, dense Gauss-Jordan elimination and the results derived
 from it, the coboundary evaluated from its defining formula, permutation-filter
 shuffle enumeration and a circle product built on it, and the deformation
 defect expanded from the deformed bracket.  The frozen cocycle families certify the computed degree-2 and degree-3
-kernels of the builtin algebra.
+kernels of the builtin algebra.  ``matmul`` composes two matrices for the
+d∘d = 0 tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -153,6 +155,32 @@ def greedy_representatives(sub_vectors, full_vectors) -> tuple[tuple, ...]:
             reps.append(v)
             cur += 1
     return tuple(reps)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, composed sparsely in integer arithmetic: each factor
+    is scaled by the lcm of its denominators, entry (i, j) of the product
+    sums a's column k times b's entry (k, j) over the nonzero entries of b's
+    column j, and the sums are divided by both scales."""
+    if a.cols != b.rows:
+        raise ValueError("matmul: inner dimensions differ")
+
+    def integral_columns(m: Matrix):
+        columns = [m.column(j) for j in range(m.cols)]
+        scale = math.lcm(1, *(x.denominator for c in columns for x in c if x))
+        return scale, [{i: x.numerator * (scale // x.denominator) for i, x in enumerate(c) if x} for c in columns]
+
+    scale_a, a_columns = integral_columns(a)
+    scale_b, b_columns = integral_columns(b)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(a.rows)]
+    for j, b_column in enumerate(b_columns):
+        sums: dict[int, int] = {}
+        for k, y in b_column.items():
+            for i, x in a_columns[k].items():
+                sums[i] = sums.get(i, 0) + x * y
+        for i, total in sums.items():
+            rows[i][j] = F(total, scale_a * scale_b)
+    return Matrix.from_sparse(a.rows, b.cols, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,34 @@ def test_reps_of_wrong_arity_or_dimension_exit_one(capsys, tmp_path, command, co
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["massey", "versal", "infinitesimal"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"args": [2, 3], "value": [{"basis": 7, "coeff": "1"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' has basis 7; expected an index in 1..3",
+        ),
+        (
+            {"args": [4, 1], "value": [{"basis": 1, "coeff": "1"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' has args [4, 1]; expected 2 indices in 1..3",
+        ),
+        (
+            {"args": [2, 3], "value": [{"basis": 0, "coeff": "-1"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' has basis 0; expected an index in 1..3",
+        ),
+    ],
+)
+def test_reps_with_out_of_range_indices_exit_one(capsys, tmp_path, command, entry, message):
+    cochains = [{"entries": []}, {"entries": [entry]}]
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps({"cochains": cochains}), encoding="utf-8")
+    code, out, err = invoke(capsys, command, "lambda6", "--reps", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_pushforward_of_unknown_generator_exits_two(capsys):
     code, out, err = invoke(
         capsys, "pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--sub", "q=1",

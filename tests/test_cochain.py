@@ -12,6 +12,7 @@ from helpers import (
     constraint_vector,
     direct_coboundary,
     expected_delta_g,
+    matmul,
     misoriented_nf4,
     random_cochain,
     random_leibniz_algebra,
@@ -26,7 +27,7 @@ from leibniz_deform.cochain import (
     lambda6_reference_representatives,
     with_representatives,
 )
-from leibniz_deform.errors import PreconditionError
+from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import Matrix, rank
 
 F = Fraction
@@ -205,7 +206,7 @@ def test_delta_squared_zero_on_corpus():
     for alg in algebras:
         top = 3 if alg.dim == 2 else 2
         for p in range(top + 1):
-            prod = coboundary_matrix(alg, p + 1).matmul(coboundary_matrix(alg, p))
+            prod = matmul(coboundary_matrix(alg, p + 1), coboundary_matrix(alg, p))
             assert prod.is_zero()
 
 
@@ -218,6 +219,14 @@ def test_matrix_agrees_with_coboundary_on_random_cochains():
             expected = direct_coboundary(alg, f)
             assert tuple(coboundary_matrix(alg, p).matvec(f.flat())) == expected.flat()
             assert coboundary(alg, f) == expected
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_from_entries_rejects_output_index_out_of_range(k):
+    with pytest.raises(DimensionMismatch, match=rf"output index {k} of input tuple \(1, 2\)"):
+        Cochain.from_entries(2, 3, {(1, 2): {k: -1}})
+    ok = Cochain.from_entries(2, 3, {(1, 2): {0: -1, 2: 1}})
+    assert ok.eval_basis((1, 2)) == (F(-1), F(0), F(1))
 
 
 def test_cohomology_requires_positive_degree():

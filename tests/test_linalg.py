@@ -12,11 +12,15 @@ from helpers import (
     dense_rref,
     dense_solve,
     greedy_representatives,
+    matmul,
     nf4,
+    random_cochain,
+    random_leibniz_algebra,
     random_matrix,
 )
 from leibniz_deform import cochain, linalg
-from leibniz_deform.cochain import Cochain
+from leibniz_deform.algebra import lambda6
+from leibniz_deform.cochain import Cochain, coboundary, coboundary_matrix
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import (
     Matrix,
@@ -286,6 +290,130 @@ def test_project_returns_unique_coordinates(case, data):
 
 
 # ---------------------------------------------------------------------------
+# Integer-first elimination: int inside the reducer, Fraction at every boundary
+# ---------------------------------------------------------------------------
+
+# Pivots of +-1, +-2 and 1/2 are drawn often, so elimination meets unit
+# pivots, pivots whose inverse is a Fraction, and sums that cancel to 0 or to
+# an integral Fraction (1/2 + 1/2).
+INTEGER_SCALARS = st.one_of(st.sampled_from((F(0), F(0), F(1), F(-1), F(2), F(-2))), st.integers(-6, 6).map(F))
+RATIONAL_SCALARS = st.one_of(
+    st.sampled_from((F(0), F(1, 2), F(-1, 2), F(3, 2))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda x: x.denominator > 1),
+)
+SCALAR_KINDS = {
+    "integer": INTEGER_SCALARS,
+    "rational": RATIONAL_SCALARS,
+    "mixed": st.one_of(INTEGER_SCALARS, RATIONAL_SCALARS),
+}
+
+
+@st.composite
+def typed_matrices(draw, max_rows=6, max_cols=6):
+    """Integer, rational or mixed matrices; some rows are combinations of
+    earlier rows with coefficients +-1, +-2 and +-1/2, so they cancel."""
+    kind = SCALAR_KINDS[draw(st.sampled_from(sorted(SCALAR_KINDS)))]
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    coefficient = st.sampled_from((F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)))
+    entries = []
+    for _ in range(rows):
+        if entries and draw(st.booleans()):
+            a, b = draw(st.sampled_from(entries)), draw(st.sampled_from(entries))
+            ca, cb = draw(coefficient), draw(coefficient)
+            entries.append(tuple(ca * x + cb * y for x, y in zip(a, b)))
+        else:
+            entries.append(tuple(draw(st.lists(kind, min_size=cols, max_size=cols))))
+    return Matrix(rows, cols, tuple(entries))
+
+
+def _all_fractions(vectors) -> bool:
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@given(typed_matrices())
+def test_row_echelon_equals_dense_oracle_and_returns_fractions(m):
+    reduced, pivots = rref(m)
+    expected, expected_pivots = dense_rref(m)
+    assert (reduced, pivots) == (expected, expected_pivots)
+    assert reduced.entries == expected.entries
+    assert kernel_basis(m).vectors == dense_kernel(m)
+    assert image_basis(m).vectors == dense_image(m)
+    assert rank(m) == bareiss_rank(m.entries)
+    assert _all_fractions(reduced.entries)
+    assert _all_fractions(kernel_basis(m).vectors)
+    assert _all_fractions(image_basis(m).vectors)
+    assert _all_fractions(m.entries)
+    assert _all_fractions(row.values() for _, row in linalg.echelon_rows(m))
+
+
+@given(typed_matrices(), st.data())
+def test_matmul_helper_equals_dense_product(a, data):
+    cols = data.draw(st.integers(0, 4))
+    cells = st.lists(SCALAR_KINDS["mixed"], min_size=cols, max_size=cols)
+    b = Matrix(a.cols, cols, tuple(tuple(data.draw(cells)) for _ in range(a.cols)))
+    expected = tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), F(0)) for j in range(cols))
+        for i in range(a.rows)
+    )
+    assert matmul(a, b).entries == expected
+
+
+@given(typed_matrices())
+def test_reducer_stores_integral_entries_as_int(m):
+    for reducer in (m._row_echelon, m._column_echelon):
+        stored = [x for row in reducer.rows.values() for x in row.values()]
+        stored += [x for combo in reducer.combos.values() for x in combo.values()] if reducer.combos else []
+        for x in stored:
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@given(typed_matrices(), st.data())
+def test_solve_and_matvec_equal_dense_oracle_and_return_fractions(m, data):
+    x = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=m.cols, max_size=m.cols))
+    consistent = m.matvec(x)
+    assert consistent == tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in m.entries)
+    assert _all_fractions([consistent])
+    sol = solve(m, consistent)
+    assert sol == dense_solve(m, consistent)
+    assert _all_fractions([sol])
+    rhs = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=m.rows, max_size=m.rows))
+    sol = solve(m, rhs)
+    assert sol == dense_solve(m, rhs)
+    assert sol is None or _all_fractions([sol])
+
+
+@given(typed_matrices(max_rows=5, max_cols=5), st.data())
+def test_quotient_and_project_equal_oracles_and_return_fractions(full, data):
+    n = full.cols
+    sub = [full.entries[i] for i in data.draw(st.lists(st.integers(0, full.rows - 1), max_size=3))] if full.rows else []
+    sub, full = SubspaceBasis(n, tuple(sub)), SubspaceBasis(n, full.entries)
+    reps, project = quotient_representatives(sub, full)
+    assert reps.vectors == greedy_representatives(sub.vectors, full.vectors)
+    coords = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=reps.dim, max_size=reps.dim))
+    noise = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=sub.dim, max_size=sub.dim))
+    v = [F(0)] * n
+    for c, r in zip(coords + noise, reps.vectors + sub.vectors):
+        v = [a + c * b for a, b in zip(v, r)]
+    assert project(v) == tuple(coords)
+    assert _all_fractions([project(v)] + list(reps.vectors))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coboundary_and_cohomology_return_fractions(p):
+    rng = random.Random(p)
+    for alg in (lambda6(), nf4(), random_leibniz_algebra(rng, dims=(3,))):
+        f = random_cochain(rng, p, alg.dim, density=0.3)
+        assert _all_fractions(coboundary(alg, f).values)
+        assert _all_fractions([coboundary_matrix(alg, p).matvec(f.flat())])
+        space = cochain.cohomology(alg, p)
+        assert _all_fractions(space.cocycle_basis.vectors + space.coboundary_basis.vectors)
+        assert _all_fractions(r.flat() for r in space.class_representatives)
+        if space.dim:
+            assert _all_fractions([space.project_to_classes(space.class_representatives[0])])
+
+
+# ---------------------------------------------------------------------------
 # Zero-skipping sums and scalings equal the plain dense formulas
 # ---------------------------------------------------------------------------
 
@@ -377,7 +505,17 @@ def test_cohomology_and_relations_eliminate_delta3_once(eliminations):
     cochain.cohomology(alg, 3)
     cochain.cocycle_relations(alg, 3)
     delta3 = cochain.coboundary_matrix(alg, 3)
-    assert sum(1 for vectors in eliminations if vectors is delta3.entries) == 1
+    assert sum(1 for vectors in eliminations if vectors is delta3._row_dicts) == 1
+
+
+def test_cohomology_and_relations_never_build_dense_delta3():
+    cochain.coboundary_matrix.cache_clear()
+    cochain.cohomology.cache_clear()
+    alg = nf4()
+    cochain.cohomology(alg, 3)
+    cochain.cocycle_relations(alg, 3)
+    for p in (2, 3):
+        assert "entries" not in vars(cochain.coboundary_matrix(alg, p))
 
 
 def test_quotient_eliminations_do_not_grow_with_candidates(eliminations):
