@@ -137,8 +137,7 @@ class Cochain:
 
     def nonzero_entries(self):
         """Yield (input tuple, value vector) for the nonzero table entries."""
-        for idx in self.input_tuples():
-            v = self.eval_basis(idx)
+        for idx, v in zip(self.input_tuples(), self.values):
             if not vec_is_zero(v):
                 yield idx, v
 

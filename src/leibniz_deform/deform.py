@@ -6,6 +6,16 @@ nonzero monomial of the base a 2-cochain; the degree-0 part is always the
 original bracket, so the evaluation-at-0 map is a homomorphism onto the
 undeformed algebra.
 
+Base elements are kept in one normal form modulo J = I + m^(N+1), with I the
+relation ideal and N the truncation order.  J is held as its Macaulay echelon:
+the products q r of each relation r with deg q + lowdeg r <= N, truncated,
+fully reduced over the monomials in lex-descending order, so that each pivot is
+the lex-largest monomial of its row and is eliminated first (t^2 - s^2
+rewrites t^2 to s^2, and abelian(1)'s recorded relation t^2 reduces to zero).
+The normal form is the residual modulo these rows: linear, independent of the
+order of the relations and zero exactly on J, unit multiples included (modulo
+t^2 - t^3 at order 4, t^2 = (t^2 - t^3)(1 + t + t^2) + t^5 is zero).
+
 The failure of the Leibniz identity for the deformed bracket,
 
     D(x,y,z) = [x,[y,z]] - [[x,y],z] + [[x,z],y],
@@ -34,7 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .algebra import LeibnizAlgebra
@@ -47,7 +57,7 @@ from .cochain import (
 )
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import GradedElement, circle, graded_bracket
-from .linalg import F0, F1, Matrix, Vec, as_scalar, rank, solve, vec_is_zero, zero_vec
+from .linalg import F0, F1, Matrix, Reducer, Sparse, Vec, _exact, as_scalar, rank, solve, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
@@ -61,10 +71,6 @@ def _degree(mono: Monomial) -> int:
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _render_key(mono: Monomial):
@@ -83,6 +89,9 @@ class LocalBase:
     The maximal ideal is generated by the parameters; evaluation at 0 is the
     augmentation.  Relations are stored as canonical coefficient tables and
     must have zero constant term.
+
+    Elements are kept normal modulo I + m^(N+1): reduced by its Macaulay
+    echelon over lex-descending monomials, unit multiples included.
     """
 
     generators: tuple[str, ...]
@@ -145,6 +154,24 @@ class LocalBase:
                 new.append(data)
         return LocalBase(self.generators, self.truncation_order, tuple(new))
 
+    @cached_property
+    def _echelon(self) -> tuple[tuple[Monomial, ...], dict[Monomial, int], Reducer]:
+        """The monomials in lex-descending order, their column indices and
+        the Macaulay echelon of the relations."""
+        columns = tuple(sorted(self.monomials(), reverse=True))
+        index = {m: i for i, m in enumerate(columns)}
+        echelon = Reducer()
+        for rel in self.relations:
+            low = min(_degree(m) for m, _ in rel)
+            for q in self.monomials(self.truncation_order - low):
+                echelon.insert(_sparse_poly(index, ((_mono_mul(q, m), c) for m, c in rel)))
+        return columns, index, echelon
+
+
+def _sparse_poly(index: dict[Monomial, int], terms) -> Sparse:
+    """The terms at the indexed monomials as a sparse vector; others are dropped."""
+    return {index[m]: _exact(c) for m, c in terms if m in index}
+
 
 def _compositions(total: int, parts: int) -> list[Monomial]:
     if parts == 0:
@@ -158,49 +185,13 @@ def _compositions(total: int, parts: int) -> list[Monomial]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reduction_rules(base: LocalBase):
-    """Per relation: (leading monomial, substitution terms).
-
-    The leading monomial is the lexicographically largest one; the relation
-    coefficient-normalized so the substitution reads leading = sum(terms).
-    """
-    rules = []
-    for rel in base.relations:
-        lead_mono, lead_coeff = max(rel, key=lambda mc: mc[0])
-        rest = tuple((m, -c / lead_coeff) for m, c in rel if m != lead_mono)
-        rules.append((lead_mono, rest))
-    return tuple(rules)
-
-
 def _normalize(base: LocalBase, coeffs: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
     work = {m: c for m, c in coeffs.items() if c and _degree(m) <= base.truncation_order}
-    rules = _reduction_rules(base)
-    if not rules:
+    if not base.relations:
         return work
-    while True:
-        target = None
-        for m in work:
-            for lead, rest in rules:
-                if _divides(lead, m):
-                    target = (m, lead, rest)
-                    break
-            if target:
-                break
-        if target is None:
-            return work
-        m, lead, rest = target
-        c = work.pop(m)
-        q = tuple(x - y for x, y in zip(m, lead))
-        for m2, c2 in rest:
-            nm = _mono_mul(q, m2)
-            if _degree(nm) > base.truncation_order:
-                continue
-            nv = work.get(nm, F0) + c * c2
-            if nv:
-                work[nm] = nv
-            else:
-                work.pop(nm, None)
+    columns, index, echelon = base._echelon
+    residual, _ = echelon._reduce({index[m]: c for m, c in work.items()})
+    return {columns[i]: as_scalar(c) for i, c in residual.items()}
 
 
 class TruncatedPolynomial:
@@ -748,13 +739,18 @@ def versal_construct(
     for k in range(1, max_order):
         result = extend_to_order(d, k, hl3)
         if isinstance(result, ObstructionReport):
-            polys = tuple(p for _, p in result.relation_polynomials)
+            # the class polynomials are normal: keep those that raise the rank
+            _, index, _ = d.base._echelon
+            span = Reducer()
+            polys = tuple(
+                p for _, p in result.relation_polynomials if span.insert(_sparse_poly(index, p.coeffs.items()))
+            )
             relations_log[k + 1] = polys
             d = d.with_base(d.base.with_relations(polys))
             result = extend_to_order(d, k, hl3)
             if isinstance(result, ObstructionReport):
                 raise LeibnizDeformError(
-                    "obstruction survived its own relation ideal; the reduction is too weak"
+                    f"the order-{k + 1} obstruction survived its own relations; internal error"
                 )
         d = result
     return d, relations_log

@@ -3,9 +3,11 @@
 The oracles here are deliberately independent of the package internals:
 fraction-free rank, dense Gauss-Jordan elimination and the results derived
 from it, the coboundary evaluated from its defining formula, permutation-filter
-shuffle enumeration and a circle product built on it, and the deformation
-defect expanded from the deformed bracket.  The frozen cocycle families certify the computed degree-2 and degree-3
-kernels of the builtin algebra.  ``matmul`` composes two matrices for the
+shuffle enumeration and a circle product built on it, the deformation
+defect expanded from the deformed bracket, and membership in a base's ideal
+decided by the rank of its dense Macaulay matrix.  The frozen cocycle
+families certify the computed degree-2 and degree-3 kernels of the builtin
+algebra.  ``matmul`` composes two matrices for the
 d∘d = 0 tests.
 """
 
@@ -316,6 +318,40 @@ def bracket_defect(d: Deformation) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Ideal membership oracle: the rank of the dense Macaulay matrix
+# ---------------------------------------------------------------------------
+
+
+def _monomials_up_to(parts: int, top: int) -> list[tuple[int, ...]]:
+    if parts == 0:
+        return [()]
+    return [(e,) + rest for e in range(top + 1) for rest in _monomials_up_to(parts - 1, top - e)]
+
+
+def ideal_member(base, *polys) -> bool:
+    """Whether every polynomial, a {monomial: coefficient} table, lies in
+    I + m^(N+1), with I generated by the base's relations and N its
+    truncation order.
+
+    The Macaulay matrix has one row for each product q r of a relation r and
+    a monomial q with deg q + lowdeg r <= N, truncated above N, and a column
+    for each monomial that some row or polynomial carries at degree <= N.
+    The polynomials are members iff appending them leaves the rank unchanged.
+    """
+    top = base.truncation_order
+    rows = []
+    for rel in base.relations:
+        low = min(sum(m) for m, _ in rel)
+        for q in _monomials_up_to(len(base.generators), top - low):
+            rows.append({tuple(a + b for a, b in zip(q, m)): F(c) for m, c in rel})
+    targets = [{m: F(c) for m, c in p.items()} for p in polys]
+    columns = sorted({m for row in rows + targets for m, c in row.items() if c and sum(m) <= top})
+    macaulay = [[row.get(m, 0) for m in columns] for row in rows]
+    appended = macaulay + [[row.get(m, 0) for m in columns] for row in targets]
+    return bareiss_rank(appended) == bareiss_rank(macaulay)
+
+
+# ---------------------------------------------------------------------------
 # Random validated Leibniz algebras: base-change conjugates of a small zoo
 # ---------------------------------------------------------------------------
 
@@ -323,6 +359,11 @@ def bracket_defect(d: Deformation) -> dict:
 def nf4() -> LeibnizAlgebra:
     """The null-filiform algebra [e_i,e_1] = e_{i+1} for i = 1..3."""
     return LeibnizAlgebra.from_brackets(4, {(i, 0): {i + 1: 1} for i in range(3)})
+
+
+def h3() -> LeibnizAlgebra:
+    """The Heisenberg algebra [e_1,e_2] = e_3 = -[e_2,e_1]."""
+    return LeibnizAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
 
 
 def misoriented_nf4() -> LeibnizAlgebra:

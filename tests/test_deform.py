@@ -1,9 +1,21 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import bracket_defect, nf4, random_cochain, random_leibniz_algebra
+from helpers import (
+    bareiss_rank,
+    bracket_defect,
+    h3,
+    ideal_member,
+    nf4,
+    random_cochain,
+    random_leibniz_algebra,
+)
 from leibniz_deform import deform
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import (
@@ -67,7 +79,7 @@ def test_poly_relation_reduction():
 
 def test_poly_relation_with_tail_substitutes():
     plain = LocalBase(("t", "s"), 2)
-    # t^2 = s^2 in the quotient: leading monomial t^2 rewrites to s^2
+    # t^2 = s^2 in the quotient: t^2, the lex-larger monomial, is eliminated
     rel = plain.monomial((2, 0)) - plain.monomial((0, 2))
     base = plain.with_relations([rel])
     t, s = base.generator("t"), base.generator("s")
@@ -81,6 +93,79 @@ def test_poly_substitution():
     p = src.generator("t") * src.generator("s") + 3 * src.generator("t")
     image = p.substitute(dst, {"t": u, "s": 2 * u})
     assert image == 2 * (u * u) + 3 * u
+
+
+@st.composite
+def normal_form_cases(draw):
+    """A base in t (and s) truncated at 2..4 with 1..3 relations, and two
+    polynomials; monomials reach one degree above the truncation order."""
+    names = ("t", "s")[: draw(st.integers(1, 2))]
+    top = draw(st.integers(2, 4))
+    monos = LocalBase(names, top + 1).monomials()
+    coeffs = st.integers(-3, 3).map(F)
+    relation = st.dictionaries(st.sampled_from(monos[1:]), coeffs.filter(bool), min_size=1, max_size=3)
+    relations = draw(st.lists(relation, min_size=1, max_size=3))
+    base = LocalBase(names, top).with_relations([tuple(r.items()) for r in relations])
+    poly = st.dictionaries(st.sampled_from(monos), coeffs, max_size=6)
+    return base, draw(poly), draw(poly)
+
+
+def _macaulay_rows(base):
+    """Each product q r of a relation r and a monomial q with
+    deg q + lowdeg r <= N, as raw coefficients."""
+    for rel in base.relations:
+        low = min(sum(m) for m, _ in rel)
+        for q in base.monomials(base.truncation_order - low):
+            yield {tuple(a + b for a, b in zip(q, m)): c for m, c in rel}
+
+
+def _normal_form(base, coeffs):
+    return TruncatedPolynomial(base, coeffs).coeffs
+
+
+@given(normal_form_cases())
+def test_normal_form_is_idempotent(case):
+    base, p, _ = case
+    assert _normal_form(base, _normal_form(base, p)) == _normal_form(base, p)
+
+
+@given(normal_form_cases(), st.integers(-3, 3), st.integers(-3, 3))
+def test_normal_form_is_linear(case, a, b):
+    base, p, q = case
+    combined = {m: a * p.get(m, 0) + b * q.get(m, 0) for m in p.keys() | q.keys()}
+    p_nf, q_nf = _normal_form(base, p), _normal_form(base, q)
+    expected = {m: a * p_nf.get(m, 0) + b * q_nf.get(m, 0) for m in p_nf.keys() | q_nf.keys()}
+    assert _normal_form(base, combined) == {m: c for m, c in expected.items() if c}
+
+
+@given(normal_form_cases())
+def test_normal_form_kills_every_macaulay_row(case):
+    base = case[0]
+    assert all(not _normal_form(base, row) for row in _macaulay_rows(base))
+
+
+@given(normal_form_cases(), st.data())
+def test_normal_form_does_not_depend_on_relation_order(case, data):
+    base, p, _ = case
+    relations = data.draw(st.permutations(base.relations))
+    permuted = LocalBase(base.generators, base.truncation_order, tuple(relations))
+    assert _normal_form(permuted, p) == _normal_form(base, p)
+
+
+@given(normal_form_cases(), st.data())
+def test_normal_form_is_zero_exactly_on_the_ideal(case, data):
+    # a combination of Macaulay rows, a member, plus possibly a polynomial
+    base, p, _ = case
+    rows = list(_macaulay_rows(base))
+    weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    scale = data.draw(st.sampled_from([0, 1]))
+    combined = {m: scale * c for m, c in p.items()}
+    for w, row in zip(weights, rows):
+        for m, c in row.items():
+            combined[m] = combined.get(m, 0) + w * c
+    assert (not _normal_form(base, combined)) == ideal_member(base, combined)
+    if not scale:
+        assert not _normal_form(base, combined)
 
 
 # ---------------------------------------------------------------------------
@@ -220,32 +305,32 @@ def test_quadratic_part_ordered_pairs_equal_half_symmetrized():
     assert defect[(1, 1)] == half_sym
 
 
-# Relations in the first parameter, as exponent -> coefficient, with the
-# largest t-exponent a term may carry and stay in normal form.  Bases with
-# several relations are left out: their reduction is not a normal form, so
-# neither side would be a sound reference there.
+# Relations in the leading parameters, as exponent tuple -> coefficient, and
+# the largest exponents of t and s up to which every monomial of degree 1..3
+# is in normal form; terms sit at such monomials and at t.
 DEFECT_RELATIONS = {
-    "none": ({}, 3),
-    "t^2": ({2: 1}, 1),
-    "t^2 - t^3": ({2: 1, 3: -1}, 2),
+    "none": ((), (3, 3)),
+    "t^2": (({(2,): 1},), (1, 3)),
+    "t^2 - t^3": (({(2,): 1, (3,): -1},), (1, 3)),
+    "t^2 - s^2, t s": (({(2, 0): 1, (0, 2): -1}, {(1, 1): 1}), (0, 2)),
 }
 
 
 def _random_deformation(rng, relation):
     alg = random_leibniz_algebra(rng)
-    names = ("t", "s", "u")[: rng.randint(1, 3)]
+    rels, caps = DEFECT_RELATIONS[relation]
+    fewest = max((len(m) for rel in rels for m in rel), default=1)
+    names = ("t", "s", "u")[: rng.randint(fewest, 3)]
     base = LocalBase(names, rng.randint(2, 4))
-    rel, max_t = DEFECT_RELATIONS[relation]
-    pad = (0,) * (len(names) - 1)
-    if rel:
-        # raw data, so a t^3 above the truncation order stays in the relation
-        base = base.with_relations([tuple(((e,) + pad, F(c)) for e, c in rel.items())])
+    pad = lambda m: m + (0,) * (len(names) - len(m))
+    # raw data, so a t^3 above the truncation order stays in the relation
+    base = base.with_relations([tuple((pad(m), F(c)) for m, c in rel.items()) for rel in rels])
     monos = [
         m
         for m in LocalBase(names, 3).monomials()
-        if 1 <= sum(m) <= 3 and m[0] <= max_t
+        if 1 <= sum(m) <= 3 and all(e <= cap for e, cap in zip(m, caps))
     ]
-    chosen = {(1,) + pad} | set(rng.sample(monos, rng.randint(0, min(3, len(monos)))))
+    chosen = {pad((1,))} | set(rng.sample(monos, rng.randint(0, min(3, len(monos)))))
     terms = {m: random_cochain(rng, 2, alg.dim, density=0.6) for m in sorted(chosen)}
     return Deformation(alg, base, terms)
 
@@ -257,9 +342,9 @@ def test_defect_equals_bracket_expansion(relation, seed):
     assert leibniz_defect(d) == bracket_defect(d)
 
 
-def test_defect_sums_products_moved_down_by_a_nonhomogeneous_relation():
-    # t^2 = t^3 in the base, so t * t^2 and t^2 * t land on t^2 together
-    # with t * t
+def test_defect_vanishes_on_a_unit_multiple_of_a_relation():
+    # t^2 = (t^2 - t^3)(1 + t + t^2) + t^5 lies in the ideal at order 4,
+    # since 1 - t is a unit
     rng = random.Random(41)
     alg = random_leibniz_algebra(rng)
     base = LocalBase(("t",), 4).with_relations([(((2,), F(1)), ((3,), F(-1)))])
@@ -268,8 +353,24 @@ def test_defect_sums_products_moved_down_by_a_nonhomogeneous_relation():
     d = Deformation(alg, base, {(1,): a, (2,): b})
     defect = leibniz_defect(d)
     assert defect == bracket_defect(d)
-    assert not defect[(2,)].is_zero()
-    assert all(defect[m].is_zero() for m in ((3,), (4,)))
+    assert base.monomial((2,)).is_zero()
+    assert defect[(2,)].is_zero()
+
+
+def test_defect_sums_products_moved_down_by_a_nonhomogeneous_relation():
+    # t^3 = s^2 in the base, so t * t^2 and t^2 * t land on s^2
+    rng = random.Random(41)
+    alg = random_leibniz_algebra(rng)
+    base = LocalBase(("t", "s"), 4).with_relations([(((3, 0), F(1)), ((0, 2), F(-1)))])
+    assert base.monomial((3, 0)) == base.monomial((0, 2))
+    assert not base.monomial((0, 2)).is_zero()
+    a = random_cochain(rng, 2, alg.dim, density=1.0)
+    b = random_cochain(rng, 2, alg.dim, density=1.0)
+    d = Deformation(alg, base, {(1, 0): a, (2, 0): b})
+    defect = leibniz_defect(d)
+    assert defect == bracket_defect(d)
+    assert not defect[(0, 2)].is_zero()
+    assert defect[(3, 0)].is_zero()
 
 
 def test_versal_loop_uses_one_defect_per_order_and_no_brackets(monkeypatch):
@@ -623,6 +724,50 @@ def test_versal_obstructed_abelian_line_records_relation():
     assert poly.coeffs == {(2,): F(1)}
     assert d.base.relations != ()
     assert all(c.is_zero() for c in leibniz_defect(d).values())
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+OBSTRUCTED = {"h3": h3, "abelian2": lambda: abelian(2), "abelian3": lambda: abelian(3)}
+
+
+def _pairwise_massey_rank(golden):
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text())
+    return bareiss_rank([[F(x) for x in pair["class"]] for pair in doc["pairwise"]])
+
+
+# The order-2 class polynomials of h3 and abelian(2) span as much as their
+# pairwise Massey classes in the goldens.
+@pytest.mark.parametrize(
+    "algebra, max_order, spans, massey",
+    [
+        ("h3", 4, {2: 11, 4: 12}, "massey-h3"),
+        ("abelian2", 2, {2: 15}, "massey-abelian2"),
+        ("abelian3", 2, {2: 81}, None),
+    ],
+)
+def test_versal_records_a_basis_of_each_order_s_relations(algebra, max_order, spans, massey):
+    d, relations = versal_construct(OBSTRUCTED[algebra](), max_order)
+    assert {order: len(polys) for order, polys in relations.items()} == spans
+    monos = d.base.monomials()
+    for polys in relations.values():
+        assert bareiss_rank([[p.coeff(m) for m in monos] for p in polys]) == len(polys)
+    if massey:
+        assert spans[2] == _pairwise_massey_rank(massey)
+    assert all(c.is_zero() for c in leibniz_defect(d).values())
+
+
+# h3 runs to order 3 only: at order 4 its Macaulay matrix has 507 rows, and
+# the dense oracle takes about 10 s on it.
+@pytest.mark.parametrize("algebra, max_order", [("h3", 3), ("abelian2", 2), ("abelian3", 2)])
+def test_versal_defect_lies_in_the_recorded_ideal(algebra, max_order):
+    d, _ = versal_construct(OBSTRUCTED[algebra](), max_order)
+    # the defect over the base without relations, which reduces nothing
+    plain = Deformation(d.algebra, LocalBase(d.base.generators, max_order), d.terms)
+    flats = {m: entry.flat() for m, entry in bracket_defect(plain).items()}
+    width = len(flats[d.base.zero_monomial()])
+    coordinates = [{m: flat[i] for m, flat in flats.items() if flat[i]} for i in range(width)]
+    assert any(coordinates)
+    assert ideal_member(d.base, *filter(None, coordinates))
 
 
 def test_versal_requires_positive_order():
