@@ -50,7 +50,6 @@ from .errors import (
     PreconditionError,
 )
 from .graded import (
-    GradedElement,
     Shuffle,
     circle,
     dgla_differential,
@@ -79,8 +78,7 @@ __all__ = [
     "obstruction_classes", "push_forward", "universal_infinitesimal",
     "versal_construct",
     "DimensionMismatch", "FormatError", "LeibnizDeformError", "PreconditionError",
-    "GradedElement", "Shuffle", "circle", "dgla_differential", "graded_bracket",
-    "shuffles",
+    "Shuffle", "circle", "dgla_differential", "graded_bracket", "shuffles",
     "Matrix", "SubspaceBasis", "image_basis", "kernel_basis",
     "quotient_representatives", "rref", "solve",
 ]

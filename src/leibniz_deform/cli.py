@@ -9,6 +9,7 @@ All computation is deterministic.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -100,7 +101,10 @@ def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise FormatError(f"cannot parse polynomial term {chunk!r} in {expr!r}")
-        coeff = sign * Fraction(m.group(1)) if m.group(1) else sign
+        try:
+            coeff = sign * Fraction(m.group(1)) if m.group(1) else sign
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator in polynomial term {chunk!r} in {expr!r}") from None
         mono = [0] * base.num_generators
         if m.group(2):
             for factor in m.group(2).split("*"):
@@ -115,19 +119,6 @@ def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
         key = tuple(mono)
         coeffs[key] = coeffs.get(key, Fraction(0)) + coeff
     return TruncatedPolynomial(base, coeffs)
-
-
-def _pairs_with_repetition(h: int):
-    for i in range(h):
-        for j in range(i, h):
-            yield i, j
-
-
-def _triples_with_repetition(h: int):
-    for i in range(h):
-        for j in range(i, h):
-            for k in range(j, h):
-                yield i, j, k
 
 
 def _unit(h: int, i: int):
@@ -183,8 +174,8 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     pair_docs = []
     all_zero = True
     lines.append("second-order brackets:")
-    for i, j in _pairs_with_repetition(h):
-        coords, rep = massey2(alg, hl2, _unit(h, i), _unit(h, j), hl3)
+    for i, j in itertools.combinations_with_replacement(range(h), 2):
+        coords, rep = massey2(alg, hl2, _unit(h, i), _unit(h, j))
         zero = vec_is_zero(coords)
         all_zero = all_zero and zero
         cls = "0" if zero else "(" + ", ".join(str(c) for c in coords) + ")"
@@ -201,10 +192,8 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     witness_docs = []
     if all_zero:
         lines.append("third-order brackets:")
-        for i, j, k in _triples_with_repetition(h):
-            coords, rep, wits = massey3(
-                alg, hl2, (_unit(h, i), _unit(h, j), _unit(h, k)), hl3=hl3
-            )
+        for i, j, k in itertools.combinations_with_replacement(range(h), 3):
+            coords, rep, wits = massey3(alg, hl2, (_unit(h, i), _unit(h, j), _unit(h, k)))
             cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append(
@@ -264,7 +253,10 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         if "=" not in sub:
             raise FormatError(f"--sub expects NAME=POLY, got {sub!r}")
         name, expr = sub.split("=", 1)
-        images[name.strip()] = parse_poly(expr, target)
+        name = name.strip()
+        if name in images:
+            raise FormatError(f"--sub gives generator {name!r} a second image")
+        images[name] = parse_poly(expr, target)
     out = push_forward(d, target, images)
     text, doc = deformation_report(out, alg)
     doc["command"] = "pushforward"

@@ -1,13 +1,14 @@
 """Cochain spaces, the coboundary operator and cohomology with adjoint coefficients.
 
-A p-cochain is a p-linear map L^{tensor p} -> L stored as a dense table of
-values on basis tuples.  Coordinates are fixed once and used by every matrix
-in the package:
+A p-cochain is a p-linear map L^{tensor p} -> L stored as its flat
+coordinate vector ``flat``, the only storage.  Coordinates are fixed once and
+used by every matrix in the package:
 
 * input tuples (i_1, ..., i_p) are ordered lexicographically, matching the
   ordered tensor basis e_1 x e_1, e_1 x e_2, ..., e_n x e_n;
-* the flattened coordinate vector of a cochain lists, for each input tuple in
-  that order, the n output coordinates (output index varies fastest).
+* ``flat`` lists, for each input tuple in that order, the n output
+  coordinates (output index varies fastest), so the value at input tuple t
+  is the slice ``flat[t*n : t*n + n]``.
 
 The coboundary of a p-cochain f is the (p+1)-cochain
 
@@ -39,7 +40,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_representatives,
-    rref,
+    rank,
     solve,
     vec_add,
     vec_is_zero,
@@ -50,50 +51,44 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Cochain:
-    """Dense p-linear map L^{tensor p} -> L; a 0-cochain is a single vector."""
+    """A p-linear map L^{tensor p} -> L stored as its flat coordinate vector;
+    a 0-cochain is a single vector."""
 
     arity: int
     dim: int
-    values: tuple[Vec, ...]
+    flat: Vec
 
     def __post_init__(self):
         if self.arity < 0:
             raise DimensionMismatch("arity must be nonnegative")
-        if len(self.values) != self.dim ** self.arity:
-            raise DimensionMismatch("cochain table has wrong length")
-        for v in self.values:
-            if len(v) != self.dim:
-                raise DimensionMismatch("cochain value has wrong length")
+        if len(self.flat) != self.dim ** (self.arity + 1):
+            raise DimensionMismatch("flat vector has wrong length")
 
     @classmethod
     def zeros(cls, arity: int, dim: int) -> "Cochain":
-        return cls(arity, dim, tuple(zero_vec(dim) for _ in range(dim ** arity)))
+        return cls(arity, dim, zero_vec(dim ** (arity + 1)))
 
     @classmethod
     def from_entries(
         cls, arity: int, dim: int, entries: Mapping[tuple[int, ...], Mapping[int, object]]
     ) -> "Cochain":
         """Build from the nonzero values only; 0-based indices throughout."""
-        table = [[F0] * dim for _ in range(dim ** arity)]
+        flat = [F0] * dim ** (arity + 1)
         for idx, value in entries.items():
             if len(idx) != arity or not all(0 <= i < dim for i in idx):
                 raise DimensionMismatch(f"bad input tuple {idx}")
-            t = cls._flat_input(dim, idx)
+            t = cls._flat_input(dim, idx) * dim
             for k, coeff in value.items():
                 if not 0 <= k < dim:
                     raise DimensionMismatch(f"output index {k} of input tuple {idx} is outside 0..{dim - 1}")
-                table[t][k] = as_scalar(coeff)
-        return cls(arity, dim, tuple(tuple(row) for row in table))
+                flat[t + k] = as_scalar(coeff)
+        return cls(arity, dim, tuple(flat))
 
     @classmethod
     def from_flat(cls, arity: int, dim: int, flat: Sequence) -> "Cochain":
-        if len(flat) != dim ** arity * dim:
-            raise DimensionMismatch("flat vector has wrong length")
-        vals = tuple(
-            tuple(as_scalar(flat[t * dim + k]) for k in range(dim))
-            for t in range(dim ** arity)
-        )
-        return cls(arity, dim, vals)
+        """The cochain with these coordinates; a list or int entries are
+        coerced to the stored tuple of Fractions."""
+        return cls(arity, dim, tuple(as_scalar(x) for x in flat))
 
     @staticmethod
     def _flat_input(dim: int, idx: tuple[int, ...]) -> int:
@@ -102,24 +97,16 @@ class Cochain:
             t = t * dim + i
         return t
 
-    def input_tuples(self):
-        return itertools.product(range(self.dim), repeat=self.arity)
-
     def eval_basis(self, idx: tuple[int, ...]) -> Vec:
-        return self.values[self._flat_input(self.dim, idx)]
-
-    def flat(self) -> Vec:
-        return tuple(x for v in self.values for x in v)
+        t = self._flat_input(self.dim, idx) * self.dim
+        return self.flat[t: t + self.dim]
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(v) for v in self.values)
+        return vec_is_zero(self.flat)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_shape(other)
-        return Cochain(
-            self.arity, self.dim,
-            tuple(vec_add(a, b) for a, b in zip(self.values, other.values)),
-        )
+        return Cochain(self.arity, self.dim, vec_add(self.flat, other.flat))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -128,17 +115,19 @@ class Cochain:
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "Cochain":
-        c = as_scalar(c)
-        return Cochain(self.arity, self.dim, tuple(vec_scale(c, v) for v in self.values))
+        return Cochain(self.arity, self.dim, vec_scale(as_scalar(c), self.flat))
 
     def _check_shape(self, other: "Cochain"):
         if self.arity != other.arity or self.dim != other.dim:
             raise DimensionMismatch("cochain shapes differ")
 
     def nonzero_entries(self):
-        """Yield (input tuple, value vector) for the nonzero table entries."""
-        for idx, v in zip(self.input_tuples(), self.values):
-            if not vec_is_zero(v):
+        """Yield (input tuple, value vector) for the nonzero values, inputs in
+        lexicographic order."""
+        n, flat = self.dim, self.flat
+        for t, idx in enumerate(itertools.product(range(n), repeat=self.arity)):
+            v = flat[t * n: t * n + n]
+            if any(v):
                 yield idx, v
 
 
@@ -146,7 +135,7 @@ def coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
     """The coboundary of f; raises on dimension mismatch."""
     if f.dim != alg.dim:
         raise DimensionMismatch("cochain dimension differs from algebra dimension")
-    return Cochain.from_flat(f.arity + 1, alg.dim, coboundary_matrix(alg, f.arity).matvec(f.flat()))
+    return Cochain(f.arity + 1, alg.dim, coboundary_matrix(alg, f.arity).matvec(f.flat))
 
 
 @lru_cache(maxsize=None)
@@ -174,25 +163,19 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     by_right = [[(a, k, v) for a in range(n) for k, v in enumerate(sc[a][b]) if v] for b in range(n)]
     by_pair = [[[(k, v) for k, v in enumerate(sc[a][b]) if v] for b in range(n)] for a in range(n)]
 
-    def flat_input(idx: tuple[int, ...]) -> int:
-        t = 0
-        for i in idx:
-            t = t * n + i
-        return t
-
     rows: list[dict[int, object]] = []
     for x in itertools.product(range(n), repeat=p + 1):
         out = [{} for _ in range(n)]  # the rows of the outputs e_1 .. e_n at x
 
         # [x_1, f(x_2 .. x_{p+1})]: reads f at x[1:], acts by the left bracket
-        col_base = flat_input(x[1:]) * n
+        col_base = Cochain._flat_input(n, x[1:]) * n
         for c, k, v in by_left[x[0]]:
             row = out[k]
             row[col_base + c] = row.get(col_base + c, 0) + v
 
         # (-1)^i [f(x_1 .. ^x_i ..), x_i]
         for i1 in range(2, p + 2):
-            col_base = flat_input(x[: i1 - 1] + x[i1:]) * n
+            col_base = Cochain._flat_input(n, x[: i1 - 1] + x[i1:]) * n
             sign = 1 if i1 % 2 == 0 else -1
             for c, k, v in by_right[x[i1 - 1]]:
                 row = out[k]
@@ -205,7 +188,7 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
                 prefix = x[: i1 - 1]
                 suffix = x[i1: j1 - 1] + x[j1:]
                 for c, v in by_pair[x[i1 - 1]][x[j1 - 1]]:
-                    col_base = flat_input(prefix + (c,) + suffix) * n
+                    col_base = Cochain._flat_input(n, prefix + (c,) + suffix) * n
                     for k, row in enumerate(out):
                         row[col_base + k] = row.get(col_base + k, 0) + sign * v
         rows.extend(out)
@@ -238,7 +221,7 @@ class CohomologySpace:
     def project_to_classes(self, cocycle) -> Vec:
         """Coordinates of a cocycle on the class representatives modulo coboundaries."""
         if isinstance(cocycle, Cochain):
-            cocycle = cocycle.flat()
+            cocycle = cocycle.flat
         return self._project(cocycle)
 
 
@@ -258,7 +241,7 @@ def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
     zl = kernel_basis(coboundary_matrix(alg, p))
     bl = image_basis(coboundary_matrix(alg, p - 1))
     reps_basis, project = quotient_representatives(bl, zl)
-    reps = tuple(Cochain.from_flat(p, alg.dim, v) for v in reps_basis.vectors)
+    reps = tuple(Cochain(p, alg.dim, v) for v in reps_basis.vectors)
     return CohomologySpace(p, zl, bl, reps, project)
 
 
@@ -275,10 +258,8 @@ def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: L
     for r in reps:
         if not coboundary(alg, r).is_zero():
             raise PreconditionError("representative is not a cocycle")
-    change = Matrix.from_columns(
-        [space.project_to_classes(r) for r in reps], nrows=space.dim
-    ) if space.dim else Matrix.zeros(0, 0)
-    if len(rref(change)[1]) != space.dim:
+    change = Matrix.from_columns([space.project_to_classes(r) for r in reps], nrows=space.dim)
+    if rank(change) != space.dim:
         raise PreconditionError("representatives are dependent modulo coboundaries")
     old_project = space._project
 

@@ -56,7 +56,7 @@ from .cochain import (
     cohomology,
 )
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
-from .graded import GradedElement, circle, graded_bracket
+from .graded import circle, graded_bracket
 from .linalg import F0, F1, Matrix, Reducer, Sparse, Vec, _exact, as_scalar, rank, solve, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
@@ -215,9 +215,6 @@ class TruncatedPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return max((_degree(m) for m in self.coeffs), default=0)
-
     def _check_base(self, other: "TruncatedPolynomial"):
         if self.base != other.base:
             raise DimensionMismatch("polynomials live over different bases")
@@ -316,9 +313,6 @@ class Deformation:
         zero = self.base.zero()
         return tuple(one if k == i else zero for k in range(self.algebra.dim))
 
-    def embed(self, v: Vec) -> AVector:
-        return tuple(self.base.constant(c) for c in v)
-
     def basis_bracket(self, i: int, j: int) -> AVector:
         """[1 x e_i, 1 x e_j] as a vector of base polynomials."""
         n = self.algebra.dim
@@ -386,11 +380,7 @@ def default_parameter_names(count: int) -> tuple[str, ...]:
     return tuple(f"t{i + 1}" for i in range(count))
 
 
-def universal_infinitesimal(
-    alg: LeibnizAlgebra,
-    reps: Sequence[Cochain],
-    names: Optional[Sequence[str]] = None,
-) -> Deformation:
+def universal_infinitesimal(alg: LeibnizAlgebra, reps: Sequence[Cochain]) -> Deformation:
     """The first-order deformation with one parameter per representative cocycle.
 
     Over K[t_1..t_h] truncated at order 1, the bracket of 1 x e_i and 1 x e_j
@@ -403,10 +393,7 @@ def universal_infinitesimal(
         if not coboundary(alg, mu).is_zero():
             raise PreconditionError("representative is not a cocycle")
     h = len(reps)
-    gen_names = tuple(names) if names is not None else default_parameter_names(h)
-    if len(gen_names) != h:
-        raise DimensionMismatch("need one parameter name per representative")
-    base = LocalBase(gen_names, 1)
+    base = LocalBase(default_parameter_names(h), 1)
     terms = {}
     for i, mu in enumerate(reps):
         mono = tuple(1 if k == i else 0 for k in range(h))
@@ -422,10 +409,10 @@ def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict
     no product reaches is left out.
     """
     alg = d.algebra
-    mu = Cochain(2, alg.dim, tuple(v for plane in alg.structure_constants for v in plane))
-    by_degree = {0: [(d.base.zero_monomial(), GradedElement.of(mu))]}
+    mu = Cochain(2, alg.dim, tuple(x for plane in alg.structure_constants for v in plane for x in v))
+    by_degree = {0: [(d.base.zero_monomial(), mu)]}
     for mono, psi in d.terms.items():
-        by_degree.setdefault(_degree(mono), []).append((mono, GradedElement.of(psi)))
+        by_degree.setdefault(_degree(mono), []).append((mono, psi))
     out = {}
     for j in degrees:
         sums: dict[Monomial, list[Fraction]] = {}
@@ -436,13 +423,13 @@ def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict
                     landing = TruncatedPolynomial(d.base, {_mono_mul(m1, m2): F1}).coeffs
                     if not landing:
                         continue
-                    product = circle(alg, psi1, psi2).cochain.flat()
+                    product = circle(alg, psi1, psi2).flat
                     for m, c in landing.items():
                         acc = sums.setdefault(m, [F0] * len(product))
                         for i, x in enumerate(product):
                             if x:
                                 acc[i] -= c * x
-        out[j] = {m: Cochain.from_flat(3, alg.dim, acc) for m, acc in sums.items()}
+        out[j] = {m: Cochain(3, alg.dim, tuple(acc)) for m, acc in sums.items()}
     return out
 
 
@@ -461,9 +448,7 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     return defect
 
 
-def obstruction_classes(
-    d: Deformation, k: int, hl3: Optional[CohomologySpace] = None
-) -> "ObstructionReport":
+def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
     """Classes of the degree-(k+1) defect entries of a deformation flat to order k.
 
     Requires the defect to vanish in every degree up to k; all degrees up to
@@ -475,8 +460,7 @@ def obstruction_classes(
     """
     if k < 1:
         raise PreconditionError("order must be at least 1")
-    if hl3 is None:
-        hl3 = cohomology(d.algebra, 3)
+    hl3 = cohomology(d.algebra, 3)
     by_degree = _defect_in_degrees(d.truncate_terms(k), range(k + 2))
     defect = by_degree.pop(k + 1)
     for entries in by_degree.values():
@@ -522,16 +506,14 @@ class ObstructionReport:
         return all(vec_is_zero(c) for c in self.classes.values())
 
 
-def extend_to_order(
-    d: Deformation, k: int, hl3: Optional[CohomologySpace] = None
-) -> "Deformation | ObstructionReport":
+def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport":
     """Extend a deformation flat to order k by one more order, if unobstructed.
 
     On success the new degree-(k+1) terms are the deterministic particular
     solutions of (coboundary) psi = -defect entry; otherwise the obstruction
     report is returned.
     """
-    report = obstruction_classes(d, k, hl3)
+    report = obstruction_classes(d, k)
     if not report.all_zero():
         return report
     alg = d.algebra
@@ -541,10 +523,10 @@ def extend_to_order(
         entry = report.defect.get(mono)
         if entry is None or entry.is_zero():
             continue
-        rhs = tuple(-x for x in entry.flat())
+        rhs = tuple(-x for x in entry.flat)
         sol = solve(delta2, rhs)
         assert sol is not None  # the class vanished, so the entry is a coboundary
-        new_terms[mono] = Cochain.from_flat(2, alg.dim, sol)
+        new_terms[mono] = Cochain(2, alg.dim, sol)
     extended = Deformation(alg, d.base, new_terms)
     # pairs of lower total degree do not involve the new terms
     top = _defect_in_degrees(extended, (k + 1,))[k + 1]
@@ -577,18 +559,15 @@ def massey2(
     hl2: CohomologySpace,
     class_a: Sequence,
     class_b: Sequence,
-    hl3: Optional[CohomologySpace] = None,
 ) -> tuple[Vec, Cochain]:
     """Second-order bracket: the superbracket of representatives, as a class.
 
     Returns the degree-3 class coordinates and the representing 3-cochain.
     """
-    if hl3 is None:
-        hl3 = cohomology(alg, 3)
     xa = _combine(hl2.class_representatives, class_a)
     xb = _combine(hl2.class_representatives, class_b)
-    rep = graded_bracket(alg, GradedElement.of(xa), GradedElement.of(xb)).cochain
-    return hl3.project_to_classes(rep), rep
+    rep = graded_bracket(alg, xa, xb)
+    return cohomology(alg, 3).project_to_classes(rep), rep
 
 
 def massey3(
@@ -596,7 +575,6 @@ def massey3(
     hl2: CohomologySpace,
     classes: Sequence[Sequence],
     witnesses: Optional[Mapping[tuple[int, int], Cochain]] = None,
-    hl3: Optional[CohomologySpace] = None,
 ) -> tuple[Vec, Cochain, tuple[MasseyWitness, ...]]:
     """Third-order bracket [x12,x3] + [x1,x23] + [x13,x2] as a class.
 
@@ -606,12 +584,10 @@ def massey3(
     """
     if len(classes) != 3:
         raise PreconditionError("need exactly three classes")
-    if hl3 is None:
-        hl3 = cohomology(alg, 3)
     xs = [_combine(hl2.class_representatives, c) for c in classes]
     brackets = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        coords, rep = massey2(alg, hl2, classes[i], classes[j], hl3)
+        coords, rep = massey2(alg, hl2, classes[i], classes[j])
         if not vec_is_zero(coords):
             raise PreconditionError(f"second-order bracket of classes {i} and {j} does not vanish")
         brackets[(i, j)] = rep
@@ -625,15 +601,17 @@ def massey3(
                 raise PreconditionError(f"supplied witness for pair {key} fails its equation")
             chosen[key] = w
         else:
-            sol = solve(delta2, tuple(-x for x in rep.flat()))
+            sol = solve(delta2, tuple(-x for x in rep.flat))
             if sol is None:
                 raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
-            chosen[key] = Cochain.from_flat(2, alg.dim, sol)
-    def gb(a: Cochain, b: Cochain) -> Cochain:
-        return graded_bracket(alg, GradedElement.of(a), GradedElement.of(b)).cochain
-    rep3 = gb(chosen[(0, 1)], xs[2]) + gb(xs[0], chosen[(1, 2)]) + gb(chosen[(0, 2)], xs[1])
+            chosen[key] = Cochain(2, alg.dim, sol)
+    rep3 = (
+        graded_bracket(alg, chosen[(0, 1)], xs[2])
+        + graded_bracket(alg, xs[0], chosen[(1, 2)])
+        + graded_bracket(alg, chosen[(0, 2)], xs[1])
+    )
     witness_objs = tuple(MasseyWitness(k, chosen[k]) for k in sorted(chosen))
-    return hl3.project_to_classes(rep3), rep3, witness_objs
+    return cohomology(alg, 3).project_to_classes(rep3), rep3, witness_objs
 
 
 def push_forward(
@@ -716,7 +694,6 @@ def versal_construct(
     alg: LeibnizAlgebra,
     max_order: int,
     reps: Optional[Sequence[Cochain]] = None,
-    names: Optional[Sequence[str]] = None,
 ) -> tuple[Deformation, dict[int, tuple[TruncatedPolynomial, ...]]]:
     """Order-by-order construction of a versal deformation up to max_order.
 
@@ -732,12 +709,11 @@ def versal_construct(
         raise PreconditionError("max_order must be at least 1")
     if reps is None:
         reps = cohomology(alg, 2).class_representatives
-    hl3 = cohomology(alg, 3)
-    d = universal_infinitesimal(alg, reps, names)
+    d = universal_infinitesimal(alg, reps)
     d = d.with_base(d.base.with_truncation(max_order))
     relations_log: dict[int, tuple[TruncatedPolynomial, ...]] = {}
     for k in range(1, max_order):
-        result = extend_to_order(d, k, hl3)
+        result = extend_to_order(d, k)
         if isinstance(result, ObstructionReport):
             # the class polynomials are normal: keep those that raise the rank
             _, index, _ = d.base._echelon
@@ -747,7 +723,7 @@ def versal_construct(
             )
             relations_log[k + 1] = polys
             d = d.with_base(d.base.with_relations(polys))
-            result = extend_to_order(d, k, hl3)
+            result = extend_to_order(d, k)
             if isinstance(result, ObstructionReport):
                 raise LeibnizDeformError(
                     f"the order-{k + 1} obstruction survived its own relations; internal error"

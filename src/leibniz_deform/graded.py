@@ -1,7 +1,8 @@
 """The graded Lie algebra structure on cochains.
 
-A (p+1)-cochain carries graded degree p.  For a of degree p and b of degree q
-the circle product a o b is the degree p+q element
+Every function here takes and returns ``Cochain``s.  A cochain's graded
+degree is its arity minus one, so a (p+1)-cochain has degree p.  For a of
+degree p and b of degree q the circle product a o b is the degree p+q element
 
     (a o b)(x_1..x_{p+q+1}) = sum_{k=1..p+1} (-1)^{q(k-1)}
         sum_{s in Sh(q, p-k+1)} sgn(s)
@@ -25,7 +26,7 @@ from functools import lru_cache
 from .algebra import LeibnizAlgebra
 from .cochain import Cochain, coboundary
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import F0, zero_vec
+from .linalg import F0
 
 
 @dataclass(frozen=True)
@@ -64,42 +65,25 @@ def shuffles(p: int, q: int) -> tuple[Shuffle, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GradedElement:
-    """A cochain together with its graded degree (arity minus one)."""
-
-    cochain: Cochain
-    degree: int
-
-    def __post_init__(self):
-        if self.degree != self.cochain.arity - 1:
-            raise DimensionMismatch("degree must equal arity - 1")
-
-    @classmethod
-    def of(cls, cochain: Cochain) -> "GradedElement":
-        return cls(cochain, cochain.arity - 1)
-
-
-def circle(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedElement:
+def circle(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """The circle product; the result has degree deg(a) + deg(b).
 
     Only the nonzero entries of the operands are visited: for each slot k,
     every nonzero value b(y_0..y_q) whose c-th coordinate is nonzero meets
     every nonzero value of a with c in slot k, once per shuffle, and their
     product lands on the one output tuple that shuffle builds from a's prefix,
-    y_0 and the shuffled window.  The result is a dense cochain as usual.
+    y_0 and the shuffled window, written straight into the flat output.
     ``circle_by_filter`` in ``tests/helpers.py``, which evaluates the formula
     above on every output tuple, is the test oracle.
     """
-    fa, fb = a.cochain, b.cochain
-    if fa.dim != alg.dim or fb.dim != alg.dim:
+    if a.dim != alg.dim or b.dim != alg.dim:
         raise DimensionMismatch("cochain dimension differs from algebra dimension")
     n = alg.dim
-    p, q = a.degree, b.degree
+    p, q = a.arity - 1, b.arity - 1
     arity = p + q + 1
-    a_entries = list(fa.nonzero_entries())
-    b_entries = list(fb.nonzero_entries())
-    acc: dict[tuple[int, ...], list[Fraction]] = {}
+    a_entries = list(a.nonzero_entries())
+    b_entries = list(b.nonzero_entries())
+    out = [F0] * n ** (arity + 1)
     for k in range(1, p + 2):
         k_sign = -1 if (q * (k - 1)) % 2 else 1
         by_slot: dict[int, list] = {}
@@ -119,31 +103,20 @@ def circle(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedEle
                         window = [0] * (arity - k)
                         for pos, arg in zip(perm, b_args[1:] + rest):
                             window[pos - 1] = arg
-                        x = prefix + (b_args[0],) + tuple(window)
-                        row = acc.get(x)
-                        if row is None:
-                            row = acc[x] = [F0] * n
-                        for t, y in enumerate(a_value):
+                        t = Cochain._flat_input(n, prefix + (b_args[0],) + tuple(window)) * n
+                        for r, y in enumerate(a_value):
                             if y:
-                                row[t] += w * y
-    zero = zero_vec(n)
-    values = tuple(
-        tuple(acc[x]) if x in acc else zero for x in itertools.product(range(n), repeat=arity)
-    )
-    return GradedElement(Cochain(arity, n, values), p + q)
+                                out[t + r] += w * y
+    return Cochain(arity, n, tuple(out))
 
 
-def graded_bracket(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> GradedElement:
+def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """[a, b] = a o b + (-1)^{pq+1} b o a."""
-    ab = circle(alg, a, b)
-    ba = circle(alg, b, a)
-    sign = Fraction(1) if (a.degree * b.degree + 1) % 2 == 0 else Fraction(-1)
-    return GradedElement(ab.cochain + ba.cochain.scale(sign), ab.degree)
+    sign = Fraction(1) if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else Fraction(-1)
+    return circle(alg, a, b) + circle(alg, b, a).scale(sign)
 
 
-def dgla_differential(alg: LeibnizAlgebra, a: GradedElement) -> GradedElement:
+def dgla_differential(alg: LeibnizAlgebra, a: Cochain) -> Cochain:
     """d a = (-1)^{deg a} times the coboundary of a; raises degree by one."""
-    d = coboundary(alg, a.cochain)
-    if a.degree % 2:
-        d = -d
-    return GradedElement(d, a.degree + 1)
+    d = coboundary(alg, a)
+    return -d if (a.arity - 1) % 2 else d

@@ -21,7 +21,6 @@ from fractions import Fraction
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, bracket_eval, lambda6, validate
 from leibniz_deform.cochain import Cochain
 from leibniz_deform.deform import Deformation
-from leibniz_deform.graded import GradedElement
 from leibniz_deform.linalg import F0, F1, Matrix, Vec, solve, vec_add, vec_is_zero, vec_scale, zero_vec
 
 F = Fraction
@@ -247,7 +246,7 @@ def direct_coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
                 sign = 1 if (j1 + 1) % 2 == 0 else -1
                 add(sign, eval_with_vector_slot(f, prefix, bracket, suffix))
 
-        values.append(tuple(acc))
+        values.extend(acc)
     return Cochain(p + 1, n, tuple(values))
 
 
@@ -272,11 +271,10 @@ def shuffles_by_filter(p: int, q: int):
     return out
 
 
-def circle_by_filter(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) -> Cochain:
+def circle_by_filter(alg: LeibnizAlgebra, fa: Cochain, fb: Cochain) -> Cochain:
     """Circle product computed from the permutation-filter shuffle oracle."""
-    fa, fb = a.cochain, b.cochain
     n = alg.dim
-    p, q = a.degree, b.degree
+    p, q = fa.arity - 1, fb.arity - 1
     arity = p + q + 1
     values = []
     for x in itertools.product(range(n), repeat=arity):
@@ -290,7 +288,7 @@ def circle_by_filter(alg: LeibnizAlgebra, a: GradedElement, b: GradedElement) ->
                 inner = fb.eval_basis(inner_args)
                 term = eval_with_vector_slot(fa, x[: k - 1], inner, suffix)
                 acc = vec_add(acc, vec_scale(F(k_sign * sgn), term))
-        values.append(acc)
+        values.extend(acc)
     return Cochain(arity, n, tuple(values))
 
 
@@ -313,7 +311,7 @@ def bracket_defect(d: Deformation) -> dict:
         t3 = d.bracket(pair[(a, c)], embeds[b])
         jet = tuple(t1[k] - t2[k] + t3[k] for k in range(n))
         for m in monos:
-            tables[m].append(tuple(p.coeff(m) for p in jet))
+            tables[m].extend(p.coeff(m) for p in jet)
     return {m: Cochain(3, n, tuple(tables[m])) for m in monos}
 
 

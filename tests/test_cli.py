@@ -232,6 +232,25 @@ def test_pushforward_of_unknown_generator_exits_two(capsys):
     assert err == "fault: image supplied for 'q', which is not a source generator\n"
 
 
+def test_pushforward_zero_denominator_exits_one(capsys):
+    code, out, err = invoke(
+        capsys, "pushforward", "lambda6", "--sub", "t=1/0*x", "--sub", "s=0", "--to", "x",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: zero denominator in polynomial term '1/0*x' in '1/0*x'\n"
+
+
+def test_pushforward_repeated_generator_exits_one(capsys):
+    code, out, err = invoke(
+        capsys, "pushforward", "lambda6", "--sub", "t=x", "--sub", "t=2*x", "--sub", "s=0",
+        "--to", "x",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --sub gives generator 't' a second image\n"
+
+
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):
     path = tmp_path / "ab.json"
     path.write_text('{"dim": 2, "brackets": []}', encoding="utf-8")

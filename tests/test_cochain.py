@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from leibniz_deform.cochain import (
 )
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import Matrix, rank
+from leibniz_deform.reports import cochain_from_json, cochain_to_json
 
 F = Fraction
 
@@ -91,7 +93,7 @@ def test_lambda6_degree3_dimensions_consistent():
 def test_lambda6_zl2_span_matches_reference_family():
     alg = lambda6()
     space = cohomology(alg, 2)
-    refs = [Cochain.from_entries(2, 3, e).flat() for e in ZL2_COCYCLES]
+    refs = [Cochain.from_entries(2, 3, e).flat for e in ZL2_COCYCLES]
     for r in refs:
         assert all(x == 0 for x in coboundary_matrix(alg, 2).matvec(r))
     kernel = list(space.cocycle_basis.vectors)
@@ -103,7 +105,7 @@ def test_lambda6_zl2_span_matches_reference_family():
 def test_lambda6_bl2_span_matches_reference_family():
     alg = lambda6()
     space = cohomology(alg, 2)
-    refs = [Cochain.from_entries(2, 3, e).flat() for e in BL2_COBOUNDARIES]
+    refs = [Cochain.from_entries(2, 3, e).flat for e in BL2_COBOUNDARIES]
     image = list(space.coboundary_basis.vectors)
     assert rank(Matrix.from_rows(refs)) == 6
     assert rank(Matrix.from_rows(refs + image)) == 6
@@ -217,7 +219,7 @@ def test_matrix_agrees_with_coboundary_on_random_cochains():
         for p in range(4):
             f = random_cochain(rng, p, alg.dim)
             expected = direct_coboundary(alg, f)
-            assert tuple(coboundary_matrix(alg, p).matvec(f.flat())) == expected.flat()
+            assert tuple(coboundary_matrix(alg, p).matvec(f.flat)) == expected.flat
             assert coboundary(alg, f) == expected
 
 
@@ -238,3 +240,36 @@ def test_cohomology_requires_positive_degree():
 def test_cohomology_rejects_non_leibniz_input_naming_the_triple(degree):
     with pytest.raises(PreconditionError, match=r"\(e_1,e_1,e_1\)"):
         cohomology(misoriented_nf4(), degree)
+
+
+# ---------------------------------------------------------------------------
+# The flat coordinate vector is the storage of a cochain
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_entries(draw):
+    arity, dim = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    inputs = st.tuples(*[st.integers(0, dim - 1)] * arity)
+    values = st.dictionaries(
+        st.integers(0, dim - 1), st.fractions(-3, 3, max_denominator=3), max_size=dim
+    )
+    return arity, dim, draw(st.dictionaries(inputs, values, max_size=5))
+
+
+@given(sparse_entries())
+def test_flat_storage_agrees_with_sparse_entries(case):
+    arity, dim, entries = case
+    c = Cochain.from_entries(arity, dim, entries)
+    dense = {idx: tuple(F(v.get(k, 0)) for k in range(dim)) for idx, v in entries.items()}
+    # exactly the nonzero entries, in lexicographic order of the input tuples
+    assert list(c.nonzero_entries()) == sorted((idx, v) for idx, v in dense.items() if any(v))
+    for t, idx in enumerate(itertools.product(range(dim), repeat=arity)):
+        assert c.eval_basis(idx) == c.flat[t * dim: (t + 1) * dim] == dense.get(idx, (F(0),) * dim)
+    assert cochain_from_json(cochain_to_json(c)) == c
+    # coercion: a list with int entries gives the same cochain as the tuple
+    as_list = Cochain.from_flat(arity, dim, [int(x) if x.denominator == 1 else x for x in c.flat])
+    as_tuple = Cochain.from_flat(arity, dim, tuple(c.flat))
+    assert as_list == as_tuple == c
+    assert hash(as_list) == hash(as_tuple) == hash(c)
+    assert all(type(x) is Fraction for x in as_list.flat)

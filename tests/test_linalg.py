@@ -404,11 +404,11 @@ def test_coboundary_and_cohomology_return_fractions(p):
     rng = random.Random(p)
     for alg in (lambda6(), nf4(), random_leibniz_algebra(rng, dims=(3,))):
         f = random_cochain(rng, p, alg.dim, density=0.3)
-        assert _all_fractions(coboundary(alg, f).values)
-        assert _all_fractions([coboundary_matrix(alg, p).matvec(f.flat())])
+        assert _all_fractions([coboundary(alg, f).flat])
+        assert _all_fractions([coboundary_matrix(alg, p).matvec(f.flat)])
         space = cochain.cohomology(alg, p)
         assert _all_fractions(space.cocycle_basis.vectors + space.coboundary_basis.vectors)
-        assert _all_fractions(r.flat() for r in space.class_representatives)
+        assert _all_fractions(r.flat for r in space.class_representatives)
         if space.dim:
             assert _all_fractions([space.project_to_classes(space.class_representatives[0])])
 
@@ -458,18 +458,18 @@ def cochain_pairs(draw):
     return Cochain.from_flat(arity, dim, draw(flat)), Cochain.from_flat(arity, dim, draw(flat))
 
 
-def _dense(f: Cochain, values) -> Cochain:
-    return Cochain(f.arity, f.dim, tuple(tuple(v) for v in values))
+def _dense(f: Cochain, flat) -> Cochain:
+    return Cochain(f.arity, f.dim, tuple(flat))
 
 
 @given(cochain_pairs(), factors)
 def test_cochain_sum_difference_and_scale_equal_dense_formulas(pair, c):
     f, g = pair
-    rows = list(zip(f.values, g.values))
-    assert f + g == _dense(f, ([x + y for x, y in zip(u, v)] for u, v in rows))
-    assert f - g == _dense(f, ([x - y for x, y in zip(u, v)] for u, v in rows))
-    assert f.scale(c) == _dense(f, ([c * x for x in u] for u in f.values))
-    assert -f == _dense(f, ([-x for x in u] for u in f.values))
+    pairs = list(zip(f.flat, g.flat))
+    assert f + g == _dense(f, (x + y for x, y in pairs))
+    assert f - g == _dense(f, (x - y for x, y in pairs))
+    assert f.scale(c) == _dense(f, (c * x for x in f.flat))
+    assert -f == _dense(f, (-x for x in f.flat))
 
 
 def test_cochain_sum_and_difference_reject_mismatched_shapes():
