@@ -33,11 +33,11 @@ from .deform import (
     MasseyWitness,
     ObstructionReport,
     TruncatedPolynomial,
-    check_equivalence,
     extend_to_order,
     leibniz_defect,
     massey2,
     massey3,
+    massey_witness,
     obstruction_classes,
     push_forward,
     universal_infinitesimal,
@@ -73,8 +73,8 @@ __all__ = [
     "cocycle_relations", "cohomology", "lambda6_reference_representatives",
     "with_representatives",
     "Deformation", "LocalBase", "MasseyWitness", "ObstructionReport",
-    "TruncatedPolynomial", "check_equivalence",
-    "extend_to_order", "leibniz_defect", "massey2", "massey3",
+    "TruncatedPolynomial",
+    "extend_to_order", "leibniz_defect", "massey2", "massey3", "massey_witness",
     "obstruction_classes", "push_forward", "universal_infinitesimal",
     "versal_construct",
     "DimensionMismatch", "FormatError", "LeibnizDeformError", "PreconditionError",

@@ -17,29 +17,26 @@ machinery builds candidate brackets that may fail the identity, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, FormatError
-from .linalg import F0, Vec, as_scalar, vec_is_zero
+from .linalg import F0, Record, Vec, as_scalar, vec_is_zero
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
-    dim: int
-    structure_constants: tuple[tuple[Vec, ...], ...]
-    basis_labels: Optional[tuple[str, ...]] = None
+class LeibnizAlgebra(Record):
+    __slots__ = _fields = ("dim", "structure_constants", "basis_labels")
 
-    def __post_init__(self):
-        n = self.dim
-        if len(self.structure_constants) != n:
+    def __init__(self, dim: int, structure_constants: tuple[tuple[Vec, ...], ...],
+                 basis_labels: Optional[tuple[str, ...]] = None):
+        if len(structure_constants) != dim:
             raise DimensionMismatch("structure constant table has wrong shape")
-        for plane in self.structure_constants:
-            if len(plane) != n or any(len(row) != n for row in plane):
+        for plane in structure_constants:
+            if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise DimensionMismatch("structure constant table has wrong shape")
-        if self.basis_labels is not None and len(self.basis_labels) != n:
+        if basis_labels is not None and len(basis_labels) != dim:
             raise DimensionMismatch("wrong number of basis labels")
+        super().__init__(dim, structure_constants, basis_labels)
 
     @classmethod
     def from_brackets(

@@ -2,7 +2,8 @@
 
 Subcommands: check, cohomology, massey, infinitesimal, versal, pushforward.
 The algebra argument is a JSON file path or the builtin name ``lambda6``.
-Exit status is 1 on input parse errors, 2 on precondition faults, 0 otherwise.
+Exit status is 1 on malformed input (files, expressions and option values),
+2 on precondition faults, 0 otherwise.
 All computation is deterministic.
 """
 
@@ -29,11 +30,12 @@ from .deform import (
     TruncatedPolynomial,
     massey2,
     massey3,
+    massey_witness,
     push_forward,
     universal_infinitesimal,
     versal_construct,
 )
-from .errors import FormatError, LeibnizDeformError
+from .errors import FormatError, LeibnizDeformError, PreconditionError
 from .linalg import vec_is_zero
 from .reports import (
     cochain_from_json,
@@ -121,6 +123,12 @@ def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
     return TruncatedPolynomial(base, coeffs)
 
 
+def _at_least_one(option: str, value: int) -> int:
+    if value < 1:
+        raise FormatError(f"{option} must be at least 1, got {value}")
+    return value
+
+
 def _unit(h: int, i: int):
     return tuple(1 if k == i else 0 for k in range(h))
 
@@ -152,7 +160,7 @@ def cmd_check(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_cohomology(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    space = cohomology(alg, args.degree)
+    space = cohomology(alg, _at_least_one("--degree", args.degree))
     relations = cocycle_relations(alg, args.degree)
     text, doc = cohomology_report(alg, space, relations)
     doc["command"] = "cohomology"
@@ -172,10 +180,12 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     h = hl2.dim
     lines = [f"dim HL^2 = {h}, dim HL^3 = {hl3.dim}"]
     pair_docs = []
+    pair_reps = {}
     all_zero = True
     lines.append("second-order brackets:")
     for i, j in itertools.combinations_with_replacement(range(h), 2):
         coords, rep = massey2(alg, hl2, _unit(h, i), _unit(h, j))
+        pair_reps[(i, j)] = rep
         zero = vec_is_zero(coords)
         all_zero = all_zero and zero
         cls = "0" if zero else "(" + ", ".join(str(c) for c in coords) + ")"
@@ -192,8 +202,11 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     witness_docs = []
     if all_zero:
         lines.append("third-order brackets:")
+        # one witness per pair, solved once here and only verified by massey3
+        pair_wits = {pair: massey_witness(alg, rep) for pair, rep in pair_reps.items()}
         for i, j, k in itertools.combinations_with_replacement(range(h), 3):
-            coords, rep, wits = massey3(alg, hl2, (_unit(h, i), _unit(h, j), _unit(h, k)))
+            supplied = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
+            coords, rep, wits = massey3(alg, hl2, (_unit(h, i), _unit(h, j), _unit(h, k)), supplied)
             cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append(
@@ -233,8 +246,9 @@ def cmd_infinitesimal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
+    max_order = _at_least_one("--max-order", args.max_order)
     hl2 = _hl2_with_reps(alg, args.reps)
-    d, relations = versal_construct(alg, args.max_order, hl2.class_representatives)
+    d, relations = versal_construct(alg, max_order, hl2.class_representatives)
     text, doc = deformation_report(d, alg)
     doc["command"] = "versal"
     doc["relations_by_order"] = {
@@ -244,10 +258,13 @@ def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
+    max_order = _at_least_one("--max-order", args.max_order)
+    try:
+        target = LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
+    except PreconditionError as e:
+        raise FormatError(f"--to {args.to!r}: {e}") from e
     hl2 = _hl2_with_reps(alg, args.reps)
-    d, _ = versal_construct(alg, args.max_order, hl2.class_representatives)
-    target_gens = tuple(g for g in args.to.split(",") if g)
-    target = LocalBase(target_gens, args.max_order)
+    d, _ = versal_construct(alg, max_order, hl2.class_representatives)
     images = {}
     for sub in args.sub:
         if "=" not in sub:

@@ -23,7 +23,6 @@ BL^p and HL^p denote cocycles, coboundaries and their quotient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -33,6 +32,7 @@ from .errors import DimensionMismatch, PreconditionError
 from .linalg import (
     F0,
     Matrix,
+    Record,
     SubspaceBasis,
     Vec,
     as_scalar,
@@ -49,20 +49,18 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """A p-linear map L^{tensor p} -> L stored as its flat coordinate vector;
     a 0-cochain is a single vector."""
 
-    arity: int
-    dim: int
-    flat: Vec
+    __slots__ = _fields = ("arity", "dim", "flat")
 
-    def __post_init__(self):
-        if self.arity < 0:
+    def __init__(self, arity: int, dim: int, flat: Vec):
+        if arity < 0:
             raise DimensionMismatch("arity must be nonnegative")
-        if len(self.flat) != self.dim ** (self.arity + 1):
+        if len(flat) != dim ** (arity + 1):
             raise DimensionMismatch("flat vector has wrong length")
+        super().__init__(arity, dim, flat)
 
     @classmethod
     def zeros(cls, arity: int, dim: int) -> "Cochain":
@@ -196,15 +194,16 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     return Matrix.from_sparse(n ** (p + 1) * n, n ** p * n, rows)
 
 
-@dataclass
 class CohomologySpace:
     """Cocycles, coboundaries and chosen class representatives in one degree."""
 
-    degree: int
-    cocycle_basis: SubspaceBasis
-    coboundary_basis: SubspaceBasis
-    class_representatives: tuple[Cochain, ...]
-    _project: Callable[[Sequence], Vec] = field(repr=False)
+    def __init__(self, degree: int, cocycle_basis: SubspaceBasis, coboundary_basis: SubspaceBasis,
+                 class_representatives: tuple[Cochain, ...], _project: Callable[[Sequence], Vec]):
+        self.degree = degree
+        self.cocycle_basis = cocycle_basis
+        self.coboundary_basis = coboundary_basis
+        self.class_representatives = class_representatives
+        self._project = _project
 
     @property
     def dim_cocycles(self) -> int:

@@ -42,7 +42,6 @@ are homogeneous, as the versal construction's are.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -57,7 +56,7 @@ from .cochain import (
 )
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import circle, graded_bracket
-from .linalg import F0, F1, Matrix, Reducer, Sparse, Vec, _exact, as_scalar, rank, solve, vec_is_zero, zero_vec
+from .linalg import F0, F1, Record, Reducer, Sparse, Vec, _exact, as_scalar, solve, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
@@ -82,8 +81,7 @@ def _canonical_poly_data(coeffs: Mapping[Monomial, Fraction]) -> PolyData:
     return tuple(sorted(((m, c) for m, c in coeffs.items() if c), key=lambda mc: _render_key(mc[0])))
 
 
-@dataclass(frozen=True)
-class LocalBase:
+class LocalBase(Record):
     """K[t_1..t_m] truncated above ``truncation_order``, modulo ``relations``.
 
     The maximal ideal is generated by the parameters; evaluation at 0 is the
@@ -91,24 +89,24 @@ class LocalBase:
     must have zero constant term.
 
     Elements are kept normal modulo I + m^(N+1): reduced by its Macaulay
-    echelon over lex-descending monomials, unit multiples included.
+    echelon over lex-descending monomials, unit multiples included.  No
+    ``__slots__``: the echelon is cached in the instance ``__dict__``.
     """
 
-    generators: tuple[str, ...]
-    truncation_order: int
-    relations: tuple[PolyData, ...] = ()
+    _fields = ("generators", "truncation_order", "relations")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...], truncation_order: int, relations: tuple[PolyData, ...] = ()):
+        if len(set(generators)) != len(generators):
             raise PreconditionError("duplicate generator names")
-        if self.truncation_order < 0:
+        if truncation_order < 0:
             raise PreconditionError("truncation order must be nonnegative")
-        for rel in self.relations:
+        for rel in relations:
             for mono, coeff in rel:
-                if len(mono) != len(self.generators):
+                if len(mono) != len(generators):
                     raise DimensionMismatch("relation monomial has wrong arity")
                 if _degree(mono) == 0 and coeff:
                     raise PreconditionError("relation has a nonzero constant term")
+        super().__init__(generators, truncation_order, relations)
 
     @property
     def num_generators(self) -> int:
@@ -282,36 +280,27 @@ class TruncatedPolynomial:
 AVector = tuple[TruncatedPolynomial, ...]
 
 
-@dataclass
 class Deformation:
     """A base-valued bracket: one 2-cochain per nonzero monomial of the base.
 
-    The zero-monomial coefficient is implicitly the bracket of ``algebra``.
+    The zero-monomial coefficient is implicitly the bracket of ``algebra``;
+    ``terms`` keeps the nonzero terms in a dict of its own.
     """
 
-    algebra: LeibnizAlgebra
-    base: LocalBase
-    terms: dict[Monomial, Cochain] = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        cleaned = {}
-        for mono, psi in self.terms.items():
+    def __init__(self, algebra: LeibnizAlgebra, base: LocalBase, terms: Optional[Mapping[Monomial, Cochain]] = None):
+        self.algebra = algebra
+        self.base = base
+        self.terms = {}
+        for mono, psi in (terms or {}).items():
             mono = tuple(mono)
-            if len(mono) != self.base.num_generators:
+            if len(mono) != base.num_generators:
                 raise DimensionMismatch("term monomial has wrong arity")
             if _degree(mono) == 0:
                 raise PreconditionError("the zero monomial term is implicit")
-            if psi.arity != 2 or psi.dim != n:
+            if psi.arity != 2 or psi.dim != algebra.dim:
                 raise DimensionMismatch("deformation terms must be 2-cochains over the algebra")
             if not psi.is_zero():
-                cleaned[mono] = psi
-        self.terms = cleaned
-
-    def embed_basis(self, i: int) -> AVector:
-        one = self.base.one()
-        zero = self.base.zero()
-        return tuple(one if k == i else zero for k in range(self.algebra.dim))
+                self.terms[mono] = psi
 
     def basis_bracket(self, i: int, j: int) -> AVector:
         """[1 x e_i, 1 x e_j] as a vector of base polynomials."""
@@ -492,15 +481,16 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
     return ObstructionReport(k + 1, classes, tuple(relation_polynomials), defect)
 
 
-@dataclass
 class ObstructionReport:
     """Obstruction classes at one order, the induced base relations, and the
     defect entries of that order that some product reaches."""
 
-    order: int
-    classes: dict[Monomial, Vec]
-    relation_polynomials: tuple[tuple[int, TruncatedPolynomial], ...]
-    defect: dict[Monomial, Cochain]
+    def __init__(self, order: int, classes: dict[Monomial, Vec],
+                 relation_polynomials: tuple[tuple[int, TruncatedPolynomial], ...], defect: dict[Monomial, Cochain]):
+        self.order = order
+        self.classes = classes
+        self.relation_polynomials = relation_polynomials
+        self.defect = defect
 
     def all_zero(self) -> bool:
         return all(vec_is_zero(c) for c in self.classes.values())
@@ -535,12 +525,13 @@ def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport"
     return extended
 
 
-@dataclass(frozen=True)
-class MasseyWitness:
+class MasseyWitness(Record):
     """A 2-cochain x_ij with d x_ij = [x_i, x_j] in the graded sense."""
 
-    pair: tuple[int, int]
-    witness: Cochain
+    __slots__ = _fields = ("pair", "witness")
+
+    def __init__(self, pair: tuple[int, int], witness: Cochain):
+        super().__init__(pair, witness)
 
 
 def _combine(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
@@ -570,6 +561,15 @@ def massey2(
     return cohomology(alg, 3).project_to_classes(rep), rep
 
 
+def massey_witness(alg: LeibnizAlgebra, bracket: Cochain) -> Cochain:
+    """The deterministic 2-cochain x with d x = ``bracket``, a superbracket of
+    degree-2 classes whose second-order Massey bracket vanishes."""
+    sol = solve(coboundary_matrix(alg, 2), tuple(-x for x in bracket.flat))
+    if sol is None:
+        raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
+    return Cochain(2, alg.dim, sol)
+
+
 def massey3(
     alg: LeibnizAlgebra,
     hl2: CohomologySpace,
@@ -591,7 +591,6 @@ def massey3(
         if not vec_is_zero(coords):
             raise PreconditionError(f"second-order bracket of classes {i} and {j} does not vanish")
         brackets[(i, j)] = rep
-    delta2 = coboundary_matrix(alg, 2)
     chosen: dict[tuple[int, int], Cochain] = {}
     for key, rep in brackets.items():
         if witnesses is not None and key in witnesses:
@@ -601,10 +600,7 @@ def massey3(
                 raise PreconditionError(f"supplied witness for pair {key} fails its equation")
             chosen[key] = w
         else:
-            sol = solve(delta2, tuple(-x for x in rep.flat))
-            if sol is None:
-                raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
-            chosen[key] = Cochain(2, alg.dim, sol)
+            chosen[key] = massey_witness(alg, rep)
     rep3 = (
         graded_bracket(alg, chosen[(0, 1)], xs[2])
         + graded_bracket(alg, xs[0], chosen[(1, 2)])
@@ -647,47 +643,6 @@ def push_forward(
             cur = new_terms.get(m2, Cochain.zeros(2, n))
             new_terms[m2] = cur + psi.scale(c2)
     return Deformation(d.algebra, target_base, new_terms)
-
-
-def check_equivalence(
-    phi: Sequence[Sequence[TruncatedPolynomial]],
-    d1: Deformation,
-    d2: Deformation,
-):
-    """Decide whether a base-linear map intertwines two deformed brackets.
-
-    ``phi[i][j]`` is the e_i coefficient of the image of 1 x e_j.  True needs
-    the constant part of the matrix to be invertible, the evaluation-at-0
-    condition (constant part equal to the identity) and the intertwining
-    identity on every basis pair modulo truncation.  Returns (ok, detail)
-    where detail is None or the first counterexample.
-    """
-    if d1.algebra != d2.algebra or d1.base != d2.base:
-        raise PreconditionError("deformations must share their algebra and base")
-    n = d1.algebra.dim
-    base = d1.base
-    if len(phi) != n or any(len(row) != n for row in phi):
-        raise DimensionMismatch("map matrix has wrong shape")
-    const = [[phi[i][j].constant_term() for j in range(n)] for i in range(n)]
-    if rank(Matrix.from_rows(const)) != n:
-        return False, "constant part of the matrix is not invertible"
-    identity = all(const[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-    if not identity:
-        return False, "evaluation at 0 is not the identity"
-
-    def apply(av: AVector) -> AVector:
-        return tuple(
-            sum((phi[i][j] * av[j] for j in range(n)), base.zero()) for i in range(n)
-        )
-
-    columns = [tuple(phi[i][j] for i in range(n)) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = apply(d1.basis_bracket(i, j))
-            rhs = d2.bracket(columns[i], columns[j])
-            if lhs != rhs:
-                return False, (i, j, lhs, rhs)
-    return True, None
 
 
 def versal_construct(

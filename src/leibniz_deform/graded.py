@@ -19,24 +19,23 @@ and that d is a square-zero derivation of the bracket.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
 from .cochain import Cochain, coboundary
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import F0
+from .linalg import F0, Record
 
 
-@dataclass(frozen=True)
-class Shuffle:
-    """A (p,q)-shuffle: increasing on the first p and on the last q positions."""
+class Shuffle(Record):
+    """A (p,q)-shuffle: increasing on the first p and on the last q positions;
+    ``permutation`` holds the images of 1..p+q, 1-based."""
 
-    p: int
-    q: int
-    permutation: tuple[int, ...]  # images of 1..p+q, 1-based
-    sign: int
+    __slots__ = _fields = ("p", "q", "permutation", "sign")
+
+    def __init__(self, p: int, q: int, permutation: tuple[int, ...], sign: int):
+        super().__init__(p, q, permutation, sign)
 
 
 def _parity_sign(perm: tuple[int, ...]) -> int:

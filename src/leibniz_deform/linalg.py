@@ -31,7 +31,6 @@ columns, quotient representatives are chosen greedily in the order given, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -44,6 +43,41 @@ F1 = Fraction(1)
 Vec = tuple[Fraction, ...]
 Exact = Union[int, Fraction]  # a stored scalar: int when integral
 Sparse = dict[int, Exact]
+
+
+class Record:
+    """An immutable value with the fields named in ``_fields``.
+
+    ``__init__`` sets them in order; instances of one class compare and hash
+    by them, and assigning an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
 def as_scalar(x) -> Fraction:
@@ -297,17 +331,16 @@ class Matrix:
         return _eliminate(self._columns, track=True)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """A list of linearly independent coordinate vectors in a fixed ambient space."""
 
-    ambient_dim: int
-    vectors: tuple[Vec, ...]
+    __slots__ = _fields = ("ambient_dim", "vectors")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, vectors: tuple[Vec, ...]):
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise DimensionMismatch("basis vector length differs from ambient dimension")
+        super().__init__(ambient_dim, vectors)
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the package internals:
 fraction-free rank, dense Gauss-Jordan elimination and the results derived
 from it, the coboundary evaluated from its defining formula, permutation-filter
 shuffle enumeration and a circle product built on it, the deformation
-defect expanded from the deformed bracket, and membership in a base's ideal
+defect expanded from the deformed bracket, the equivalence check of two
+deformed brackets under a base-linear map, and membership in a base's ideal
 decided by the rank of its dense Macaulay matrix.  The frozen cocycle
 families certify the computed degree-2 and degree-3 kernels of the builtin
 algebra.  ``matmul`` composes two matrices for the
@@ -21,7 +22,8 @@ from fractions import Fraction
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, bracket_eval, lambda6, validate
 from leibniz_deform.cochain import Cochain
 from leibniz_deform.deform import Deformation
-from leibniz_deform.linalg import F0, F1, Matrix, Vec, solve, vec_add, vec_is_zero, vec_scale, zero_vec
+from leibniz_deform.errors import DimensionMismatch, PreconditionError
+from leibniz_deform.linalg import F0, F1, Matrix, Vec, rank, solve, vec_add, vec_is_zero, vec_scale, zero_vec
 
 F = Fraction
 
@@ -297,13 +299,19 @@ def circle_by_filter(alg: LeibnizAlgebra, fa: Cochain, fb: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+def embed_basis(d: Deformation, i: int) -> tuple:
+    """1 x e_i as a vector of base polynomials."""
+    one, zero = d.base.one(), d.base.zero()
+    return tuple(one if k == i else zero for k in range(d.algebra.dim))
+
+
 def bracket_defect(d: Deformation) -> dict:
     """Per-monomial defect [x,[y,z]] - [[x,y],z] + [[x,z],y] on every basis
     triple, each bracket evaluated over the base by ``Deformation.bracket``."""
     n = d.algebra.dim
     monos = d.base.monomials()
     tables = {m: [] for m in monos}
-    embeds = [d.embed_basis(i) for i in range(n)]
+    embeds = [embed_basis(d, i) for i in range(n)]
     pair = {(b, c): d.basis_bracket(b, c) for b in range(n) for c in range(n)}
     for a, b, c in itertools.product(range(n), repeat=3):
         t1 = d.bracket(embeds[a], pair[(b, c)])
@@ -313,6 +321,43 @@ def bracket_defect(d: Deformation) -> dict:
         for m in monos:
             tables[m].extend(p.coeff(m) for p in jet)
     return {m: Cochain(3, n, tuple(tables[m])) for m in monos}
+
+
+def check_equivalence(phi, d1: Deformation, d2: Deformation):
+    """Decide whether a base-linear map intertwines two deformed brackets.
+
+    ``phi[i][j]`` is the e_i coefficient of the image of 1 x e_j.  True needs
+    the constant part of the matrix to be invertible, the evaluation-at-0
+    condition (constant part equal to the identity) and the intertwining
+    identity on every basis pair modulo truncation.  Returns (ok, detail)
+    where detail is None or the first counterexample.
+    """
+    if d1.algebra != d2.algebra or d1.base != d2.base:
+        raise PreconditionError("deformations must share their algebra and base")
+    n = d1.algebra.dim
+    base = d1.base
+    if len(phi) != n or any(len(row) != n for row in phi):
+        raise DimensionMismatch("map matrix has wrong shape")
+    const = [[phi[i][j].constant_term() for j in range(n)] for i in range(n)]
+    if rank(Matrix.from_rows(const)) != n:
+        return False, "constant part of the matrix is not invertible"
+    identity = all(const[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+    if not identity:
+        return False, "evaluation at 0 is not the identity"
+
+    def apply(av):
+        return tuple(
+            sum((phi[i][j] * av[j] for j in range(n)), base.zero()) for i in range(n)
+        )
+
+    columns = [tuple(phi[i][j] for i in range(n)) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = apply(d1.basis_bracket(i, j))
+            rhs = d2.bracket(columns[i], columns[j])
+            if lhs != rhs:
+                return False, (i, j, lhs, rhs)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import misoriented_nf4
+from leibniz_deform import deform, graded
 from leibniz_deform.algebra import algebra_to_json, lambda6
 from leibniz_deform.cli import parse_poly, run
 from leibniz_deform.deform import LocalBase
 from leibniz_deform.errors import FormatError
 from leibniz_deform.reports import dumps_canonical
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
 def invoke(capsys, *argv):
@@ -249,6 +257,60 @@ def test_pushforward_repeated_generator_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --sub gives generator 't' a second image\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x,x"),
+         "--to 'x,x': duplicate generator names"),
+        (("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x", "--max-order", "0"),
+         "--max-order must be at least 1, got 0"),
+        (("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x", "--max-order", "-1"),
+         "--max-order must be at least 1, got -1"),
+        (("versal", "lambda6", "--max-order", "0"), "--max-order must be at least 1, got 0"),
+        (("versal", "lambda6", "--max-order", "-1"), "--max-order must be at least 1, got -1"),
+        (("cohomology", "lambda6", "--degree", "0"), "--degree must be at least 1, got 0"),
+    ],
+    ids=["to-twice", "pushforward-order-0", "pushforward-order-minus-1", "versal-order-0",
+         "versal-order-minus-1", "cohomology-degree-0"],
+)
+def test_malformed_option_value_exits_one(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_massey_solves_each_pair_witness_once(capsys, monkeypatch):
+    solves, circles = [], []
+    real_solve, real_circle = deform.solve, graded.circle
+    monkeypatch.setattr(deform, "solve", lambda *a: solves.append(a) or real_solve(*a))
+    monkeypatch.setattr(graded, "circle", lambda *a: circles.append(a) or real_circle(*a))
+    code, out, _ = invoke(capsys, "massey", "lambda6", "--output", "json")
+    assert code == 0
+    assert out == (GOLDEN / "massey-lambda6.json").read_text(encoding="utf-8")
+    # h = 2: three pairs of classes, each pair's witness solved once for all
+    # four triples; the circle products are no more than the 54 of one
+    # solve per pair and triple
+    assert len(solves) == 3
+    assert len(circles) <= 54
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """``import leibniz_deform.cli`` starts every command; it must not pull in
+    ``dataclasses`` or the source-introspection modules that it imports."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
+    code = f"import sys, leibniz_deform.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):

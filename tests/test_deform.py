@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import (
     bareiss_rank,
     bracket_defect,
+    check_equivalence,
+    embed_basis,
     h3,
     ideal_member,
     nf4,
@@ -31,7 +33,6 @@ from leibniz_deform.deform import (
     MasseyWitness,
     ObstructionReport,
     TruncatedPolynomial,
-    check_equivalence,
     extend_to_order,
     leibniz_defect,
     massey2,
@@ -220,7 +221,7 @@ def test_single_cocycle_first_order_defect_vanishes():
 def test_bracket_e1_e3_under_versal():
     alg = lambda6()
     d, _ = versal_construct(alg, 3, lambda6_reference_representatives())
-    out = d.bracket(d.embed_basis(0), d.embed_basis(2))
+    out = d.bracket(embed_basis(d, 0), embed_basis(d, 2))
     s = d.base.generator("s")
     assert out == (s, d.base.one(), d.base.zero())
 
