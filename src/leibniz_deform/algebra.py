@@ -17,8 +17,8 @@ machinery builds candidate brackets that may fail the identity, and
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, FormatError
 from .linalg import F0, Record, Vec, as_scalar, vec_is_zero
@@ -28,7 +28,7 @@ class LeibnizAlgebra(Record):
     __slots__ = _fields = ("dim", "structure_constants", "basis_labels")
 
     def __init__(self, dim: int, structure_constants: tuple[tuple[Vec, ...], ...],
-                 basis_labels: Optional[tuple[str, ...]] = None):
+                 basis_labels: tuple[str, ...] | None = None):
         if len(structure_constants) != dim:
             raise DimensionMismatch("structure constant table has wrong shape")
         for plane in structure_constants:
@@ -43,7 +43,7 @@ class LeibnizAlgebra(Record):
         cls,
         dim: int,
         brackets: Mapping[tuple[int, int], Mapping[int, object]],
-        basis_labels: Optional[Sequence[str]] = None,
+        basis_labels: Sequence[str] | None = None,
     ) -> "LeibnizAlgebra":
         """Build an algebra from the nonzero brackets only (0-based indices)."""
         table = [[[F0] * dim for _ in range(dim)] for _ in range(dim)]

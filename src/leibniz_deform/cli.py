@@ -1,21 +1,23 @@
-"""Command-line front end.
+"""Command-line front end: ``leibniz-deform COMMAND ALGEBRA [OPTIONS]``.
 
-Subcommands: check, cohomology, massey, infinitesimal, versal, pushforward.
-The algebra argument is a JSON file path or the builtin name ``lambda6``.
-Exit status is 1 on malformed input (files, expressions and option values),
-2 on precondition faults, 0 otherwise.
-All computation is deterministic.
+``COMMANDS`` lists the subcommands and their options.  ALGEBRA is a JSON file
+path or the builtin name ``lambda6``.  Options go before or after ALGEBRA, as
+``--opt value``, ``--opt=value`` or a unique prefix of ``--opt``; ``--sub``
+repeats; ``-h``/``--help`` prints the usage to standard output.  Exit status
+is 0 on success and after help, 1 on malformed input (the command line,
+files, expressions and option values), 2 on precondition faults.  All
+computation is deterministic.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import re
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import SimpleNamespace
 
 from .algebra import LeibnizAlgebra, load_algebra, validate
 from .cochain import (
@@ -81,7 +83,8 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
     return reps
 
 
-_TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?((?:[A-Za-z_]\w*(?:\^\d+)?)(?:\*[A-Za-z_]\w*(?:\^\d+)?)*)?$")
+# compiled on first use by re's own cache, not by every command at import
+_TERM = r"^(?:(-?\d+(?:/\d+)?)\*?)?((?:[A-Za-z_]\w*(?:\^\d+)?)(?:\*[A-Za-z_]\w*(?:\^\d+)?)*)?$"
 
 
 def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
@@ -100,7 +103,7 @@ def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
         elif chunk[0] == "-":
             sign = Fraction(-1)
             chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
+        m = re.match(_TERM, chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise FormatError(f"cannot parse polynomial term {chunk!r} in {expr!r}")
         try:
@@ -167,7 +170,7 @@ def cmd_cohomology(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     return text, doc
 
 
-def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: Optional[str]):
+def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None):
     hl2 = cohomology(alg, 2)
     if reps_spec is not None:
         hl2 = with_representatives(hl2, _load_reps(reps_spec, alg), alg)
@@ -282,59 +285,95 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     return text, doc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="leibniz-deform",
-        description="Exact cohomology, Massey brackets and versal deformations of Leibniz algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+_OUTPUT = {"--output": (("text", "json"), "text", "text or json")}
+_REPS = {**_OUTPUT, "--reps": (str, None, "2-cocycle representatives: a JSON file, or 'paper' (lambda6 only)")}
+_MAX_ORDER = {"--max-order": (int, 3, "truncation order")}
 
-    def common(p, reps=False):
-        p.add_argument("algebra", help="algebra JSON file, or the builtin name 'lambda6'")
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        if reps:
-            p.add_argument(
-                "--reps",
-                default=None,
-                help="representative 2-cocycles: a JSON file, or 'paper' for the builtin choice on lambda6",
-            )
-
-    p = sub.add_parser("check", help="verify the Leibniz identity on all basis triples")
-    common(p)
-    p = sub.add_parser("cohomology", help="cocycles, coboundaries and cohomology in one degree")
-    common(p)
-    p.add_argument("--degree", type=int, required=True)
-    p = sub.add_parser("massey", help="all second- and third-order Massey brackets of the degree-2 classes")
-    common(p, reps=True)
-    p = sub.add_parser("infinitesimal", help="the universal first-order deformation")
-    common(p, reps=True)
-    p = sub.add_parser("versal", help="order-by-order versal deformation")
-    common(p, reps=True)
-    p.add_argument("--max-order", type=int, default=3)
-    p = sub.add_parser("pushforward", help="substitute base parameters in the versal deformation")
-    common(p, reps=True)
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--sub", action="append", required=True, metavar="NAME=POLY",
-                   help="image of one source generator (repeat per generator)")
-    p.add_argument("--to", required=True, help="comma-separated target generator names")
-    return parser
-
-
-_DISPATCH = {
-    "check": cmd_check,
-    "cohomology": cmd_cohomology,
-    "massey": cmd_massey,
-    "infinitesimal": cmd_infinitesimal,
-    "versal": cmd_versal,
-    "pushforward": cmd_pushforward,
+# subcommand: (handler, help, options).  An option is (type, default, help), the
+# type int, str, list (a string that may repeat, kept in order) or a tuple of
+# the allowed strings; a default of REQUIRED makes the option required.
+COMMANDS = {
+    "check": (cmd_check, "verify the Leibniz identity on all basis triples", _OUTPUT),
+    "cohomology": (cmd_cohomology, "cocycles, coboundaries and cohomology in one degree",
+                   {**_OUTPUT, "--degree": (int, REQUIRED, "cochain degree")}),
+    "massey": (cmd_massey, "all second- and third-order Massey brackets of the degree-2 classes", _REPS),
+    "infinitesimal": (cmd_infinitesimal, "the universal first-order deformation", _REPS),
+    "versal": (cmd_versal, "order-by-order versal deformation", {**_REPS, **_MAX_ORDER}),
+    "pushforward": (cmd_pushforward, "substitute base parameters in the versal deformation", {
+        **_REPS, **_MAX_ORDER,
+        "--sub": (list, REQUIRED, "NAME=POLY, the image of one source generator; repeat per generator"),
+        "--to": (str, REQUIRED, "comma-separated target generator names"),
+    }),
 }
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def usage(command: str | None = None) -> str:
+    """The help text of the program, or of one subcommand."""
+    if command is None:
+        intro = "Exact cohomology, Massey brackets and versal deformations of Leibniz algebras."
+        title, rows = "commands", [(name, help) for name, (_, help, _) in COMMANDS.items()]
+    else:
+        _, intro, options = COMMANDS[command]
+        title, rows = "options", [
+            (name, text + (" (required)" if default is REQUIRED else f" (default {default})" if default else ""))
+            for name, (_, default, text) in options.items()
+        ]
+    lines = [f"usage: leibniz-deform {command or 'COMMAND'} ALGEBRA [OPTIONS]", "", intro, "", f"{title}:"]
+    rows += [("ALGEBRA", "an algebra JSON file, or the builtin name 'lambda6'"), ("-h, --help", "show this help")]
+    return "\n".join(lines + [f"  {left:<14} {right}" for left, right in rows])
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable, SimpleNamespace]:
+    """Match ``argv`` against ``COMMANDS``: the subcommand's handler and its arguments."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        what = f"unknown subcommand {command!r}" if argv else "missing subcommand"
+        raise FormatError(f"{what}; choose from {', '.join(COMMANDS)}")
+    handler, _, options = COMMANDS[command]
+    positional, values = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            positional.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        found = [o for o in options if o == name] or [o for o in options if len(name) > 2 and o.startswith(name)]
+        if len(found) != 1:
+            raise FormatError(f"{'ambiguous' if found else 'unknown'} option {name!r} for {command}")
+        name, kind = found[0], options[found[0]][0]
+        if not eq:
+            value = next(tokens, None)
+            # a value may be a negative number, never another option
+            if value is None or value[:1] == "-" and not value[1:].isdigit():
+                raise FormatError(f"{name} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise FormatError(f"{name} expects an integer, got {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise FormatError(f"{name} expects one of {', '.join(kind)}, got {value!r}")
+        values[name] = values.get(name, []) + [value] if kind is list else value
+    if len(positional) != 1:
+        raise FormatError(f"unexpected argument {positional[1]!r}" if positional else f"{command} expects ALGEBRA")
+    for name, (_, default, _) in options.items():
+        if name not in values:
+            if default is REQUIRED:
+                raise FormatError(f"{command} requires {name}")
+            values[name] = default
+    return handler, SimpleNamespace(algebra=positional[0], **{n[2:].replace("-", "_"): v for n, v in values.items()})
+
+
+def run(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage(argv[0] if argv[0] in COMMANDS else None))
+        return 0
     try:
+        handler, args = parse_args(argv)
         alg = load_algebra(args.algebra)
-        text, doc = _DISPATCH[args.command](alg, args)
+        text, doc = handler(alg, args)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

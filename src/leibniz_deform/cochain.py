@@ -23,9 +23,9 @@ BL^p and HL^p denote cocycles, coboundaries and their quotient.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
 
 from .algebra import LeibnizAlgebra, validate
 from .errors import DimensionMismatch, PreconditionError

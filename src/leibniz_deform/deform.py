@@ -42,9 +42,9 @@ are homogeneous, as the versal construction's are.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
 
 from .algebra import LeibnizAlgebra
 from .cochain import (
@@ -115,7 +115,7 @@ class LocalBase(Record):
     def zero_monomial(self) -> Monomial:
         return (0,) * self.num_generators
 
-    def monomials(self, max_degree: Optional[int] = None) -> list[Monomial]:
+    def monomials(self, max_degree: int | None = None) -> list[Monomial]:
         """Every exponent tuple up to the truncation order, in render order."""
         top = self.truncation_order if max_degree is None else min(max_degree, self.truncation_order)
         out: list[Monomial] = []
@@ -287,7 +287,7 @@ class Deformation:
     ``terms`` keeps the nonzero terms in a dict of its own.
     """
 
-    def __init__(self, algebra: LeibnizAlgebra, base: LocalBase, terms: Optional[Mapping[Monomial, Cochain]] = None):
+    def __init__(self, algebra: LeibnizAlgebra, base: LocalBase, terms: Mapping[Monomial, Cochain] | None = None):
         self.algebra = algebra
         self.base = base
         self.terms = {}
@@ -574,7 +574,7 @@ def massey3(
     alg: LeibnizAlgebra,
     hl2: CohomologySpace,
     classes: Sequence[Sequence],
-    witnesses: Optional[Mapping[tuple[int, int], Cochain]] = None,
+    witnesses: Mapping[tuple[int, int], Cochain] | None = None,
 ) -> tuple[Vec, Cochain, tuple[MasseyWitness, ...]]:
     """Third-order bracket [x12,x3] + [x1,x23] + [x13,x2] as a class.
 
@@ -648,7 +648,7 @@ def push_forward(
 def versal_construct(
     alg: LeibnizAlgebra,
     max_order: int,
-    reps: Optional[Sequence[Cochain]] = None,
+    reps: Sequence[Cochain] | None = None,
 ) -> tuple[Deformation, dict[int, tuple[TruncatedPolynomial, ...]]]:
     """Order-by-order construction of a versal deformation up to max_order.
 

@@ -31,9 +31,9 @@ columns, quotient representatives are chosen greedily in the order given, and
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, PreconditionError
 
@@ -41,7 +41,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 Vec = tuple[Fraction, ...]
-Exact = Union[int, Fraction]  # a stored scalar: int when integral
+Exact = int | Fraction  # a stored scalar: int when integral
 Sparse = dict[int, Exact]
 
 
@@ -164,7 +164,7 @@ class Reducer:
 
     def __init__(self, track: bool = False):
         self.rows: dict[int, Sparse] = {}
-        self.combos: Optional[dict[int, Sparse]] = {} if track else None
+        self.combos: dict[int, Sparse] | None = {} if track else None
         self.independent: list[int] = []
         self.inserted = 0
 
@@ -211,7 +211,7 @@ class Reducer:
         self.independent.append(index)
         return True
 
-    def coordinates(self, v: Sparse) -> Optional[Sparse]:
+    def coordinates(self, v: Sparse) -> Sparse | None:
         """Coefficients, keyed by insertion index, of the independent inserted
         vectors that sum to v; None when v is outside their span.  Needs ``track``."""
         residual, hits = self._reduce(v)
@@ -270,7 +270,7 @@ class Matrix:
         return cls(len(entries), ncols, entries)
 
     @classmethod
-    def from_columns(cls, columns: Iterable[Sequence], nrows: Optional[int] = None) -> "Matrix":
+    def from_columns(cls, columns: Iterable[Sequence], nrows: int | None = None) -> "Matrix":
         cols = [vec(c) for c in columns]
         if nrows is None:
             if not cols:
@@ -387,7 +387,7 @@ def image_basis(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(m.rows, tuple(m.column(j) for j in m._column_echelon.independent))
 
 
-def solve(m: Matrix, rhs: Sequence) -> Optional[Vec]:
+def solve(m: Matrix, rhs: Sequence) -> Vec | None:
     """One exact solution of ``m x = rhs``, or None when the system is inconsistent.
 
     The returned solution is the particular one with every free variable set

@@ -9,8 +9,8 @@ parsing a report and re-serializing it is byte-identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .algebra import LeibnizAlgebra
 from .cochain import Cochain, CohomologySpace
@@ -190,7 +190,7 @@ def deformation_report(d: Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
 def cohomology_report(
     alg: LeibnizAlgebra,
     space: CohomologySpace,
-    relations: Optional[list[str]] = None,
+    relations: list[str] | None = None,
 ) -> tuple[str, dict]:
     p = space.degree
     lines = [

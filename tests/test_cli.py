@@ -270,16 +270,85 @@ def test_pushforward_repeated_generator_exits_one(capsys):
          "--max-order must be at least 1, got -1"),
         (("versal", "lambda6", "--max-order", "0"), "--max-order must be at least 1, got 0"),
         (("versal", "lambda6", "--max-order", "-1"), "--max-order must be at least 1, got -1"),
+        (("versal", "lambda6", "--max-order=-1"), "--max-order must be at least 1, got -1"),
         (("cohomology", "lambda6", "--degree", "0"), "--degree must be at least 1, got 0"),
+        (("versal", "lambda6", "--max-order", "x"), "--max-order expects an integer, got 'x'"),
+        (("check", "lambda6", "--output", "yaml"), "--output expects one of text, json, got 'yaml'"),
+        (("check", "lambda6", "--degree", "2"), "unknown option '--degree' for check"),
+        (("check", "lambda6", "--reps"), "unknown option '--reps' for check"),
+        (("versal", "lambda6", "--reps"), "--reps expects a value"),
+        (("versal", "lambda6", "--reps", "--max-order", "2"), "--reps expects a value"),
+        (("check", "lambda6", "lambda6"), "unexpected argument 'lambda6'"),
+        (("chek", "lambda6"), "unknown subcommand 'chek'; choose from check, cohomology, massey,"
+                              " infinitesimal, versal, pushforward"),
+        ((), "missing subcommand; choose from check, cohomology, massey, infinitesimal, versal, pushforward"),
+        (("check",), "check expects ALGEBRA"),
+        (("cohomology", "--degree", "2"), "cohomology expects ALGEBRA"),
+        (("cohomology", "lambda6"), "cohomology requires --degree"),
+        (("pushforward", "lambda6", "--to", "t"), "pushforward requires --sub"),
+        (("pushforward", "lambda6", "--sub", "t=t", "--sub", "s=0"), "pushforward requires --to"),
     ],
     ids=["to-twice", "pushforward-order-0", "pushforward-order-minus-1", "versal-order-0",
-         "versal-order-minus-1", "cohomology-degree-0"],
+         "versal-order-minus-1", "versal-order-equals-minus-1", "cohomology-degree-0", "order-not-int",
+         "output-choice", "unknown-option", "option-of-other-command", "value-missing", "value-is-option",
+         "two-algebras", "unknown-subcommand", "no-subcommand", "no-algebra", "no-algebra-after-option",
+         "no-degree", "no-sub", "no-to"],
 )
 def test_malformed_option_value_exits_one(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "reference, spellings",
+    [
+        (("cohomology", "lambda6", "--degree", "2"),
+         [("cohomology", "lambda6", "--degree=2"), ("cohomology", "lambda6", "--deg", "2"),
+          ("cohomology", "--degree", "2", "lambda6"), ("cohomology", "--deg=2", "lambda6")]),
+        (("check", "lambda6", "--output", "json"),
+         [("check", "--output", "json", "lambda6"), ("check", "lambda6", "--output=json"),
+          ("check", "--out=json", "lambda6")]),
+        (("versal", "lambda6", "--reps", "paper", "--max-order", "2", "--output", "json"),
+         [("versal", "--output", "json", "--max-order=2", "lambda6", "--reps=paper"),
+          ("versal", "--max", "2", "--re", "paper", "--o", "json", "lambda6")]),
+        (("pushforward", "lambda6", "--max-order", "2", "--sub", "t=t", "--sub", "s=2*t", "--to", "t"),
+         [("pushforward", "--sub", "t=t", "lambda6", "--sub=s=2*t", "--to=t", "--max-order", "2"),
+          ("pushforward", "--to", "t", "--sub=t=t", "--sub", "s=2*t", "--max-o=2", "lambda6")]),
+    ],
+    ids=["cohomology", "check", "versal", "pushforward"],
+)
+def test_command_line_spellings_print_the_same(capsys, reference, spellings):
+    code, expected, _ = invoke(capsys, *reference)
+    assert code == 0 and expected
+    for argv in spellings:
+        assert invoke(capsys, *argv) == (0, expected, ""), argv
+
+
+HELP_NAMES = {
+    "check": ("--output",),
+    "cohomology": ("--output", "--degree"),
+    "massey": ("--output", "--reps"),
+    "infinitesimal": ("--output", "--reps"),
+    "versal": ("--output", "--reps", "--max-order"),
+    "pushforward": ("--output", "--reps", "--max-order", "--sub", "--to"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [(("-h",), tuple(HELP_NAMES)), (("--help",), tuple(HELP_NAMES))]
+    + [((command, "-h"), names) for command, names in HELP_NAMES.items()]
+    + [(("pushforward", "lambda6", "--sub", "t=t", "--help"), HELP_NAMES["pushforward"])],
+    ids=["-h", "--help", *HELP_NAMES, "pushforward-help-last"],
+)
+def test_help_exits_zero_naming_every_subcommand_and_option(capsys, argv, names):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: leibniz-deform ")
+    assert all(name in out for name in names)
 
 
 def test_massey_solves_each_pair_witness_once(capsys, monkeypatch):
@@ -311,6 +380,23 @@ def test_cli_import_loads_no_introspection_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_check_loads_no_argument_parsing_or_typing_modules():
+    """A command parses its arguments without ``argparse`` (and the
+    ``gettext`` and ``locale`` it imports) and annotates without ``typing``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    heavy = ("argparse", "gettext", "locale", "typing")
+    code = f"import sys; from leibniz_deform.cli import run; run(['check', 'lambda6']); " \
+           f"print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Leibniz identity: OK (0 violations)\n[]\n"
 
 
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):
