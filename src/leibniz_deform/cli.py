@@ -30,8 +30,8 @@ from .cochain import (
 from .deform import (
     LocalBase,
     TruncatedPolynomial,
+    _triple_bracket,
     massey2,
-    massey3,
     massey_witness,
     push_forward,
     universal_infinitesimal,
@@ -205,11 +205,11 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     witness_docs = []
     if all_zero:
         lines.append("third-order brackets:")
-        # one witness per pair, solved once here and only verified by massey3
+        # one witness per pair, solved once here for every triple
         pair_wits = {pair: massey_witness(alg, rep) for pair, rep in pair_reps.items()}
         for i, j, k in itertools.combinations_with_replacement(range(h), 3):
-            supplied = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
-            coords, rep, wits = massey3(alg, hl2, (_unit(h, i), _unit(h, j), _unit(h, k)), supplied)
+            wits = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
+            coords, rep = _triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
             cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append(
@@ -219,12 +219,12 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
                     "representative": cochain_to_json(rep),
                 }
             )
-            for w in wits:
+            for pair, w in wits.items():
                 witness_docs.append(
                     {
                         "triple": [i + 1, j + 1, k + 1],
-                        "pair": [w.pair[0] + 1, w.pair[1] + 1],
-                        "witness": cochain_to_json(w.witness),
+                        "pair": [pair[0] + 1, pair[1] + 1],
+                        "witness": cochain_to_json(w),
                     }
                 )
     else:

@@ -36,7 +36,8 @@ they all vanish, and the new terms are particular solutions of (coboundary)
 psi_u = -D_u.  Accumulating the nonzero class polynomials as base relations
 instead yields the versal construction.  These order-by-order steps group the
 products by the degree of m m', which is where they land when the relations
-are homogeneous, as the versal construction's are.
+are homogeneous, as the versal construction's are.  A step computes degree
+k+1 only, and checks degrees 0..k too unless the last step proved them flat.
 """
 
 from __future__ import annotations
@@ -287,6 +288,8 @@ class Deformation:
     ``terms`` keeps the nonzero terms in a dict of its own.
     """
 
+    _flat_through = -1  # the degree through which extend_to_order proved it flat
+
     def __init__(self, algebra: LeibnizAlgebra, base: LocalBase, terms: Mapping[Monomial, Cochain] | None = None):
         self.algebra = algebra
         self.base = base
@@ -390,6 +393,10 @@ def universal_infinitesimal(alg: LeibnizAlgebra, reps: Sequence[Cochain]) -> Def
     return Deformation(alg, base, terms)
 
 
+def _bracket_cochain(alg: LeibnizAlgebra) -> Cochain:
+    return Cochain(2, alg.dim, tuple(x for plane in alg.structure_constants for v in plane for x in v))
+
+
 def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict[Monomial, Cochain]]:
     """Per degree j of ``degrees``, the defect summed over the ordered pairs of
     terms of total degree j.
@@ -398,8 +405,7 @@ def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict
     no product reaches is left out.
     """
     alg = d.algebra
-    mu = Cochain(2, alg.dim, tuple(x for plane in alg.structure_constants for v in plane for x in v))
-    by_degree = {0: [(d.base.zero_monomial(), mu)]}
+    by_degree = {0: [(d.base.zero_monomial(), _bracket_cochain(alg))]}
     for mono, psi in d.terms.items():
         by_degree.setdefault(_degree(mono), []).append((mono, psi))
     out = {}
@@ -440,17 +446,18 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
 def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
     """Classes of the degree-(k+1) defect entries of a deformation flat to order k.
 
-    Requires the defect to vanish in every degree up to k; all degrees up to
-    k+1 are computed in one pass.  Each nonzero degree-(k+1) entry is checked
-    to be closed (anything else signals a sign error) and projected to
-    degree-3 cohomology, and a zero entry has the zero class; the
-    per-class-direction polynomials that must vanish on the base are
-    assembled from the projections.
+    Requires the defect to vanish in degrees up to k: checked in the pass of
+    degree k+1, and skipped when ``extend_to_order`` proved d flat through k.
+    Each nonzero degree-(k+1) entry is checked to be closed (anything else
+    signals a sign error) and projected to degree-3 cohomology, and a zero
+    entry has the zero class; the per-class-direction polynomials that must
+    vanish on the base are assembled from the projections.
     """
     if k < 1:
         raise PreconditionError("order must be at least 1")
     hl3 = cohomology(d.algebra, 3)
-    by_degree = _defect_in_degrees(d.truncate_terms(k), range(k + 2))
+    degrees = (k + 1,) if d._flat_through >= k else range(k + 2)
+    by_degree = _defect_in_degrees(d.truncate_terms(k), degrees)
     defect = by_degree.pop(k + 1)
     for entries in by_degree.values():
         nonzero = [m for m, entry in entries.items() if not entry.is_zero()]
@@ -461,9 +468,8 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
             )
     zero_class = zero_vec(hl3.dim)
     classes: dict[Monomial, Vec] = {}
-    for mono in d.base.monomials(k + 1):
-        if _degree(mono) != k + 1:
-            continue
+    tops = sorted(_compositions(k + 1, d.base.num_generators), key=_render_key)
+    for mono in tops if k < d.base.truncation_order else ():
         entry = defect.get(mono)
         if entry is None or entry.is_zero():
             classes[mono] = zero_class
@@ -501,27 +507,31 @@ def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport"
 
     On success the new degree-(k+1) terms are the deterministic particular
     solutions of (coboundary) psi = -defect entry; otherwise the obstruction
-    report is returned.
+    report is returned.  The new psi_u is in only the degree-(k+1) pairs
+    (psi_0, psi_u) and (psi_u, psi_0), which land on u: the post-check updates
+    the obstruction pass by them and marks the result flat through k+1.
     """
     report = obstruction_classes(d, k)
     if not report.all_zero():
         return report
     alg = d.algebra
     delta2 = coboundary_matrix(alg, 2)
-    new_terms = dict(d.truncate_terms(k).terms)
+    added: dict[Monomial, Cochain] = {}
     for mono in report.classes:
         entry = report.defect.get(mono)
         if entry is None or entry.is_zero():
             continue
-        rhs = tuple(-x for x in entry.flat)
-        sol = solve(delta2, rhs)
+        sol = solve(delta2, tuple(-x for x in entry.flat))
         assert sol is not None  # the class vanished, so the entry is a coboundary
-        new_terms[mono] = Cochain(2, alg.dim, sol)
-    extended = Deformation(alg, d.base, new_terms)
-    # pairs of lower total degree do not involve the new terms
-    top = _defect_in_degrees(extended, (k + 1,))[k + 1]
-    if not all(entry.is_zero() for entry in top.values()):
-        raise LeibnizDeformError("extension failed to kill the defect; internal error")
+        added[mono] = Cochain(2, alg.dim, sol)
+    mu = _bracket_cochain(alg)
+    for mono, entry in report.defect.items():
+        if mono in added:
+            entry = entry - circle(alg, mu, added[mono]) - circle(alg, added[mono], mu)
+        if not entry.is_zero():
+            raise LeibnizDeformError("extension failed to kill the defect; internal error")
+    extended = Deformation(alg, d.base, {**d.truncate_terms(k).terms, **added})
+    extended._flat_through = k + 1
     return extended
 
 
@@ -535,9 +545,9 @@ class MasseyWitness(Record):
 
 
 def _combine(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
-    out = Cochain.zeros(2, reps[0].dim) if reps else None
-    if out is None:
+    if not reps:
         raise PreconditionError("no representatives available")
+    out = Cochain.zeros(2, reps[0].dim)
     for c, r in zip(coords, reps):
         c = as_scalar(c)
         if c:
@@ -593,21 +603,21 @@ def massey3(
         brackets[(i, j)] = rep
     chosen: dict[tuple[int, int], Cochain] = {}
     for key, rep in brackets.items():
-        if witnesses is not None and key in witnesses:
-            w = witnesses[key]
-            # d w = -(coboundary of w) in degree 1
-            if (-coboundary(alg, w)) != rep:
-                raise PreconditionError(f"supplied witness for pair {key} fails its equation")
-            chosen[key] = w
-        else:
-            chosen[key] = massey_witness(alg, rep)
-    rep3 = (
-        graded_bracket(alg, chosen[(0, 1)], xs[2])
-        + graded_bracket(alg, xs[0], chosen[(1, 2)])
-        + graded_bracket(alg, chosen[(0, 2)], xs[1])
-    )
+        w = witnesses.get(key) if witnesses else None
+        if w is None:
+            w = massey_witness(alg, rep)
+        elif -coboundary(alg, w) != rep:  # d w = -(coboundary of w) in degree 1
+            raise PreconditionError(f"supplied witness for pair {key} fails its equation")
+        chosen[key] = w
     witness_objs = tuple(MasseyWitness(k, chosen[k]) for k in sorted(chosen))
-    return cohomology(alg, 3).project_to_classes(rep3), rep3, witness_objs
+    return (*_triple_bracket(alg, xs, chosen), witness_objs)
+
+
+def _triple_bracket(alg: LeibnizAlgebra, xs: Sequence[Cochain], wits: Mapping[tuple[int, int], Cochain]):
+    """massey3's class and representative from the x_i and the witnesses x_ij."""
+    rep = graded_bracket(alg, wits[(0, 1)], xs[2]) + graded_bracket(alg, xs[0], wits[(1, 2)])
+    rep = rep + graded_bracket(alg, wits[(0, 2)], xs[1])
+    return cohomology(alg, 3).project_to_classes(rep), rep
 
 
 def push_forward(

@@ -359,11 +359,11 @@ def test_massey_solves_each_pair_witness_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "massey", "lambda6", "--output", "json")
     assert code == 0
     assert out == (GOLDEN / "massey-lambda6.json").read_text(encoding="utf-8")
-    # h = 2: three pairs of classes, each pair's witness solved once for all
-    # four triples; the circle products are no more than the 54 of one
-    # solve per pair and triple
+    # h = 2: three pairs of classes, each pair's bracket and witness computed
+    # once for all four triples; two circle products per superbracket, one
+    # superbracket per pair and three per triple: 2 * (3 + 4 * 3) = 30
     assert len(solves) == 3
-    assert len(circles) <= 54
+    assert len(circles) == 30
 
 
 def test_cli_import_loads_no_introspection_modules():

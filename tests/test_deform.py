@@ -42,7 +42,7 @@ from leibniz_deform.deform import (
     universal_infinitesimal,
     versal_construct,
 )
-from leibniz_deform.errors import PreconditionError
+from leibniz_deform.errors import LeibnizDeformError, PreconditionError
 from leibniz_deform.graded import graded_bracket
 from leibniz_deform.linalg import vec_is_zero
 
@@ -380,6 +380,9 @@ def test_versal_loop_uses_one_defect_per_order_and_no_brackets(monkeypatch):
     monkeypatch.setattr(
         Deformation, "bracket", lambda self, x, y: brackets.append(1) or bracket(self, x, y)
     )
+    circles = []
+    circle = deform.circle
+    monkeypatch.setattr(deform, "circle", lambda *a: circles.append(a) or circle(*a))
     passes = []  # the degrees of each call of the defect core
     core = deform._defect_in_degrees
     monkeypatch.setattr(
@@ -395,11 +398,15 @@ def test_versal_loop_uses_one_defect_per_order_and_no_brackets(monkeypatch):
         return out
 
     monkeypatch.setattr(deform, "extend_to_order", counted_extend)
-    versal_construct(lambda6(), 6)
+    versal_construct(lambda6(), 20)
     assert brackets == []
-    # one combined pass for the precondition, the obstruction classes and the
-    # solve, then the post-check of the top degree alone
-    assert per_order == {k: [list(range(k + 2)), [k + 1]] for k in range(1, 6)}
+    # order 1 checks degrees 0..1 in the pass of degree 2; every later order
+    # extends a deformation proven flat and computes its own degree alone, and
+    # the post-check reuses that pass
+    assert per_order == {1: [[0, 1, 2]], **{k: [[k + 1]] for k in range(2, 20)}}
+    # psi_0 o psi_0, the four products of psi_0 with a degree-1 term and the
+    # four of two degree-1 terms; every later defect entry is zero
+    assert len(circles) <= 9
 
 
 # Every degree-(k+1) defect entry of lambda6 up to order 20 is zero; NF4 has
@@ -475,6 +482,92 @@ def test_obstruction_requires_flat_defect():
     d = Deformation(alg, LocalBase(("t",), 2), {(1,): psi})
     with pytest.raises(PreconditionError):
         obstruction_classes(d, 1)
+
+
+CORPUS = {
+    "lambda6": lambda6,
+    "nf4": nf4,
+    "h3": h3,
+    "abelian1": lambda: abelian(1),
+    "abelian2": lambda: abelian(2),
+    "abelian3": lambda: abelian(3),
+}
+
+
+@pytest.mark.parametrize(
+    "algebra, max_order", [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 3)]
+)
+def test_obstructions_of_a_proven_extension_equal_the_full_check(monkeypatch, algebra, max_order):
+    real = deform.obstruction_classes
+    marked = []
+
+    def against_full_check(d, k):
+        report = real(d, k)
+        # an unmarked copy is checked in every degree 0..k
+        full = real(Deformation(d.algebra, d.base, d.terms), k)
+        assert report.classes == full.classes
+        assert report.relation_polynomials == full.relation_polynomials
+        assert report.defect == full.defect
+        marked.append(d._flat_through >= k)
+        return report
+
+    monkeypatch.setattr(deform, "obstruction_classes", against_full_check)
+    versal_construct(CORPUS[algebra](), max_order)
+    # each order from 2 on is first tried on the previous extension; a retry
+    # after adjoining relations runs on a new base and is checked in full
+    assert marked.count(True) == max_order - 2
+    assert not marked[0]
+
+
+def test_only_an_extension_skips_the_lower_degrees(monkeypatch):
+    alg = lambda6()
+    d = universal_infinitesimal(alg, lambda6_reference_representatives())
+    d = extend_to_order(d.with_base(d.base.with_truncation(4)), 1)
+    passes = []
+    core = deform._defect_in_degrees
+    monkeypatch.setattr(deform, "_defect_in_degrees", lambda d, js: passes.append(list(js)) or core(d, js))
+    identity = {g: d.base.generator(g) for g in d.base.generators}
+    for copy in (
+        d.with_base(d.base),
+        d.truncate_terms(2),
+        Deformation(alg, d.base, d.terms),
+        push_forward(d, d.base, identity),
+    ):
+        obstruction_classes(copy, 2)
+    assert passes == [[0, 1, 2, 3]] * 4
+    # proven flat through 2 only
+    for k in (1, 2, 3):
+        obstruction_classes(d, k)
+    assert passes[4:] == [[2], [3], [0, 1, 2, 3, 4]]
+
+
+def _nf4_to_order_2():
+    alg = nf4()
+    d = universal_infinitesimal(alg, cohomology(alg, 2).class_representatives)
+    return d.with_base(d.base.with_truncation(2))
+
+
+def test_extension_post_check_rejects_a_wrong_solution(monkeypatch):
+    # NF4's order-2 defect has nonzero entries with zero class
+    assert isinstance(extend_to_order(_nf4_to_order_2(), 1), Deformation)
+    solves = []
+    real = deform.solve
+    monkeypatch.setattr(deform, "solve", lambda m, rhs: solves.append(rhs) or tuple(2 * x for x in real(m, rhs)))
+    with pytest.raises(LeibnizDeformError, match="extension failed to kill the defect"):
+        extend_to_order(_nf4_to_order_2(), 1)
+    assert solves
+
+
+@pytest.mark.parametrize(
+    "algebra, max_order",
+    [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 4), ("abelian3", 2)],
+)
+def test_versal_construct_reaches_no_internal_error(algebra, max_order):
+    try:
+        d, _ = versal_construct(CORPUS[algebra](), max_order)
+    except LeibnizDeformError as exc:
+        pytest.fail(f"versal_construct raised {exc!r}")
+    assert all(c.is_zero() for c in leibniz_defect(d).values())
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +816,6 @@ def test_versal_obstructed_abelian_line_records_relation():
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
-OBSTRUCTED = {"h3": h3, "abelian2": lambda: abelian(2), "abelian3": lambda: abelian(3)}
 
 
 def _pairwise_massey_rank(golden):
@@ -742,7 +834,7 @@ def _pairwise_massey_rank(golden):
     ],
 )
 def test_versal_records_a_basis_of_each_order_s_relations(algebra, max_order, spans, massey):
-    d, relations = versal_construct(OBSTRUCTED[algebra](), max_order)
+    d, relations = versal_construct(CORPUS[algebra](), max_order)
     assert {order: len(polys) for order, polys in relations.items()} == spans
     monos = d.base.monomials()
     for polys in relations.values():
@@ -756,7 +848,7 @@ def test_versal_records_a_basis_of_each_order_s_relations(algebra, max_order, sp
 # the dense oracle takes about 10 s on it.
 @pytest.mark.parametrize("algebra, max_order", [("h3", 3), ("abelian2", 2), ("abelian3", 2)])
 def test_versal_defect_lies_in_the_recorded_ideal(algebra, max_order):
-    d, _ = versal_construct(OBSTRUCTED[algebra](), max_order)
+    d, _ = versal_construct(CORPUS[algebra](), max_order)
     # the defect over the base without relations, which reduces nothing
     plain = Deformation(d.algebra, LocalBase(d.base.generators, max_order), d.terms)
     flats = {m: entry.flat for m, entry in bracket_defect(plain).items()}
