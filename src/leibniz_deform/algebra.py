@@ -129,20 +129,27 @@ def abelian(dim: int) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def vector_to_json(v: Vec) -> list[dict]:
+    """The nonzero coordinates of a vector, as 1-based ``basis`` and ``coeff``."""
+    return [{"basis": k + 1, "coeff": str(x)} for k, x in enumerate(v) if x]
+
+
 def algebra_to_json(alg: LeibnizAlgebra) -> str:
     brackets = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            row = alg.bracket_basis(i, j)
-            value = [
-                {"basis": k + 1, "coeff": str(row[k])}
-                for k in range(alg.dim)
-                if row[k]
-            ]
+            value = vector_to_json(alg.bracket_basis(i, j))
             if value:
                 brackets.append({"left": i + 1, "right": j + 1, "value": value})
     doc = {"dim": alg.dim, "brackets": brackets}
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def json_index(x, what: str) -> int:
+    """An integer read from JSON; TypeError for anything else, a bool or float included."""
+    if type(x) is not int:
+        raise TypeError(f"{what} is {json.dumps(x)}, not an integer")
+    return x
 
 
 def algebra_from_json(text: str) -> LeibnizAlgebra:
@@ -153,7 +160,7 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
     if not isinstance(doc, dict):
         raise FormatError("algebra document must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a bool or float is no dimension
         raise FormatError("'dim' must be a positive integer")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pos, item in enumerate(doc.get("brackets", [])):
@@ -161,21 +168,25 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
         if not isinstance(item, dict):
             raise FormatError(f"{where} must be an object")
         try:
-            i, j = int(item["left"]), int(item["right"])
+            i, j = json_index(item["left"], "'left'"), json_index(item["right"], "'right'")
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"{where} needs integer 'left' and 'right'") from e
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise FormatError(f"{where}: index out of range for dim {dim}")
+        if (i - 1, j - 1) in brackets:
+            raise FormatError(f"{where} repeats the bracket of left {i} and right {j}")
         value: dict[int, Fraction] = {}
         for vpos, term in enumerate(item.get("value", [])):
             vwhere = f"{where}.value[{vpos}]"
             try:
-                k = int(term["basis"])
+                k = json_index(term["basis"], "'basis'")
                 coeff = Fraction(str(term["coeff"]))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-                raise FormatError(f"{vwhere} needs 'basis' and rational 'coeff'") from e
+                raise FormatError(f"{vwhere} needs integer 'basis' and rational 'coeff'") from e
             if not 1 <= k <= dim:
                 raise FormatError(f"{vwhere}: basis index out of range")
+            if k - 1 in value:
+                raise FormatError(f"{vwhere} repeats basis {k}")
             value[k - 1] = coeff
         brackets[(i - 1, j - 1)] = value
     return LeibnizAlgebra.from_brackets(dim, brackets)

@@ -31,6 +31,7 @@ from .deform import (
     LocalBase,
     TruncatedPolynomial,
     _triple_bracket,
+    _unit,
     massey2,
     massey_witness,
     push_forward,
@@ -130,10 +131,6 @@ def _at_least_one(option: str, value: int) -> int:
     if value < 1:
         raise FormatError(f"{option} must be at least 1, got {value}")
     return value
-
-
-def _unit(h: int, i: int):
-    return tuple(1 if k == i else 0 for k in range(h))
 
 
 def cmd_check(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
@@ -268,7 +265,7 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         raise FormatError(f"--to {args.to!r}: {e}") from e
     hl2 = _hl2_with_reps(alg, args.reps)
     d, _ = versal_construct(alg, max_order, hl2.class_representatives)
-    images = {}
+    images, substitution = {}, {}
     for sub in args.sub:
         if "=" not in sub:
             raise FormatError(f"--sub expects NAME=POLY, got {sub!r}")
@@ -277,11 +274,11 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         if name in images:
             raise FormatError(f"--sub gives generator {name!r} a second image")
         images[name] = parse_poly(expr, target)
+        substitution[name] = expr
     out = push_forward(d, target, images)
     text, doc = deformation_report(out, alg)
     doc["command"] = "pushforward"
-    doc["substitution"] = {name: expr.split("=", 1)[1] for name, expr in
-                           ((s.split("=", 1)[0].strip(), s) for s in args.sub)}
+    doc["substitution"] = substitution
     return text, doc
 
 

@@ -257,7 +257,7 @@ def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: L
     for r in reps:
         if not coboundary(alg, r).is_zero():
             raise PreconditionError("representative is not a cocycle")
-    change = Matrix.from_columns([space.project_to_classes(r) for r in reps], nrows=space.dim)
+    change = Matrix(space.dim, space.dim, tuple(zip(*(space.project_to_classes(r) for r in reps))))
     if rank(change) != space.dim:
         raise PreconditionError("representatives are dependent modulo coboundaries")
     old_project = space._project
@@ -281,6 +281,24 @@ def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
     return mu1, mu2
 
 
+def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
+    """Assemble signed terms; ``body`` may be empty for a bare coefficient."""
+    if not terms:
+        return "0"
+    parts = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        if body:
+            piece = body if mag == 1 else f"{mag}*{body}"
+        else:
+            piece = str(mag)
+        if not parts:
+            parts.append(piece if coeff > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
+    return " ".join(parts)
+
+
 def _coordinate_name(dim: int, flat_index: int, arity: int) -> str:
     idx = []
     t, k = divmod(flat_index, dim)
@@ -302,19 +320,6 @@ def cocycle_relations(alg: LeibnizAlgebra, p: int) -> list[str]:
         raise PreconditionError("degree must be at least 1")
     relations = []
     for pcol, row in echelon_rows(coboundary_matrix(alg, p)):
-        terms = [(-x, c) for c, x in row.items() if c != pcol]
-        lhs = _coordinate_name(alg.dim, pcol, p)
-        if not terms:
-            relations.append(f"{lhs} = 0")
-            continue
-        parts = []
-        for coeff, c in terms:
-            name = _coordinate_name(alg.dim, c, p)
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{mag}*{name}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        relations.append(f"{lhs} = " + " ".join(parts))
+        terms = [(-x, _coordinate_name(alg.dim, c, p)) for c, x in row.items() if c != pcol]
+        relations.append(f"{_coordinate_name(alg.dim, pcol, p)} = {_join_terms(terms)}")
     return relations

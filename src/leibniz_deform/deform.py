@@ -73,6 +73,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _unit(parts: int, i: int) -> Monomial:
+    """The exponents of the i-th generator, or the i-th unit coordinate vector."""
+    return tuple(1 if k == i else 0 for k in range(parts))
+
+
 def _render_key(mono: Monomial):
     # ascending total degree; within a degree the earlier generators come first
     return (_degree(mono), tuple(-e for e in mono))
@@ -119,11 +124,7 @@ class LocalBase(Record):
     def monomials(self, max_degree: int | None = None) -> list[Monomial]:
         """Every exponent tuple up to the truncation order, in render order."""
         top = self.truncation_order if max_degree is None else min(max_degree, self.truncation_order)
-        out: list[Monomial] = []
-        m = self.num_generators
-        for d in range(top + 1):
-            out.extend(sorted(_compositions(d, m), key=_render_key))
-        return out
+        return [mono for d in range(top + 1) for mono in _monomials_of_degree(d, self.num_generators)]
 
     def zero(self) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {})
@@ -135,9 +136,7 @@ class LocalBase(Record):
         return TruncatedPolynomial(self, {self.zero_monomial(): as_scalar(c)})
 
     def generator(self, name: str) -> "TruncatedPolynomial":
-        idx = self.generators.index(name)
-        mono = tuple(1 if i == idx else 0 for i in range(self.num_generators))
-        return TruncatedPolynomial(self, {mono: F1})
+        return TruncatedPolynomial(self, {_unit(self.num_generators, self.generators.index(name)): F1})
 
     def monomial(self, mono: Monomial, coeff=1) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {tuple(mono): as_scalar(coeff)})
@@ -172,16 +171,11 @@ def _sparse_poly(index: dict[Monomial, int], terms) -> Sparse:
     return {index[m]: _exact(c) for m, c in terms if m in index}
 
 
-def _compositions(total: int, parts: int) -> list[Monomial]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+def _monomials_of_degree(degree: int, parts: int) -> list[Monomial]:
+    """The exponent tuples of one total degree in render order: index
+    multisets in lex order count out exponents in lex-descending order."""
+    combos = itertools.combinations_with_replacement(range(parts), degree)
+    return [tuple(combo.count(i) for i in range(parts)) for combo in combos]
 
 
 def _normalize(base: LocalBase, coeffs: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
@@ -226,11 +220,7 @@ class TruncatedPolynomial:
         return TruncatedPolynomial(self.base, out)
 
     def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._check_base(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, F0) - c
-        return TruncatedPolynomial(self.base, out)
+        return self + (-other)
 
     def __neg__(self) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self.base, {m: -c for m, c in self.coeffs.items()})
@@ -354,16 +344,7 @@ class Deformation:
         """
         if base.generators != self.base.generators:
             raise DimensionMismatch("bases have different generators")
-        new_terms: dict[Monomial, Cochain] = {}
-        n = self.algebra.dim
-        for mono, psi in self.terms.items():
-            poly = TruncatedPolynomial(base, {mono: F1})
-            for m2, c2 in poly.coeffs.items():
-                if _degree(m2) == 0:
-                    raise PreconditionError("relations reduce a term to a constant")
-                cur = new_terms.get(m2, Cochain.zeros(2, n))
-                new_terms[m2] = cur + psi.scale(c2)
-        return Deformation(self.algebra, base, new_terms)
+        return push_forward(self, base, {g: base.generator(g) for g in base.generators})
 
 
 def default_parameter_names(count: int) -> tuple[str, ...]:
@@ -386,11 +367,7 @@ def universal_infinitesimal(alg: LeibnizAlgebra, reps: Sequence[Cochain]) -> Def
             raise PreconditionError("representative is not a cocycle")
     h = len(reps)
     base = LocalBase(default_parameter_names(h), 1)
-    terms = {}
-    for i, mu in enumerate(reps):
-        mono = tuple(1 if k == i else 0 for k in range(h))
-        terms[mono] = mu
-    return Deformation(alg, base, terms)
+    return Deformation(alg, base, {_unit(h, i): mu for i, mu in enumerate(reps)})
 
 
 def _bracket_cochain(alg: LeibnizAlgebra) -> Cochain:
@@ -468,8 +445,8 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
             )
     zero_class = zero_vec(hl3.dim)
     classes: dict[Monomial, Vec] = {}
-    tops = sorted(_compositions(k + 1, d.base.num_generators), key=_render_key)
-    for mono in tops if k < d.base.truncation_order else ():
+    tops = _monomials_of_degree(k + 1, d.base.num_generators) if k < d.base.truncation_order else ()
+    for mono in tops:
         entry = defect.get(mono)
         if entry is None or entry.is_zero():
             classes[mono] = zero_class
@@ -515,15 +492,12 @@ def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport"
     if not report.all_zero():
         return report
     alg = d.algebra
-    delta2 = coboundary_matrix(alg, 2)
     added: dict[Monomial, Cochain] = {}
     for mono in report.classes:
         entry = report.defect.get(mono)
         if entry is None or entry.is_zero():
             continue
-        sol = solve(delta2, tuple(-x for x in entry.flat))
-        assert sol is not None  # the class vanished, so the entry is a coboundary
-        added[mono] = Cochain(2, alg.dim, sol)
+        added[mono] = massey_witness(alg, entry)  # the class vanished: the entry is a coboundary
     mu = _bracket_cochain(alg)
     for mono, entry in report.defect.items():
         if mono in added:
@@ -573,7 +547,8 @@ def massey2(
 
 def massey_witness(alg: LeibnizAlgebra, bracket: Cochain) -> Cochain:
     """The deterministic 2-cochain x with d x = ``bracket``, a superbracket of
-    degree-2 classes whose second-order Massey bracket vanishes."""
+    degree-2 classes whose second-order Massey bracket vanishes; also the
+    correction term of a defect entry whose obstruction class vanishes."""
     sol = solve(coboundary_matrix(alg, 2), tuple(-x for x in bracket.flat))
     if sol is None:
         raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
@@ -649,7 +624,7 @@ def push_forward(
         poly = TruncatedPolynomial(source_proxy, {mono: F1}).substitute(target_base, images)
         for m2, c2 in poly.coeffs.items():
             if _degree(m2) == 0:
-                continue
+                raise PreconditionError("relations reduce a term to a constant")
             cur = new_terms.get(m2, Cochain.zeros(2, n))
             new_terms[m2] = cur + psi.scale(c2)
     return Deformation(d.algebra, target_base, new_terms)

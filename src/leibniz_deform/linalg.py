@@ -270,16 +270,6 @@ class Matrix:
         return cls(len(entries), ncols, entries)
 
     @classmethod
-    def from_columns(cls, columns: Iterable[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = [vec(c) for c in columns]
-        if nrows is None:
-            if not cols:
-                raise DimensionMismatch("cannot infer row count of an empty column list")
-            nrows = len(cols[0])
-        entries = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return cls(nrows, len(cols), entries)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls.from_sparse(rows, cols, [{}] * rows)
 

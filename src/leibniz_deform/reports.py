@@ -12,8 +12,8 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import LeibnizAlgebra
-from .cochain import Cochain, CohomologySpace
+from .algebra import LeibnizAlgebra, json_index, vector_to_json
+from .cochain import Cochain, CohomologySpace, _join_terms
 from .deform import (
     AVector,
     Deformation,
@@ -37,24 +37,6 @@ def render_monomial(base: LocalBase, mono: Monomial) -> str:
         elif e > 1:
             factors.append(f"{gen}^{e}")
     return "*".join(factors) if factors else "1"
-
-
-def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
-    """Assemble signed terms; ``body`` may be empty for a bare coefficient."""
-    if not terms:
-        return "0"
-    parts = []
-    for coeff, body in terms:
-        mag = abs(coeff)
-        if body:
-            piece = body if mag == 1 else f"{mag}*{body}"
-        else:
-            piece = str(mag)
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(parts)
 
 
 def render_poly(poly: TruncatedPolynomial) -> str:
@@ -105,16 +87,7 @@ def poly_to_json(poly: TruncatedPolynomial) -> list:
 def cochain_to_json(c: Cochain) -> dict:
     entries = []
     for idx, val in c.nonzero_entries():
-        entries.append(
-            {
-                "args": [i + 1 for i in idx],
-                "value": [
-                    {"basis": k + 1, "coeff": str(val[k])}
-                    for k in range(c.dim)
-                    if val[k]
-                ],
-            }
-        )
+        entries.append({"args": [i + 1 for i in idx], "value": vector_to_json(val)})
     return {"arity": c.arity, "dim": c.dim, "entries": entries}
 
 
@@ -122,35 +95,43 @@ def cochain_from_json(doc: dict) -> Cochain:
     """The cochain of a ``cochain_to_json`` document; 1-based indices.
 
     Raises FormatError for a malformed document, naming the entry whose
-    ``args`` or ``basis`` lies outside 1..dim.
+    ``args`` or ``basis`` is not an index in 1..dim or repeats an earlier one.
     """
     try:
-        arity = int(doc["arity"])
-        dim = int(doc["dim"])
+        arity, dim = json_index(doc["arity"], "'arity'"), json_index(doc["dim"], "'dim'")
         entries = {}
         for pos, item in enumerate(doc.get("entries", [])):
-            args = [int(a) for a in item["args"]]
-            value = {int(term["basis"]): Fraction(str(term["coeff"])) for term in item.get("value", [])}
-            if len(args) != arity or not all(1 <= a <= dim for a in args):
-                raise FormatError(f"entry {pos} of 'entries' has args {args}; expected {arity} indices in 1..{dim}")
-            for k in value:
-                if not 1 <= k <= dim:
-                    raise FormatError(f"entry {pos} of 'entries' has basis {k}; expected an index in 1..{dim}")
-            entries[tuple(a - 1 for a in args)] = {k - 1: c for k, c in value.items()}
+            where = f"entry {pos} of 'entries'"
+            args = item["args"]
+            if len(args) != arity or not all(type(a) is int and 1 <= a <= dim for a in args):
+                raise FormatError(f"{where} has args {json.dumps(args)}; expected {arity} indices in 1..{dim}")
+            key = tuple(a - 1 for a in args)
+            if key in entries:
+                raise FormatError(f"{where} repeats args {json.dumps(args)}")
+            value = entries[key] = {}
+            for term in item.get("value", []):
+                k = term["basis"]
+                if type(k) is not int or not 1 <= k <= dim:
+                    raise FormatError(f"{where} has basis {json.dumps(k)}; expected an index in 1..{dim}")
+                if k - 1 in value:
+                    raise FormatError(f"{where} repeats basis {k}")
+                value[k - 1] = Fraction(str(term["coeff"]))
         return Cochain.from_entries(arity, dim, entries)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, DimensionMismatch) as e:
         raise FormatError(f"bad cochain document: {e}") from e
 
 
+def _relation_polys(base: LocalBase) -> list[TruncatedPolynomial]:
+    """The relations of a base as polynomials over its relation-free copy."""
+    free = LocalBase(base.generators, base.truncation_order)
+    return [TruncatedPolynomial(free, dict(rel)) for rel in base.relations]
+
+
 def base_to_json(base: LocalBase) -> dict:
-    rels = []
-    for rel in base.relations:
-        poly = TruncatedPolynomial(LocalBase(base.generators, base.truncation_order), dict(rel))
-        rels.append(poly_to_json(poly))
     return {
         "generators": list(base.generators),
         "truncation_order": base.truncation_order,
-        "relations": rels,
+        "relations": [poly_to_json(p) for p in _relation_polys(base)],
     }
 
 
@@ -158,14 +139,7 @@ def deformation_report(d: Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
     """Text and JSON forms of the bracket table of a deformation."""
     base = d.base
     lines = [f"base: K[{','.join(base.generators)}] truncated at order {base.truncation_order}"]
-    if base.relations:
-        rel_strs = [
-            render_poly(TruncatedPolynomial(LocalBase(base.generators, base.truncation_order), dict(r)))
-            for r in base.relations
-        ]
-        lines.append("relations: " + "; ".join(rel_strs))
-    else:
-        lines.append("relations: none")
+    lines.append("relations: " + ("; ".join(render_poly(p) for p in _relation_polys(base)) or "none"))
     lines.append("brackets:")
     brackets_json = []
     n = alg.dim
@@ -175,13 +149,7 @@ def deformation_report(d: Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
             if all(p.is_zero() for p in av):
                 continue
             lines.append(f"  [{alg.label(i)},{alg.label(j)}] = {render_avector(av, alg)}")
-            value = []
-            for k, p in enumerate(av):
-                for mono in sorted(p.coeffs, key=_render_key):
-                    expo = {gen: e for gen, e in zip(base.generators, mono) if e}
-                    value.append(
-                        {"basis": k + 1, "monomial": expo, "coeff": str(p.coeffs[mono])}
-                    )
+            value = [{"basis": k + 1, **term} for k, p in enumerate(av) for term in poly_to_json(p)]
             brackets_json.append({"left": i + 1, "right": j + 1, "value": value})
     doc = {"base": base_to_json(base), "brackets": brackets_json}
     return "\n".join(lines), doc
@@ -190,7 +158,7 @@ def deformation_report(d: Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
 def cohomology_report(
     alg: LeibnizAlgebra,
     space: CohomologySpace,
-    relations: list[str] | None = None,
+    relations: list[str],
 ) -> tuple[str, dict]:
     p = space.degree
     lines = [
@@ -201,17 +169,15 @@ def cohomology_report(
     for r, rep in enumerate(space.class_representatives):
         for line in render_cochain(rep, alg):
             lines.append(f"  [{r + 1}] {line}")
-    if relations is not None:
-        lines.append("cocycle relations:")
-        for rel in relations:
-            lines.append(f"  {rel}")
+    lines.append("cocycle relations:")
+    for rel in relations:
+        lines.append(f"  {rel}")
     doc = {
         "degree": p,
         "dim_cocycles": space.dim_cocycles,
         "dim_coboundaries": space.dim_coboundaries,
         "dim_cohomology": space.dim,
         "representatives": [cochain_to_json(r) for r in space.class_representatives],
+        "relations": relations,
     }
-    if relations is not None:
-        doc["relations"] = relations
     return "\n".join(lines), doc

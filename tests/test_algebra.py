@@ -137,6 +137,35 @@ def test_json_rejects_bad_documents():
             '{"dim": 2, "brackets": [{"left": 1, "right": 1,'
             ' "value": [{"basis": 1, "coeff": "x"}]}]}'
     )
+    # a repeated entry does not replace the earlier one, and an index is a JSON integer
+    for doc, message in (
+        (
+            '{"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [{"basis": 2, "coeff": "1"}]},'
+            ' {"left": 1, "right": 1, "value": []}]}',
+            r"brackets\[1\] repeats the bracket of left 1 and right 1",
+        ),
+        (
+            '{"dim": 2, "brackets": [{"left": 1, "right": 1,'
+            ' "value": [{"basis": 2, "coeff": "1"}, {"basis": 2, "coeff": "3"}]}]}',
+            r"brackets\[0\].value\[1\] repeats basis 2",
+        ),
+        ('{"dim": true, "brackets": []}', "'dim' must be a positive integer"),
+        ('{"dim": 2.0, "brackets": []}', "'dim' must be a positive integer"),
+        (
+            '{"dim": 2, "brackets": [{"left": 1.5, "right": 1, "value": []}]}',
+            r"brackets\[0\] needs integer 'left' and 'right'",
+        ),
+        (
+            '{"dim": 2, "brackets": [{"left": 1, "right": true, "value": []}]}',
+            r"brackets\[0\] needs integer 'left' and 'right'",
+        ),
+        (
+            '{"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [{"basis": 1.5, "coeff": "1"}]}]}',
+            r"brackets\[0\].value\[0\] needs integer 'basis'",
+        ),
+    ):
+        with pytest.raises(FormatError, match=message):
+            algebra_from_json(doc)
 
 
 def test_json_parse_error_carries_position():

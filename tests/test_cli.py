@@ -8,7 +8,7 @@ import pytest
 
 from helpers import misoriented_nf4
 from leibniz_deform import deform, graded
-from leibniz_deform.algebra import algebra_to_json, lambda6
+from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import parse_poly, run
 from leibniz_deform.deform import LocalBase
 from leibniz_deform.errors import FormatError
@@ -16,6 +16,20 @@ from leibniz_deform.reports import dumps_canonical
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+# outputs the benchmark goldens do not cover; a name ending in .json is the
+# command's --output json form, and the algebra "abelian2" is written to a file
+TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_COMMANDS = {
+    "versal-abelian2-max-order-3.txt": ("versal", "abelian2", "--max-order", "3"),
+    "versal-abelian2-max-order-3.json": ("versal", "abelian2", "--max-order", "3"),
+    "pushforward-lambda6-max-order-3.json": (
+        "pushforward", "lambda6", "--max-order", "3", "--reps", "paper",
+        "--sub", "t = x + 1/2*x^2", "--sub", "s=-x", "--to", "x",
+    ),
+    "infinitesimal-lambda6.txt": ("infinitesimal", "lambda6"),
+    "infinitesimal-lambda6.json": ("infinitesimal", "lambda6"),
+    "cohomology-lambda6-degree-3.txt": ("cohomology", "lambda6", "--degree", "3"),
+}
 
 
 def invoke(capsys, *argv):
@@ -81,6 +95,20 @@ def test_pushforward_specialization(capsys):
     assert "[e_1,e_3] = e_2" in out
     assert "[e_2,e_3] = -t*e_1" in out
     assert "s" not in out.split("brackets:")[1]
+
+
+def golden_argv(name, tmp_path):
+    path = tmp_path / "abelian2.json"
+    path.write_text(algebra_to_json(abelian(2)), encoding="utf-8")
+    argv = [str(path) if a == "abelian2" else a for a in GOLDEN_COMMANDS[name]]
+    return argv + ["--output", "json"] if name.endswith(".json") else argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden(capsys, tmp_path, name):
+    code, out, _ = invoke(capsys, *golden_argv(name, tmp_path))
+    assert code == 0
+    assert out == (TEST_GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_json_output_round_trips(capsys):
@@ -168,6 +196,12 @@ def test_reps_file_reproduces_reference_table(capsys, tmp_path):
         (5, "'cochains' list"),
         ([5], "entry 0 of 'cochains' is not an object"),
         ([{"entries": []}, "x"], "entry 1 of 'cochains' is not an object"),
+        (
+            [{"entries": [{"args": [1, 3], "value": []}, {"args": [1, 3], "value": []}]}],
+            "entry 0 of 'cochains': entry 1 of 'entries' repeats args [1, 3]",
+        ),
+        ([{"dim": True, "entries": []}], "entry 0 of 'cochains': bad cochain document: 'dim' is true, not an integer"),
+        ([{"arity": 2.0, "entries": []}], "entry 0 of 'cochains': bad cochain document: 'arity' is 2.0, not an integer"),
     ],
 )
 def test_malformed_reps_file_exits_one(capsys, tmp_path, command, cochains, message):
@@ -217,6 +251,18 @@ def test_reps_of_wrong_arity_or_dimension_exit_one(capsys, tmp_path, command, co
         (
             {"args": [2, 3], "value": [{"basis": 0, "coeff": "-1"}]},
             "entry 1 of 'cochains': entry 0 of 'entries' has basis 0; expected an index in 1..3",
+        ),
+        (
+            {"args": [2, 3], "value": [{"basis": 1.5, "coeff": "-1"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' has basis 1.5; expected an index in 1..3",
+        ),
+        (
+            {"args": [True, 3], "value": [{"basis": 1, "coeff": "-1"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' has args [true, 3]; expected 2 indices in 1..3",
+        ),
+        (
+            {"args": [2, 3], "value": [{"basis": 1, "coeff": "-1"}, {"basis": 1, "coeff": "2"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' repeats basis 1",
         ),
     ],
 )

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from leibniz_deform.deform import (
     MasseyWitness,
     ObstructionReport,
     TruncatedPolynomial,
+    default_parameter_names,
     extend_to_order,
     leibniz_defect,
     massey2,
@@ -42,7 +44,7 @@ from leibniz_deform.deform import (
     universal_infinitesimal,
     versal_construct,
 )
-from leibniz_deform.errors import LeibnizDeformError, PreconditionError
+from leibniz_deform.errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from leibniz_deform.graded import graded_bracket
 from leibniz_deform.linalg import vec_is_zero
 
@@ -56,6 +58,19 @@ def unit(h, i):
 # ---------------------------------------------------------------------------
 # truncated polynomials
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("parts", range(6))
+def test_monomials_in_render_order(parts):
+    # ascending total degree, exponents lex-descending within a degree
+    def key(mono):
+        return sum(mono), tuple(-e for e in mono)
+
+    oracle = sorted((m for m in itertools.product(range(8), repeat=parts) if sum(m) <= 7), key=key)
+    base = LocalBase(default_parameter_names(parts), 7)
+    assert base.monomials() == oracle
+    for top in range(8):
+        assert base.monomials(top) == [m for m in oracle if sum(m) <= top]
 
 
 def test_poly_truncation_drops_high_degrees():
@@ -676,6 +691,23 @@ def test_pushforward_identity_map():
     images = {g: d.base.generator(g) for g in d.base.generators}
     out = push_forward(d, d.base, images)
     assert out.terms == d.terms
+
+
+def test_with_base_is_the_identity_push_forward():
+    alg = abelian(2)
+    d, relations = versal_construct(alg, 2)
+    related = d.base
+    assert relations[2] and related.relations
+    free = LocalBase(related.generators, 2)
+    reps = cohomology(alg, 2).class_representatives
+    terms = {m: reps[i % len(reps)].scale(i) for i, m in enumerate(free.monomials()) if i}
+    raw = Deformation(alg, free, terms)
+    moved = raw.with_base(related)
+    # the relations redistribute the degree-2 terms
+    assert moved.terms != raw.terms
+    assert moved.terms == push_forward(raw, related, {g: related.generator(g) for g in related.generators}).terms
+    with pytest.raises(DimensionMismatch):
+        raw.with_base(LocalBase(related.generators[::-1], 2))
 
 
 def test_pushforward_rejects_nonzero_constant_term():
