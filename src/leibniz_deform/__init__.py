@@ -4,8 +4,12 @@ Leibniz algebras.
 Everything is computed over the rationals with no rounding: cochain
 complexes and their cohomology, the graded Lie structure on cochains, Massey
 brackets, obstruction classes and order-by-order versal deformations over
-truncated polynomial bases.
+truncated polynomial bases.  The ``deform`` and ``graded`` submodules load on
+first use, so commands that compute only cohomology never compile them.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .algebra import (
     LeibnizAlgebra,
@@ -27,34 +31,11 @@ from .cochain import (
     lambda6_reference_representatives,
     with_representatives,
 )
-from .deform import (
-    Deformation,
-    LocalBase,
-    MasseyWitness,
-    ObstructionReport,
-    TruncatedPolynomial,
-    extend_to_order,
-    leibniz_defect,
-    massey2,
-    massey3,
-    massey_witness,
-    obstruction_classes,
-    push_forward,
-    universal_infinitesimal,
-    versal_construct,
-)
 from .errors import (
     DimensionMismatch,
     FormatError,
     LeibnizDeformError,
     PreconditionError,
-)
-from .graded import (
-    Shuffle,
-    circle,
-    dgla_differential,
-    graded_bracket,
-    shuffles,
 )
 from .linalg import (
     Matrix,
@@ -65,6 +46,29 @@ from .linalg import (
     rref,
     solve,
 )
+
+
+def _lazy(name: str):
+    """Register submodule ``name`` without running it.  Its source is compiled
+    and run on the first attribute access: ``from .name import x`` and
+    ``import leibniz_deform.name`` make one, ``from . import name`` does not."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+deform = _lazy("deform")
+graded = _lazy("graded")
+
+
+def __getattr__(name: str):
+    """The ``__all__`` names that ``deform`` and ``graded`` define; the first use loads them."""
+    if name in __all__:
+        return getattr(deform if hasattr(deform, name) else graded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "LeibnizAlgebra", "abelian", "algebra_from_json", "algebra_to_json",
@@ -78,7 +82,7 @@ __all__ = [
     "obstruction_classes", "push_forward", "universal_infinitesimal",
     "versal_construct",
     "DimensionMismatch", "FormatError", "LeibnizDeformError", "PreconditionError",
-    "Shuffle", "circle", "dgla_differential", "graded_bracket", "shuffles",
+    "Shuffle", "circle", "graded_bracket", "shuffles",
     "Matrix", "SubspaceBasis", "image_basis", "kernel_basis",
     "quotient_representatives", "rref", "solve",
 ]

@@ -27,17 +27,7 @@ from .cochain import (
     lambda6_reference_representatives,
     with_representatives,
 )
-from .deform import (
-    LocalBase,
-    TruncatedPolynomial,
-    _triple_bracket,
-    _unit,
-    massey2,
-    massey_witness,
-    push_forward,
-    universal_infinitesimal,
-    versal_construct,
-)
+from . import deform
 from .errors import FormatError, LeibnizDeformError, PreconditionError
 from .linalg import vec_is_zero
 from .reports import (
@@ -85,10 +75,11 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
 
 
 # compiled on first use by re's own cache, not by every command at import
-_TERM = r"^(?:(-?\d+(?:/\d+)?)\*?)?((?:[A-Za-z_]\w*(?:\^\d+)?)(?:\*[A-Za-z_]\w*(?:\^\d+)?)*)?$"
+_NAME = r"[A-Za-z_]\w*"  # a generator name, in --to and in polynomial terms
+_TERM = rf"^(?:(-?\d+(?:/\d+)?)\*?)?((?:{_NAME}(?:\^\d+)?)(?:\*{_NAME}(?:\^\d+)?)*)?$"
 
 
-def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
+def parse_poly(expr: str, base: deform.LocalBase) -> deform.TruncatedPolynomial:
     """Parse expressions like ``0``, ``t``, ``2*t^2*s - 1/2*t``."""
     text = expr.replace(" ", "")
     if not text:
@@ -124,7 +115,7 @@ def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
                 mono[base.generators.index(name)] += power
         key = tuple(mono)
         coeffs[key] = coeffs.get(key, Fraction(0)) + coeff
-    return TruncatedPolynomial(base, coeffs)
+    return deform.TruncatedPolynomial(base, coeffs)
 
 
 def _at_least_one(option: str, value: int) -> int:
@@ -184,7 +175,7 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     all_zero = True
     lines.append("second-order brackets:")
     for i, j in itertools.combinations_with_replacement(range(h), 2):
-        coords, rep = massey2(alg, hl2, _unit(h, i), _unit(h, j))
+        coords, rep = deform.massey2(alg, hl2, deform._unit(h, i), deform._unit(h, j))
         pair_reps[(i, j)] = rep
         zero = vec_is_zero(coords)
         all_zero = all_zero and zero
@@ -203,10 +194,10 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     if all_zero:
         lines.append("third-order brackets:")
         # one witness per pair, solved once here for every triple
-        pair_wits = {pair: massey_witness(alg, rep) for pair, rep in pair_reps.items()}
+        pair_wits = {pair: deform.massey_witness(alg, rep) for pair, rep in pair_reps.items()}
         for i, j, k in itertools.combinations_with_replacement(range(h), 3):
             wits = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
-            coords, rep = _triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
+            coords, rep = deform._triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
             cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append(
@@ -239,7 +230,7 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 def cmd_infinitesimal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     hl2 = _hl2_with_reps(alg, args.reps)
-    d = universal_infinitesimal(alg, hl2.class_representatives)
+    d = deform.universal_infinitesimal(alg, hl2.class_representatives)
     text, doc = deformation_report(d, alg)
     doc["command"] = "infinitesimal"
     return text, doc
@@ -248,7 +239,7 @@ def cmd_infinitesimal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     max_order = _at_least_one("--max-order", args.max_order)
     hl2 = _hl2_with_reps(alg, args.reps)
-    d, relations = versal_construct(alg, max_order, hl2.class_representatives)
+    d, relations = deform.versal_construct(alg, max_order, hl2.class_representatives)
     text, doc = deformation_report(d, alg)
     doc["command"] = "versal"
     doc["relations_by_order"] = {
@@ -259,12 +250,16 @@ def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     max_order = _at_least_one("--max-order", args.max_order)
+    names = tuple(g for g in args.to.split(",") if g)
+    for name in names:
+        if not re.fullmatch(_NAME, name):
+            raise FormatError(
+                f"--to {args.to!r}: {name!r} is not a generator name (letters, digits and _, not starting with a digit)"
+            )
     try:
-        target = LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
+        target = deform.LocalBase(names, max_order)
     except PreconditionError as e:
         raise FormatError(f"--to {args.to!r}: {e}") from e
-    hl2 = _hl2_with_reps(alg, args.reps)
-    d, _ = versal_construct(alg, max_order, hl2.class_representatives)
     images, substitution = {}, {}
     for sub in args.sub:
         if "=" not in sub:
@@ -275,7 +270,9 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
             raise FormatError(f"--sub gives generator {name!r} a second image")
         images[name] = parse_poly(expr, target)
         substitution[name] = expr
-    out = push_forward(d, target, images)
+    hl2 = _hl2_with_reps(alg, args.reps)
+    d, _ = deform.versal_construct(alg, max_order, hl2.class_representatives)
+    out = deform.push_forward(d, target, images)
     text, doc = deformation_report(out, alg)
     doc["command"] = "pushforward"
     doc["substitution"] = substitution

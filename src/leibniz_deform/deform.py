@@ -452,8 +452,11 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
             classes[mono] = zero_class
             continue
         if not coboundary(d.algebra, entry).is_zero():
+            from .reports import render_monomial
+
             raise LeibnizDeformError(
-                "obstruction candidate is not closed; this signals an internal sign error"
+                f"obstruction candidate at order {k + 1}, monomial {render_monomial(d.base, mono)}, is not closed;"
+                " this signals an internal sign error"
             )
         classes[mono] = hl3.project_to_classes(entry)
     relation_polynomials = []
@@ -503,7 +506,12 @@ def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport"
         if mono in added:
             entry = entry - circle(alg, mu, added[mono]) - circle(alg, added[mono], mu)
         if not entry.is_zero():
-            raise LeibnizDeformError("extension failed to kill the defect; internal error")
+            from .reports import render_monomial
+
+            raise LeibnizDeformError(
+                f"extension failed to kill the defect at order {k + 1}, monomial {render_monomial(d.base, mono)};"
+                " internal error"
+            )
     extended = Deformation(alg, d.base, {**d.truncate_terms(k).terms, **added})
     extended._flat_through = k + 1
     return extended

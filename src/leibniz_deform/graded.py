@@ -13,7 +13,8 @@ where Sh(q, r) are the (q, r)-shuffles of the argument positions after the
 slot of b.  The superbracket [a, b] = a o b + (-1)^{pq+1} b o a and the
 differential d a = (-1)^{deg a} (coboundary of a) make this a differential
 graded Lie algebra; the tests check antisymmetry, the graded Jacobi identity
-and that d is a square-zero derivation of the bracket.
+and that d (``dgla_differential`` in ``tests/helpers.py``) is a square-zero
+derivation of the bracket.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
-from .cochain import Cochain, coboundary
+from .cochain import Cochain
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import F0, Record
 
@@ -113,9 +114,3 @@ def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """[a, b] = a o b + (-1)^{pq+1} b o a."""
     sign = Fraction(1) if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else Fraction(-1)
     return circle(alg, a, b) + circle(alg, b, a).scale(sign)
-
-
-def dgla_differential(alg: LeibnizAlgebra, a: Cochain) -> Cochain:
-    """d a = (-1)^{deg a} times the coboundary of a; raises degree by one."""
-    d = coboundary(alg, a)
-    return -d if (a.arity - 1) % 2 else d

@@ -264,12 +264,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> "Matrix":
-        entries = tuple(vec(r) for r in rows)
-        ncols = len(entries[0]) if entries else 0
-        return cls(len(entries), ncols, entries)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls.from_sparse(rows, cols, [{}] * rows)
 

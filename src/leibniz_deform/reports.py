@@ -14,14 +14,7 @@ from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, json_index, vector_to_json
 from .cochain import Cochain, CohomologySpace, _join_terms
-from .deform import (
-    AVector,
-    Deformation,
-    LocalBase,
-    Monomial,
-    TruncatedPolynomial,
-    _render_key,
-)
+from . import deform
 from .errors import DimensionMismatch, FormatError
 
 
@@ -29,7 +22,7 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def render_monomial(base: LocalBase, mono: Monomial) -> str:
+def render_monomial(base: deform.LocalBase, mono: deform.Monomial) -> str:
     factors = []
     for gen, e in zip(base.generators, mono):
         if e == 1:
@@ -39,10 +32,10 @@ def render_monomial(base: LocalBase, mono: Monomial) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def render_poly(poly: TruncatedPolynomial) -> str:
+def render_poly(poly: deform.TruncatedPolynomial) -> str:
     base = poly.base
     terms = []
-    for mono in sorted(poly.coeffs, key=_render_key):
+    for mono in sorted(poly.coeffs, key=deform._render_key):
         body = render_monomial(base, mono)
         terms.append((poly.coeffs[mono], "" if body == "1" else body))
     return _join_terms(terms)
@@ -52,10 +45,10 @@ def render_vector(v: Sequence[Fraction], alg: LeibnizAlgebra) -> str:
     return _join_terms([(v[k], alg.label(k)) for k in range(len(v)) if v[k]])
 
 
-def render_avector(av: AVector, alg: LeibnizAlgebra) -> str:
+def render_avector(av: deform.AVector, alg: LeibnizAlgebra) -> str:
     base = av[0].base
     terms = []
-    monos = sorted({m for p in av for m in p.coeffs}, key=_render_key)
+    monos = sorted({m for p in av for m in p.coeffs}, key=deform._render_key)
     for mono in monos:
         mono_str = render_monomial(base, mono)
         for k, p in enumerate(av):
@@ -75,10 +68,10 @@ def render_cochain(c: Cochain, alg: LeibnizAlgebra) -> list[str]:
     return lines or ["0"]
 
 
-def poly_to_json(poly: TruncatedPolynomial) -> list:
+def poly_to_json(poly: deform.TruncatedPolynomial) -> list:
     base = poly.base
     out = []
-    for mono in sorted(poly.coeffs, key=_render_key):
+    for mono in sorted(poly.coeffs, key=deform._render_key):
         expo = {gen: e for gen, e in zip(base.generators, mono) if e}
         out.append({"monomial": expo, "coeff": str(poly.coeffs[mono])})
     return out
@@ -121,13 +114,13 @@ def cochain_from_json(doc: dict) -> Cochain:
         raise FormatError(f"bad cochain document: {e}") from e
 
 
-def _relation_polys(base: LocalBase) -> list[TruncatedPolynomial]:
+def _relation_polys(base: deform.LocalBase) -> list[deform.TruncatedPolynomial]:
     """The relations of a base as polynomials over its relation-free copy."""
-    free = LocalBase(base.generators, base.truncation_order)
-    return [TruncatedPolynomial(free, dict(rel)) for rel in base.relations]
+    free = deform.LocalBase(base.generators, base.truncation_order)
+    return [deform.TruncatedPolynomial(free, dict(rel)) for rel in base.relations]
 
 
-def base_to_json(base: LocalBase) -> dict:
+def base_to_json(base: deform.LocalBase) -> dict:
     return {
         "generators": list(base.generators),
         "truncation_order": base.truncation_order,
@@ -135,7 +128,7 @@ def base_to_json(base: LocalBase) -> dict:
     }
 
 
-def deformation_report(d: Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
+def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
     """Text and JSON forms of the bracket table of a deformation."""
     base = d.base
     lines = [f"base: K[{','.join(base.generators)}] truncated at order {base.truncation_order}"]

@@ -8,8 +8,9 @@ defect expanded from the deformed bracket, the equivalence check of two
 deformed brackets under a base-linear map, and membership in a base's ideal
 decided by the rank of its dense Macaulay matrix.  The frozen cocycle
 families certify the computed degree-2 and degree-3 kernels of the builtin
-algebra.  ``matmul`` composes two matrices for the
-d∘d = 0 tests.
+algebra.  ``matmul`` composes two matrices for the d∘d = 0 tests,
+``from_rows`` builds a matrix from dense rows, and ``dgla_differential`` is
+the differential d of the graded Lie structure, for the DGLA axiom tests.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import random
 from fractions import Fraction
 
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, bracket_eval, lambda6, validate
-from leibniz_deform.cochain import Cochain
+from leibniz_deform.cochain import Cochain, coboundary
 from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
-from leibniz_deform.linalg import F0, F1, Matrix, Vec, rank, solve, vec_add, vec_is_zero, vec_scale, zero_vec
+from leibniz_deform.linalg import F0, F1, Matrix, Vec, rank, solve, vec, vec_add, vec_is_zero, vec_scale, zero_vec
 
 F = Fraction
 
@@ -77,6 +78,12 @@ def _gcd(a, b):
 # Dense Gauss-Jordan oracle for the sparse elimination core, and the kernel,
 # image, solution and quotient representatives read off it the textbook way
 # ---------------------------------------------------------------------------
+
+
+def from_rows(rows) -> Matrix:
+    """The matrix with the given dense rows."""
+    entries = tuple(vec(r) for r in rows)
+    return Matrix(len(entries), len(entries[0]) if entries else 0, entries)
 
 
 def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -147,7 +154,7 @@ def greedy_representatives(sub_vectors, full_vectors) -> tuple[tuple, ...]:
     elimination per candidate."""
 
     def rank_of(vectors):
-        return len(dense_rref(Matrix.from_rows(vectors))[1]) if vectors else 0
+        return len(dense_rref(from_rows(vectors))[1]) if vectors else 0
 
     selected = list(sub_vectors)
     reps = []
@@ -294,6 +301,12 @@ def circle_by_filter(alg: LeibnizAlgebra, fa: Cochain, fb: Cochain) -> Cochain:
     return Cochain(arity, n, tuple(values))
 
 
+def dgla_differential(alg: LeibnizAlgebra, a: Cochain) -> Cochain:
+    """d a = (-1)^{deg a} times the coboundary of a; raises degree by one."""
+    d = coboundary(alg, a)
+    return -d if (a.arity - 1) % 2 else d
+
+
 # ---------------------------------------------------------------------------
 # Defect oracle: the Leibniz identity expanded through the deformed bracket
 # ---------------------------------------------------------------------------
@@ -339,7 +352,7 @@ def check_equivalence(phi, d1: Deformation, d2: Deformation):
     if len(phi) != n or any(len(row) != n for row in phi):
         raise DimensionMismatch("map matrix has wrong shape")
     const = [[phi[i][j].constant_term() for j in range(n)] for i in range(n)]
-    if rank(Matrix.from_rows(const)) != n:
+    if rank(from_rows(const)) != n:
         return False, "constant part of the matrix is not invertible"
     identity = all(const[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
     if not identity:
@@ -437,7 +450,7 @@ def conjugate(alg: LeibnizAlgebra, p_matrix: Matrix) -> LeibnizAlgebra:
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:
     while True:
-        m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        m = from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         if bareiss_rank(m.entries) == n:
             return m
 
@@ -466,7 +479,7 @@ def random_leibniz_algebra(rng: random.Random, dims=(2, 3)) -> LeibnizAlgebra:
 def random_matrix(rng: random.Random, max_rows=6, max_cols=6) -> Matrix:
     r = rng.randint(0, max_rows)
     c = rng.randint(1, max_cols)
-    return Matrix.from_rows(
+    return from_rows(
         [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(c)] for _ in range(r)]
     )
 

@@ -306,10 +306,27 @@ def test_pushforward_repeated_generator_exits_one(capsys):
 
 
 @pytest.mark.parametrize(
+    "sub, message",
+    [("t=q", "unknown generator 'q' in 'q'"), ("t", "--sub expects NAME=POLY, got 't'"),
+     ("t=1/0*u", "zero denominator in polynomial term '1/0*u' in '1/0*u'")],
+)
+def test_pushforward_parses_every_sub_before_the_versal_computation(capsys, monkeypatch, sub, message):
+    # versal_construct starts from the universal first-order deformation
+    monkeypatch.setattr(deform, "universal_infinitesimal", lambda *a: pytest.fail("the versal computation ran"))
+    code, out, err = invoke(capsys, "pushforward", "lambda6", "--sub", "s=0", "--sub", sub, "--to", "u")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x,x"),
          "--to 'x,x': duplicate generator names"),
+        *((("pushforward", "lambda6", "--sub", "t=u", "--sub", "s=0", "--to", to),
+           f"--to {to!r}: {name!r} is not a generator name (letters, digits and _, not starting with a digit)")
+          for to, name in (("u*v", "u*v"), ("1s", "1s"), ("s, u", " u"))),
         (("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x", "--max-order", "0"),
          "--max-order must be at least 1, got 0"),
         (("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x", "--max-order", "-1"),
@@ -334,7 +351,7 @@ def test_pushforward_repeated_generator_exits_one(capsys):
         (("pushforward", "lambda6", "--to", "t"), "pushforward requires --sub"),
         (("pushforward", "lambda6", "--sub", "t=t", "--sub", "s=0"), "pushforward requires --to"),
     ],
-    ids=["to-twice", "pushforward-order-0", "pushforward-order-minus-1", "versal-order-0",
+    ids=["to-twice", "to-product", "to-digit-first", "to-space", "pushforward-order-0", "pushforward-order-minus-1", "versal-order-0",
          "versal-order-minus-1", "versal-order-equals-minus-1", "cohomology-degree-0", "order-not-int",
          "output-choice", "unknown-option", "option-of-other-command", "value-missing", "value-is-option",
          "two-algebras", "unknown-subcommand", "no-subcommand", "no-algebra", "no-algebra-after-option",
@@ -412,12 +429,9 @@ def test_massey_solves_each_pair_witness_once(capsys, monkeypatch):
     assert len(circles) == 30
 
 
-def test_cli_import_loads_no_introspection_modules():
-    """``import leibniz_deform.cli`` starts every command; it must not pull in
-    ``dataclasses`` or the source-introspection modules that it imports."""
+def python_s(code: str) -> str:
+    """The standard output of ``code`` run by a fresh ``python -S`` on ``src/``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
-    code = f"import sys, leibniz_deform.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -425,24 +439,72 @@ def test_cli_import_loads_no_introspection_modules():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """``import leibniz_deform.cli`` starts every command; it must not pull in
+    ``dataclasses`` or the source-introspection modules that it imports."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
+    code = f"import sys, leibniz_deform.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    assert python_s(code) == "[]\n"
 
 
 def test_check_loads_no_argument_parsing_or_typing_modules():
     """A command parses its arguments without ``argparse`` (and the
     ``gettext`` and ``locale`` it imports) and annotates without ``typing``."""
-    src = Path(__file__).resolve().parent.parent / "src"
     heavy = ("argparse", "gettext", "locale", "typing")
     code = f"import sys; from leibniz_deform.cli import run; run(['check', 'lambda6']); " \
            f"print([m for m in {heavy!r} if m in sys.modules])"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
+    assert python_s(code) == "Leibniz identity: OK (0 violations)\n[]\n"
+
+
+# The submodules that only deformation commands run; they load on first use.
+LAZY = ("leibniz_deform.deform", "leibniz_deform.graded")
+
+
+def loaded_after(argv) -> str:
+    """Which of ``LAZY`` have run their source after ``run(argv)``: a module
+    registered but not yet loaded is not of type ``ModuleType`` (``type()``
+    is the one look at it that does not load it)."""
+    return python_s(
+        "import io, sys, types, contextlib; from leibniz_deform.cli import run\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert run({list(argv)!r}) == 0\n"
+        f"print([type(sys.modules[m]) is types.ModuleType for m in {LAZY!r}])"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "Leibniz identity: OK (0 violations)\n[]\n"
+
+
+@pytest.mark.parametrize("argv", [("check", "lambda6"), ("cohomology", "lambda6", "--degree", "3")])
+def test_cohomology_commands_never_load_deform_or_graded(argv):
+    assert loaded_after(argv) == "[False, False]\n"
+
+
+def test_versal_loads_deform_and_graded():
+    assert loaded_after(("versal", "lambda6", "--max-order", "2")) == "[True, True]\n"
+
+
+def test_lazy_modules_are_registered_by_importing_the_cli():
+    # bench/tracing.py imports leibniz_deform.cli and then reads both modules
+    # from sys.modules to wrap their traced functions
+    code = f"import sys, leibniz_deform.cli; print([m in sys.modules for m in {LAZY!r}])"
+    assert python_s(code) == "[True, True]\n"
+
+
+def test_every_exported_name_resolves_to_its_defining_module():
+    code = """
+import leibniz_deform as pkg
+from leibniz_deform import *
+names = globals()
+for name in pkg.__all__:
+    obj = getattr(pkg, name)
+    module = __import__(obj.__module__, fromlist=[name])
+    assert names[name] is obj is getattr(module, name) and module.__name__.startswith("leibniz_deform."), name
+try:
+    pkg.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+    assert python_s(code) == "module 'leibniz_deform' has no attribute 'no_such_name'\n"
 
 
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):

@@ -573,6 +573,17 @@ def test_extension_post_check_rejects_a_wrong_solution(monkeypatch):
     assert solves
 
 
+def test_obstruction_check_names_the_order_and_monomial_of_an_unclosed_entry(monkeypatch):
+    d = _nf4_to_order_2()
+    # a coboundary that is never zero: every nonzero defect entry looks unclosed
+    monkeypatch.setattr(deform, "coboundary", lambda alg, entry: entry)
+    with pytest.raises(LeibnizDeformError) as info:
+        obstruction_classes(d, 1)
+    assert str(info.value) == (
+        "obstruction candidate at order 2, monomial t*u, is not closed; this signals an internal sign error"
+    )
+
+
 @pytest.mark.parametrize(
     "algebra, max_order",
     [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 4), ("abelian3", 2)],

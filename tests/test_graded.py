@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import circle_by_filter, nf4, random_cochain, random_leibniz_algebra, shuffles_by_filter
+from helpers import (
+    circle_by_filter,
+    dgla_differential,
+    nf4,
+    random_cochain,
+    random_leibniz_algebra,
+    shuffles_by_filter,
+)
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import Cochain, coboundary, lambda6_reference_representatives
-from leibniz_deform.graded import (
-    circle,
-    dgla_differential,
-    graded_bracket,
-    shuffles,
-)
+from leibniz_deform.graded import circle, graded_bracket, shuffles
 
 F = Fraction
 
