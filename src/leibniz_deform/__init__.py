@@ -16,7 +16,6 @@ from .algebra import (
     abelian,
     algebra_from_json,
     algebra_to_json,
-    bracket_eval,
     lambda6,
     load_algebra,
     validate,
@@ -72,7 +71,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "LeibnizAlgebra", "abelian", "algebra_from_json", "algebra_to_json",
-    "bracket_eval", "lambda6", "load_algebra", "validate",
+    "lambda6", "load_algebra", "validate",
     "Cochain", "CohomologySpace", "coboundary", "coboundary_matrix",
     "cocycle_relations", "cohomology", "lambda6_reference_representatives",
     "with_representatives",

@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .linalg import F0, Record, Vec, as_scalar, vec_is_zero
+from .linalg import F0, Record, Vec, as_scalar
 
 
 class LeibnizAlgebra(Record):
@@ -68,48 +68,29 @@ class LeibnizAlgebra(Record):
         return f"e_{i + 1}"
 
 
-def bracket_eval(alg: LeibnizAlgebra, x: Sequence, y: Sequence) -> Vec:
-    """Bilinear extension of the structure constants to arbitrary vectors."""
-    n = alg.dim
-    if len(x) != n or len(y) != n:
-        raise DimensionMismatch("vector length differs from algebra dimension")
-    out = [F0] * n
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(n):
-            yj = y[j]
-            if not yj:
-                continue
-            c = xi * yj
-            row = alg.structure_constants[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += c * row[k]
-    return tuple(out)
-
-
 def validate(alg: LeibnizAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     """All basis triples violating the Leibniz identity, with their defects.
 
     By trilinearity the identity holds on the whole algebra iff it holds on
     basis triples, so an empty list certifies the algebra.  Each violation is
-    ((i, j, k), [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]).
+    ((i, j, k), [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]), and the
+    triples come in lexicographic order.  Each of the three terms is summed
+    over pairs of nonzero structure constants only.
     """
     n = alg.dim
-    basis = [tuple(F0 if t != i else Fraction(1) for t in range(n)) for i in range(n)]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = bracket_eval(alg, basis[i], alg.bracket_basis(j, k))
-                r1 = bracket_eval(alg, alg.bracket_basis(i, j), basis[k])
-                r2 = bracket_eval(alg, alg.bracket_basis(i, k), basis[j])
-                defect = tuple(a - b + c for a, b, c in zip(lhs, r1, r2))
-                if not vec_is_zero(defect):
-                    violations.append(((i, j, k), defect))
-    return violations
+    # each nonzero constant c_{ab}^m = x, also listed by a and by b
+    nonzero = [(a, b, m, x) for a, plane in enumerate(alg.structure_constants)
+               for b, row in enumerate(plane) for m, x in enumerate(row) if x]
+    by_left = [[(b, m, x) for a, b, m, x in nonzero if a == i] for i in range(n)]
+    by_right = [[(a, m, x) for a, b, m, x in nonzero if b == i] for i in range(n)]
+    defects: dict[tuple[int, int, int], list] = {}
+    for a, b, m, x in nonzero:
+        terms = [((i, a, b), out, x * y) for i, out, y in by_right[m]]  # [e_i,[e_a,e_b]]
+        for c, out, y in by_left[m]:  # [[e_a,e_b],e_c], subtracted at (a, b, c) and added at (a, c, b)
+            terms += [((a, b, c), out, -x * y), ((a, c, b), out, x * y)]
+        for triple, out, value in terms:
+            defects.setdefault(triple, [F0] * n)[out] += value
+    return [(t, tuple(defects[t])) for t in sorted(defects) if any(defects[t])]
 
 
 def lambda6() -> LeibnizAlgebra:
@@ -152,6 +133,29 @@ def json_index(x, what: str) -> int:
     return x
 
 
+def vector_from_json(terms, dim: int, where: str) -> dict[int, Fraction]:
+    """The 0-based {basis: coeff} table of a ``vector_to_json`` list.
+
+    Raises FormatError naming ``where`` and the basis when a term's basis is
+    not an index in 1..dim or repeats an earlier one, or its coeff is not a
+    rational.
+    """
+    if not isinstance(terms, list):
+        raise FormatError(f"{where} has value {json.dumps(terms)}; expected a list")
+    value: dict[int, Fraction] = {}
+    for term in terms:
+        k = term.get("basis") if isinstance(term, dict) else None
+        if type(k) is not int or not 1 <= k <= dim:  # a bool or float is no index
+            raise FormatError(f"{where} has basis {json.dumps(k)}; expected an index in 1..{dim}")
+        if k - 1 in value:
+            raise FormatError(f"{where} repeats basis {k}")
+        try:
+            value[k - 1] = Fraction(str(term["coeff"]))
+        except (KeyError, ValueError, ZeroDivisionError) as e:
+            raise FormatError(f"{where} has no rational 'coeff' at basis {k}") from e
+    return value
+
+
 def algebra_from_json(text: str) -> LeibnizAlgebra:
     try:
         doc = json.loads(text)
@@ -175,20 +179,7 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
             raise FormatError(f"{where}: index out of range for dim {dim}")
         if (i - 1, j - 1) in brackets:
             raise FormatError(f"{where} repeats the bracket of left {i} and right {j}")
-        value: dict[int, Fraction] = {}
-        for vpos, term in enumerate(item.get("value", [])):
-            vwhere = f"{where}.value[{vpos}]"
-            try:
-                k = json_index(term["basis"], "'basis'")
-                coeff = Fraction(str(term["coeff"]))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-                raise FormatError(f"{vwhere} needs integer 'basis' and rational 'coeff'") from e
-            if not 1 <= k <= dim:
-                raise FormatError(f"{vwhere}: basis index out of range")
-            if k - 1 in value:
-                raise FormatError(f"{vwhere} repeats basis {k}")
-            value[k - 1] = coeff
-        brackets[(i - 1, j - 1)] = value
+        brackets[(i - 1, j - 1)] = vector_from_json(item.get("value", []), dim, where)
     return LeibnizAlgebra.from_brackets(dim, brackets)
 
 

@@ -36,8 +36,6 @@ from .linalg import (
     SubspaceBasis,
     Vec,
     as_scalar,
-    echelon_rows,
-    image_basis,
     kernel_basis,
     quotient_representatives,
     rank,
@@ -228,8 +226,11 @@ class CohomologySpace:
 def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
     """ZL^p, BL^p and HL^p with deterministic greedy representatives.
 
-    Raises PreconditionError, naming the first violating basis triple, when
-    the algebra does not satisfy the Leibniz identity.
+    The row echelon of the degree-p coboundary matrix is the only elimination
+    at ambient length: ZL^p is its kernel, and ``quotient_representatives``
+    reads BL^p, the representatives and their projection off its free
+    columns.  Raises PreconditionError, naming the first violating basis
+    triple, when the algebra does not satisfy the Leibniz identity.
     """
     if p < 1:
         raise PreconditionError("cohomology degree must be at least 1")
@@ -237,11 +238,9 @@ def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
     if violations:
         triple = ",".join(alg.label(i) for i in violations[0][0])
         raise PreconditionError(f"not a Leibniz algebra: the identity fails on ({triple})")
-    zl = kernel_basis(coboundary_matrix(alg, p))
-    bl = image_basis(coboundary_matrix(alg, p - 1))
-    reps_basis, project = quotient_representatives(bl, zl)
-    reps = tuple(Cochain(p, alg.dim, v) for v in reps_basis.vectors)
-    return CohomologySpace(p, zl, bl, reps, project)
+    delta = coboundary_matrix(alg, p)
+    reps, project, bl = quotient_representatives(delta, coboundary_matrix(alg, p - 1))
+    return CohomologySpace(p, kernel_basis(delta), bl, tuple(Cochain(p, alg.dim, v) for v in reps.vectors), project)
 
 
 def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> CohomologySpace:
@@ -281,7 +280,7 @@ def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
     return mu1, mu2
 
 
-def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
+def _join_terms(terms: list[tuple[int | Fraction, str]]) -> str:
     """Assemble signed terms; ``body`` may be empty for a bare coefficient."""
     if not terms:
         return "0"
@@ -299,27 +298,19 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
     return " ".join(parts)
 
 
-def _coordinate_name(dim: int, flat_index: int, arity: int) -> str:
-    idx = []
-    t, k = divmod(flat_index, dim)
-    for _ in range(arity):
-        t, r = divmod(t, dim)
-        idx.append(r + 1)
-    idx.reverse()
-    return "a_{%s}^%d" % (",".join(str(i) for i in idx), k + 1)
-
-
 def cocycle_relations(alg: LeibnizAlgebra, p: int) -> list[str]:
     """Human-readable linear relations among cochain coordinates defining ZL^p.
 
-    Each relation comes from one row of the reduced echelon form of the
+    Each relation is one stored row of the reduced echelon form of the
     coboundary matrix, read from its cached elimination, and expresses a
     bound coordinate a_{i_1,..,i_p}^k in terms of the free ones.
     """
     if p < 1:
         raise PreconditionError("degree must be at least 1")
-    relations = []
-    for pcol, row in echelon_rows(coboundary_matrix(alg, p)):
-        terms = [(-x, _coordinate_name(alg.dim, c, p)) for c, x in row.items() if c != pcol]
-        relations.append(f"{_coordinate_name(alg.dim, pcol, p)} = {_join_terms(terms)}")
-    return relations
+    labels = range(1, alg.dim + 1)
+    names = ["a_{%s}^%d" % (",".join(map(str, idx)), k) for idx in itertools.product(labels, repeat=p) for k in labels]
+    rows = coboundary_matrix(alg, p)._row_echelon.rows
+    return [
+        f"{names[q]} = {_join_terms([(-x, names[c]) for c, x in sorted(rows[q].items()) if c != q])}"
+        for q in sorted(rows)
+    ]

@@ -673,8 +673,11 @@ def versal_construct(
             d = d.with_base(d.base.with_relations(polys))
             result = extend_to_order(d, k)
             if isinstance(result, ObstructionReport):
+                from .reports import render_poly
+
                 raise LeibnizDeformError(
-                    f"the order-{k + 1} obstruction survived its own relations; internal error"
+                    f"the order-{k + 1} obstruction survived its own relations"
+                    f" {', '.join(map(render_poly, polys))}; internal error"
                 )
         d = result
     return d, relations_log

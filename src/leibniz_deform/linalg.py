@@ -17,11 +17,12 @@ dense ``Matrix.entries`` view, ``matvec``, ``rref``, ``echelon_rows``, kernel
 and image vectors, and ``solve`` and ``project`` coordinates.
 
 Factor once: each ``Matrix`` is eliminated at most once per side, and the
-result is cached on the instance.  Its rows give ``rref``, ``echelon_rows``,
-``rank`` and ``kernel_basis``; its columns, inserted in order with
-combinations tracked, give ``image_basis`` and ``solve``.  Later queries on
-the same matrix, and the ``project`` returned by ``quotient_representatives``,
-only reduce one vector against the stored pivot rows.
+result is cached on the instance.  Its rows, inserted sparsest first, give
+``rref``, ``echelon_rows``, ``rank``, ``kernel_basis`` and the quotient of
+``quotient_representatives``; its columns, inserted in order with
+combinations tracked, serve only ``image_basis`` and ``solve``.  Later
+queries, and the ``project`` returned by ``quotient_representatives``, only
+reduce one vector against stored rows.
 
 Outputs do not depend on how elimination is organised: the reduced row
 echelon form is unique, its pivot columns are the greedily independent
@@ -308,7 +309,21 @@ class Matrix:
 
     @cached_property
     def _row_echelon(self) -> Reducer:
-        return _eliminate(self._row_dicts)
+        # Nonzero rows, sparsest first by a stable sort: the reduced form is
+        # unique, and short pivot rows keep the fill-in of later rows small.
+        return _eliminate(sorted(filter(None, self._row_dicts), key=len))
+
+    @cached_property
+    def _kernel(self) -> dict[int, Sparse]:
+        """The free-variable null space basis by free column, in increasing
+        order: 1 at its free column f, minus the reduced rows' entries at f."""
+        rows = self._row_echelon.rows
+        kernel = {f: {f: 1} for f in range(self.cols) if f not in rows}
+        for p, row in rows.items():
+            for c, x in row.items():
+                if c != p:
+                    kernel[c][p] = -x
+        return kernel
 
     @cached_property
     def _column_echelon(self) -> Reducer:
@@ -355,15 +370,7 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     The basis is the standard free-variable one read off the reduced echelon
     form, with free variables taken in increasing column order.
     """
-    rows = m._row_echelon.rows
-    vectors = {f: [F0] * m.cols for f in range(m.cols) if f not in rows}
-    for f, v in vectors.items():
-        v[f] = F1
-    for p, row in rows.items():
-        for c, x in row.items():
-            if c != p:
-                vectors[c][p] = as_scalar(-x)
-    return SubspaceBasis(m.cols, tuple(tuple(v) for v in vectors.values()))
+    return SubspaceBasis(m.cols, tuple(_dense(v, m.cols) for v in m._kernel.values()))
 
 
 def image_basis(m: Matrix) -> SubspaceBasis:
@@ -386,39 +393,53 @@ def solve(m: Matrix, rhs: Sequence) -> Vec | None:
 
 
 def quotient_representatives(
-    sub: SubspaceBasis, full: SubspaceBasis
-) -> tuple[SubspaceBasis, Callable[[Sequence], Vec]]:
-    """Extend ``sub`` to a basis of span(full) and return quotient coordinates.
+    d: Matrix, d_prev: Matrix
+) -> tuple[SubspaceBasis, Callable[[Sequence], Vec], SubspaceBasis]:
+    """Representatives of ker d modulo im d_prev, the ``project`` to their
+    coordinates, and the basis of im d_prev that ``image_basis`` picks.
 
-    Representatives are chosen greedily from ``full`` in order.  The returned
-    ``project`` callable maps any vector of span(full) to its coordinates on
-    the representatives modulo span(sub).  It is a fault if ``sub`` is not
-    contained in span(full).
+    Only d's reduced rows are eliminated at ambient length.  A vector of
+    ker d is the combination of ``kernel_basis(d)`` given by its entries at
+    d's free columns, so restricting to those is injective on ker d.  The
+    image basis is the columns of d_prev independent after restriction; the
+    representatives, the kernel basis vectors chosen greedily in order
+    modulo it, are at the free columns that are not pivots of the restricted
+    image eliminated in descending column order.  It is a fault if a column
+    of d_prev, or a projected vector, is not in ker d.
     """
-    if sub.ambient_dim != full.ambient_dim:
-        raise DimensionMismatch("sub and full live in different ambient spaces")
-    full_rows = [_sparse(v) for v in full.vectors]
-    sub_rows = [_sparse(v) for v in sub.vectors]
-    span = _eliminate(full_rows)
-    if any(span._reduce(v)[0] for v in sub_rows):
-        raise PreconditionError("sub is not contained in the span of full")
+    if d_prev.rows != d.cols:
+        raise DimensionMismatch(f"d has {d.cols} columns but d_prev has {d_prev.rows} rows")
+    n, kernel = d.cols, d._kernel
 
-    joint = _eliminate(sub_rows, track=True)
-    nsub = len(sub_rows)
-    rep_indices = []  # insertion indices into joint: sub first, then full
-    for j, v in enumerate(full_rows):
-        if len(joint.rows) == len(span.rows):
-            break
-        if joint.insert(v):
-            rep_indices.append(nsub + j)
-    reps = tuple(full.vectors[i - nsub] for i in rep_indices)
+    def in_kernel(v: Sparse) -> bool:
+        # v is in ker d iff it is the combination of its free coordinates
+        rebuilt: Sparse = {}
+        for f, x in v.items():
+            if f in kernel:
+                _axpy(rebuilt, x, kernel[f])
+        return rebuilt == v
+
+    def restricted(v: Sparse) -> Sparse:
+        # keyed by -f, so that the reducer pivots on the largest free column
+        return {-f: x for f, x in v.items() if f in kernel}
+
+    columns = d_prev._columns
+    if not all(map(in_kernel, columns)):
+        raise PreconditionError("a column of d_prev is not in the kernel of d")
+    image = _eliminate(map(restricted, columns))
+    reps = [f for f in kernel if -f not in image.rows]
 
     def project(v: Sequence) -> Vec:
-        if len(v) != full.ambient_dim:
-            raise DimensionMismatch(f"project: ambient dimension {full.ambient_dim} vs vector of length {len(v)}")
-        coords = joint.coordinates(_sparse(vec(v)))
-        if coords is None:
-            raise PreconditionError("vector is not in the span of full")
-        return tuple(as_scalar(coords[i]) if i in coords else F0 for i in rep_indices)
+        if len(v) != n:
+            raise DimensionMismatch(f"project: ambient dimension {n} vs vector of length {len(v)}")
+        v = _sparse(vec(v))
+        if not in_kernel(v):
+            raise PreconditionError("vector is not in the kernel of d")
+        residual = image._reduce(restricted(v))[0]
+        return tuple(as_scalar(residual[-f]) if -f in residual else F0 for f in reps)
 
-    return SubspaceBasis(full.ambient_dim, reps), project
+    return (
+        SubspaceBasis(n, tuple(_dense(kernel[f], n) for f in reps)),
+        project,
+        SubspaceBasis(d_prev.rows, tuple(d_prev.column(j) for j in image.independent)),
+    )

@@ -12,7 +12,7 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import LeibnizAlgebra, json_index, vector_to_json
+from .algebra import LeibnizAlgebra, json_index, vector_from_json, vector_to_json
 from .cochain import Cochain, CohomologySpace, _join_terms
 from . import deform
 from .errors import DimensionMismatch, FormatError
@@ -88,7 +88,8 @@ def cochain_from_json(doc: dict) -> Cochain:
     """The cochain of a ``cochain_to_json`` document; 1-based indices.
 
     Raises FormatError for a malformed document, naming the entry whose
-    ``args`` or ``basis`` is not an index in 1..dim or repeats an earlier one.
+    ``args`` are not indices in 1..dim or repeat an earlier entry's, and
+    reading each value list with ``algebra.vector_from_json``.
     """
     try:
         arity, dim = json_index(doc["arity"], "'arity'"), json_index(doc["dim"], "'dim'")
@@ -101,16 +102,9 @@ def cochain_from_json(doc: dict) -> Cochain:
             key = tuple(a - 1 for a in args)
             if key in entries:
                 raise FormatError(f"{where} repeats args {json.dumps(args)}")
-            value = entries[key] = {}
-            for term in item.get("value", []):
-                k = term["basis"]
-                if type(k) is not int or not 1 <= k <= dim:
-                    raise FormatError(f"{where} has basis {json.dumps(k)}; expected an index in 1..{dim}")
-                if k - 1 in value:
-                    raise FormatError(f"{where} repeats basis {k}")
-                value[k - 1] = Fraction(str(term["coeff"]))
+            entries[key] = vector_from_json(item.get("value", []), dim, where)
         return Cochain.from_entries(arity, dim, entries)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, DimensionMismatch) as e:
+    except (KeyError, TypeError, DimensionMismatch) as e:
         raise FormatError(f"bad cochain document: {e}") from e
 
 

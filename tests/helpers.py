@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the package internals:
 fraction-free rank, dense Gauss-Jordan elimination and the results derived
-from it, the coboundary evaluated from its defining formula, permutation-filter
+from it, the Leibniz identity evaluated densely on every basis triple through
+the bilinear ``bracket_eval``, the coboundary evaluated from its defining
+formula, permutation-filter
 shuffle enumeration and a circle product built on it, the deformation
 defect expanded from the deformed bracket, the equivalence check of two
 deformed brackets under a base-linear map, and membership in a base's ideal
@@ -18,9 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
-from leibniz_deform.algebra import LeibnizAlgebra, abelian, bracket_eval, lambda6, validate
+from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6, validate
 from leibniz_deform.cochain import Cochain, coboundary
 from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
@@ -257,6 +260,50 @@ def direct_coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
 
         values.extend(acc)
     return Cochain(p + 1, n, tuple(values))
+
+
+# ---------------------------------------------------------------------------
+# Dense Leibniz identity oracle: the bracket extended bilinearly, evaluated on
+# every basis triple
+# ---------------------------------------------------------------------------
+
+
+def bracket_eval(alg: LeibnizAlgebra, x: Sequence, y: Sequence) -> Vec:
+    """Bilinear extension of the structure constants to arbitrary vectors."""
+    n = alg.dim
+    if len(x) != n or len(y) != n:
+        raise DimensionMismatch("vector length differs from algebra dimension")
+    out = [F0] * n
+    for i in range(n):
+        xi = x[i]
+        if not xi:
+            continue
+        for j in range(n):
+            yj = y[j]
+            if not yj:
+                continue
+            c = xi * yj
+            row = alg.structure_constants[i][j]
+            for k in range(n):
+                if row[k]:
+                    out[k] += c * row[k]
+    return tuple(out)
+
+
+def dense_validate(alg: LeibnizAlgebra) -> list:
+    """The violations of the Leibniz identity that ``validate`` reports, each
+    term evaluated with ``bracket_eval`` on every basis triple in order."""
+    n = alg.dim
+    basis = [tuple(F0 if t != i else F1 for t in range(n)) for i in range(n)]
+    violations = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = bracket_eval(alg, basis[i], alg.bracket_basis(j, k))
+        r1 = bracket_eval(alg, alg.bracket_basis(i, j), basis[k])
+        r2 = bracket_eval(alg, alg.bracket_basis(i, k), basis[j])
+        defect = tuple(a - b + c for a, b, c in zip(lhs, r1, r2))
+        if not vec_is_zero(defect):
+            violations.append(((i, j, k), defect))
+    return violations
 
 
 # ---------------------------------------------------------------------------

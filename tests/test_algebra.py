@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_leibniz_algebra
+from helpers import bracket_eval, dense_validate, misoriented_nf4, random_leibniz_algebra
 from leibniz_deform.algebra import (
     LeibnizAlgebra,
     abelian,
     algebra_from_json,
     algebra_to_json,
-    bracket_eval,
     lambda6,
     load_algebra,
     validate,
@@ -54,6 +53,33 @@ def test_square_on_e1_violates_identity():
     alg = LeibnizAlgebra.from_brackets(2, {(0, 0): {0: 1}})
     violations = validate(alg)
     assert ((0, 0, 0), (F(1), F(0))) in violations
+
+
+# Mostly zero constants, so that tables are sparse, often Leibniz and often not.
+constants = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def structure_tables(draw):
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(constants, min_size=n ** 3, max_size=n ** 3))
+    brackets = {(i, j): {k: cells[(i * n + j) * n + k] for k in range(n)} for i in range(n) for j in range(n)}
+    return LeibnizAlgebra.from_brackets(n, brackets)
+
+
+@given(structure_tables())
+def test_validate_equals_dense_oracle(alg):
+    assert validate(alg) == dense_validate(alg)
+
+
+def test_validate_equals_dense_oracle_on_known_tables():
+    rng = random.Random(7)
+    square_on_e1 = LeibnizAlgebra.from_brackets(2, {(0, 0): {0: 1}})
+    for alg in (lambda6(), abelian(3), misoriented_nf4(), random_leibniz_algebra(rng), square_on_e1):
+        violations = validate(alg)
+        assert violations == dense_validate(alg)
+        assert all(type(x) is F for _, defect in violations for x in defect)
+    assert validate(misoriented_nf4())
 
 
 def test_bracket_of_zero_vector_is_zero():
@@ -147,7 +173,7 @@ def test_json_rejects_bad_documents():
         (
             '{"dim": 2, "brackets": [{"left": 1, "right": 1,'
             ' "value": [{"basis": 2, "coeff": "1"}, {"basis": 2, "coeff": "3"}]}]}',
-            r"brackets\[0\].value\[1\] repeats basis 2",
+            r"brackets\[0\] repeats basis 2",
         ),
         ('{"dim": true, "brackets": []}', "'dim' must be a positive integer"),
         ('{"dim": 2.0, "brackets": []}', "'dim' must be a positive integer"),
@@ -161,7 +187,15 @@ def test_json_rejects_bad_documents():
         ),
         (
             '{"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [{"basis": 1.5, "coeff": "1"}]}]}',
-            r"brackets\[0\].value\[0\] needs integer 'basis'",
+            r"brackets\[0\] has basis 1.5; expected an index in 1..2",
+        ),
+        (
+            '{"dim": 2, "brackets": [{"left": 1, "right": 1, "value": 5}]}',
+            r"brackets\[0\] has value 5; expected a list",
+        ),
+        (
+            '{"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [{"basis": 2, "coeff": "x"}]}]}',
+            r"brackets\[0\] has no rational 'coeff' at basis 2",
         ),
     ):
         with pytest.raises(FormatError, match=message):

@@ -264,6 +264,14 @@ def test_reps_of_wrong_arity_or_dimension_exit_one(capsys, tmp_path, command, co
             {"args": [2, 3], "value": [{"basis": 1, "coeff": "-1"}, {"basis": 1, "coeff": "2"}]},
             "entry 1 of 'cochains': entry 0 of 'entries' repeats basis 1",
         ),
+        (
+            {"args": [2, 3], "value": [{"basis": 2, "coeff": "1/0"}]},
+            "entry 1 of 'cochains': entry 0 of 'entries' has no rational 'coeff' at basis 2",
+        ),
+        (
+            {"args": [2, 3], "value": {"basis": 2, "coeff": "1"}},
+            "entry 1 of 'cochains': entry 0 of 'entries' has value {\"basis\": 2, \"coeff\": \"1\"}; expected a list",
+        ),
     ],
 )
 def test_reps_with_out_of_range_indices_exit_one(capsys, tmp_path, command, entry, message):

@@ -584,6 +584,22 @@ def test_obstruction_check_names_the_order_and_monomial_of_an_unclosed_entry(mon
     )
 
 
+def test_versal_error_names_the_relations_the_obstruction_survived(monkeypatch):
+    # every retry sees the first obstruction again, as if the relations did nothing
+    real, first = deform.extend_to_order, []
+
+    def stuck(d, k):
+        result = first[0] if first else real(d, k)
+        if isinstance(result, ObstructionReport):
+            first.append(result)
+        return result
+
+    monkeypatch.setattr(deform, "extend_to_order", stuck)
+    with pytest.raises(LeibnizDeformError) as info:
+        versal_construct(abelian(1), 3)
+    assert str(info.value) == "the order-2 obstruction survived its own relations t^2; internal error"
+
+
 @pytest.mark.parametrize(
     "algebra, max_order",
     [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 4), ("abelian3", 2)],

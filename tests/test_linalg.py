@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     bareiss_rank,
+    conjugate,
     dense_image,
     dense_kernel,
     dense_rref,
     dense_solve,
     from_rows,
     greedy_representatives,
+    h3,
     matmul,
     nf4,
     random_cochain,
@@ -20,12 +22,11 @@ from helpers import (
     random_matrix,
 )
 from leibniz_deform import cochain, linalg
-from leibniz_deform.algebra import lambda6
+from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import Cochain, coboundary, coboundary_matrix
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import (
     Matrix,
-    SubspaceBasis,
     image_basis,
     kernel_basis,
     quotient_representatives,
@@ -100,34 +101,35 @@ def test_solve_zeroes_free_variables():
     assert solve(from_rows([[1, 1]]), [3]) == (F(3), F(0))
 
 
-def test_quotient_trivial_sub():
-    full = SubspaceBasis(3, ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))))
-    sub = SubspaceBasis(3, ())
-    reps, project = quotient_representatives(sub, full)
-    assert reps.vectors == full.vectors
+def _column(n, j):
+    """The n x 1 matrix with a single 1 in row j."""
+    return Matrix.from_sparse(n, 1, [{0: 1} if i == j else {} for i in range(n)])
+
+
+def test_quotient_trivial_image():
+    reps, project, image = quotient_representatives(Matrix.zeros(1, 3), Matrix.zeros(3, 1))
+    assert reps.vectors == Matrix.identity(3).entries
+    assert image.vectors == ()
     assert project((F(2), F(-1), F(5))) == (F(2), F(-1), F(5))
 
 
-def test_quotient_sub_equals_full():
-    full = SubspaceBasis(2, ((F(1), F(0)), (F(0), F(1))))
-    reps, project = quotient_representatives(full, full)
+def test_quotient_image_equals_kernel():
+    reps, project, image = quotient_representatives(Matrix.zeros(1, 2), Matrix.identity(2))
     assert reps.vectors == ()
+    assert image.vectors == Matrix.identity(2).entries
     assert project((F(4), F(7))) == ()
 
 
 def test_quotient_greedy_extension():
-    full = SubspaceBasis(3, ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))))
-    sub = SubspaceBasis(3, ((F(1), F(0), F(0)),))
-    reps, project = quotient_representatives(sub, full)
+    reps, project, image = quotient_representatives(Matrix.zeros(1, 3), _column(3, 0))
     assert reps.vectors == ((F(0), F(1), F(0)), (F(0), F(0), F(1)))
+    assert image.vectors == ((F(1), F(0), F(0)),)
     assert project((F(9), F(2), F(3))) == (F(2), F(3))
 
 
-def test_quotient_faults_when_sub_outside_full():
-    full = SubspaceBasis(2, ((F(1), F(0)),))
-    sub = SubspaceBasis(2, ((F(0), F(1)),))
+def test_quotient_faults_when_image_outside_kernel():
     with pytest.raises(PreconditionError):
-        quotient_representatives(sub, full)
+        quotient_representatives(from_rows([[0, 1]]), _column(2, 1))
 
 
 @st.composite
@@ -251,43 +253,135 @@ def test_solve_inconsistent_returns_none_like_oracle():
     assert solve(Matrix(0, 3, ()), []) == (F(0), F(0), F(0))
 
 
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, tuple(m.column(j) for j in range(m.cols)))
+
+
+def complex_from(draw, d_prev: Matrix, coefficients) -> Matrix:
+    """A matrix d with d d_prev = 0: its rows are drawn combinations of the
+    left null vectors of d_prev, with some rows zero and some repeated."""
+    annihilators = dense_kernel(transpose(d_prev))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            rows.append((F(0),) * d_prev.rows)
+        elif kind == 1 and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            cs = draw(st.lists(coefficients, min_size=len(annihilators), max_size=len(annihilators)))
+            v = [F(0)] * d_prev.rows
+            for c, a in zip(cs, annihilators):
+                v = [x + c * y for x, y in zip(v, a)]
+            rows.append(tuple(v))
+    return Matrix(len(rows), d_prev.rows, tuple(rows))
+
+
 @st.composite
 def quotient_cases(draw):
-    """(sub, full) with sub inside span(full); either may be dependent."""
-    full = draw(any_matrices(max_rows=5, max_cols=5))
-    n = full.cols
-    nsub = draw(st.integers(0, 4))
-    sub = []
-    for _ in range(nsub):
-        if full.rows and draw(st.booleans()):
-            sub.append(full.entries[draw(st.integers(0, full.rows - 1))])
-            continue
-        coeffs = draw(st.lists(scalars, min_size=full.rows, max_size=full.rows))
-        v = [F(0)] * n
-        for c, row in zip(coeffs, full.entries):
-            v = [a + c * b for a, b in zip(v, row)]
-        sub.append(tuple(v))
-    return SubspaceBasis(n, tuple(sub)), SubspaceBasis(n, full.entries)
+    """(d, d_prev) with d d_prev = 0; either may be zero or rank-deficient."""
+    d_prev = draw(any_matrices(max_rows=5, max_cols=5))
+    return complex_from(draw, d_prev, scalars), d_prev
 
 
-@given(quotient_cases())
-def test_quotient_representatives_equal_greedy_oracle(case):
-    sub, full = case
-    reps, _ = quotient_representatives(sub, full)
-    assert reps.vectors == greedy_representatives(sub.vectors, full.vectors)
+def check_quotient_against_oracles(d: Matrix, d_prev: Matrix, coords, noise):
+    """Representatives and image equal the greedy and dense oracles, and
+    project returns the dense_solve coordinates of a combination of them."""
+    reps, project, image = quotient_representatives(d, d_prev)
+    assert image.vectors == dense_image(d_prev)
+    assert reps.vectors == greedy_representatives(dense_image(d_prev), dense_kernel(d))
+    coords, noise = tuple(coords[: reps.dim]), noise[: image.dim]
+    v = [F(0)] * d.cols
+    for c, r in zip(coords + tuple(noise), reps.vectors + image.vectors):
+        v = [a + c * b for a, b in zip(v, r)]
+    basis = reps.vectors + image.vectors
+    system = Matrix(d.cols, len(basis), tuple(tuple(b[i] for b in basis) for i in range(d.cols)))
+    assert project(v) == dense_solve(system, v)[: reps.dim] == coords
+    return reps, project, image
 
 
 @given(quotient_cases(), st.data())
-def test_project_returns_unique_coordinates(case, data):
-    sub, full = case
-    reps, project = quotient_representatives(sub, full)
-    n = full.ambient_dim
-    coords = data.draw(st.lists(scalars, min_size=reps.dim, max_size=reps.dim))
-    noise = data.draw(st.lists(scalars, min_size=sub.dim, max_size=sub.dim))
-    v = [F(0)] * n
-    for c, r in zip(coords + noise, reps.vectors + sub.vectors):
-        v = [a + c * b for a, b in zip(v, r)]
-    assert project(v) == tuple(coords)
+def test_quotient_equals_greedy_oracle_and_projects_like_dense_solve(case, data):
+    d, d_prev = case
+    coords = data.draw(st.lists(scalars, min_size=d.cols, max_size=d.cols))
+    noise = data.draw(st.lists(scalars, min_size=d.cols, max_size=d.cols))
+    check_quotient_against_oracles(d, d_prev, coords, noise)
+
+
+@given(quotient_cases(), st.data())
+def test_quotient_rejects_vectors_and_columns_outside_the_kernel(case, data):
+    d, d_prev = case
+    _, project, _ = quotient_representatives(d, d_prev)
+    v = data.draw(st.lists(scalars, min_size=d.cols, max_size=d.cols))
+    if any(d.matvec(v)):
+        with pytest.raises(PreconditionError):
+            project(v)
+        # the same vector as an extra column of d_prev, at any position
+        j = data.draw(st.integers(0, d_prev.cols))
+        columns = [d_prev.column(c) for c in range(d_prev.cols)]
+        columns.insert(j, tuple(F(x) for x in v))
+        bad = Matrix(d_prev.rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(d_prev.rows)))
+        with pytest.raises(PreconditionError):
+            quotient_representatives(d, bad)
+    else:
+        project(v)
+
+
+@given(quotient_cases())
+def test_quotient_rejects_wrong_lengths(case):
+    d, d_prev = case
+    _, project, _ = quotient_representatives(d, d_prev)
+    for n in (d.cols - 1, d.cols + 1):
+        if n >= 0:
+            with pytest.raises(DimensionMismatch):
+                project([F(0)] * n)
+    wrong = Matrix(d_prev.rows + 1, d_prev.cols, d_prev.entries + ((F(0),) * d_prev.cols,))
+    with pytest.raises(DimensionMismatch):
+        quotient_representatives(d, wrong)
+
+
+@st.composite
+def matrices_with_zero_and_repeated_rows(draw):
+    base = draw(any_matrices(max_rows=4, max_cols=5))
+    rows = list(base.entries)
+    for _ in range(draw(st.integers(1, 4))):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append((F(0),) * base.cols)
+    rows = draw(st.permutations(rows))
+    return Matrix(len(rows), base.cols, tuple(rows))
+
+
+@given(matrices_with_zero_and_repeated_rows())
+def test_echelon_rows_equal_dense_oracle_with_zero_and_repeated_rows(m):
+    reduced, pivots = dense_rref(m)
+    expected = tuple((p, {c: x for c, x in enumerate(row) if x}) for p, row in zip(pivots, reduced.entries))
+    assert linalg.echelon_rows(m) == expected
+
+
+SHEARED_CORPUS = [(lambda6, 2), (lambda6, 3), (h3, 2), (h3, 3), (nf4, 2), (lambda: abelian(2), 2)]
+
+
+@pytest.mark.parametrize("make, p", SHEARED_CORPUS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_quotient_on_sheared_corpus_equals_oracles(make, p, sign):
+    alg = make()
+    n = alg.dim
+    shear = Matrix.from_sparse(n, n, [{i: 1, **({n - 1: sign} if i == 0 and n > 1 else {})} for i in range(n)])
+    alg = conjugate(alg, shear)
+    d, d_prev = coboundary_matrix(alg, p), coboundary_matrix(alg, p - 1)
+    rng = random.Random(p * sign)
+    coords = [F(rng.randint(-3, 3)) for _ in range(d.cols)]
+    noise = [F(rng.randint(-3, 3)) for _ in range(d.cols)]
+    reps, project, image = check_quotient_against_oracles(d, d_prev, coords, noise)
+    space = cochain.cohomology(alg, p)
+    assert tuple(r.flat for r in space.class_representatives) == reps.vectors
+    assert space.coboundary_basis == image
+    for f in range(d.cols):
+        if any(d.column(f)):  # the unit vector at f is outside ker d
+            with pytest.raises(PreconditionError):
+                space.project_to_classes(tuple(F(c == f) for c in range(d.cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +479,12 @@ def test_solve_and_matvec_equal_dense_oracle_and_return_fractions(m, data):
 
 
 @given(typed_matrices(max_rows=5, max_cols=5), st.data())
-def test_quotient_and_project_equal_oracles_and_return_fractions(full, data):
-    n = full.cols
-    sub = [full.entries[i] for i in data.draw(st.lists(st.integers(0, full.rows - 1), max_size=3))] if full.rows else []
-    sub, full = SubspaceBasis(n, tuple(sub)), SubspaceBasis(n, full.entries)
-    reps, project = quotient_representatives(sub, full)
-    assert reps.vectors == greedy_representatives(sub.vectors, full.vectors)
-    coords = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=reps.dim, max_size=reps.dim))
-    noise = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=sub.dim, max_size=sub.dim))
-    v = [F(0)] * n
-    for c, r in zip(coords + noise, reps.vectors + sub.vectors):
-        v = [a + c * b for a, b in zip(v, r)]
-    assert project(v) == tuple(coords)
-    assert _all_fractions([project(v)] + list(reps.vectors))
+def test_quotient_and_project_equal_oracles_and_return_fractions(d_prev, data):
+    d = complex_from(data.draw, d_prev, SCALAR_KINDS["mixed"])
+    coords = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=d.cols, max_size=d.cols))
+    noise = data.draw(st.lists(SCALAR_KINDS["mixed"], min_size=d.cols, max_size=d.cols))
+    reps, project, image = check_quotient_against_oracles(d, d_prev, coords, noise)
+    assert _all_fractions([project(r) for r in reps.vectors] + list(reps.vectors) + list(image.vectors))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -492,11 +579,17 @@ def eliminations(monkeypatch):
     real = linalg._eliminate
 
     def counting(vectors, track=False):
+        vectors = list(vectors)
         calls.append(vectors)
         return real(vectors, track)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     return calls
+
+
+def _is_nonzero_rows_of(vectors, m: Matrix) -> bool:
+    """Whether the eliminated vectors are m's nonzero rows themselves, in any order."""
+    return sorted(map(id, vectors)) == sorted(id(r) for r in m._row_dicts if r)
 
 
 def test_cohomology_and_relations_eliminate_delta3_once(eliminations):
@@ -506,7 +599,24 @@ def test_cohomology_and_relations_eliminate_delta3_once(eliminations):
     cochain.cohomology(alg, 3)
     cochain.cocycle_relations(alg, 3)
     delta3 = cochain.coboundary_matrix(alg, 3)
-    assert sum(1 for vectors in eliminations if vectors is delta3._row_dicts) == 1
+    assert sum(1 for vectors in eliminations if _is_nonzero_rows_of(vectors, delta3)) == 1
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cohomology_eliminates_no_columns(eliminations, p):
+    cochain.coboundary_matrix.cache_clear()
+    cochain.cohomology.cache_clear()
+    alg = conjugate(nf4(), Matrix.from_sparse(4, 4, [{0: 1}, {1: 1}, {2: 1, 3: -1}, {3: 1}]))
+    eliminations.clear()  # conjugate solves, so the count starts here
+    space = cochain.cohomology(alg, p)
+    delta, delta_prev = cochain.coboundary_matrix(alg, p), cochain.coboundary_matrix(alg, p - 1)
+    for m in (delta, delta_prev):
+        assert "_column_echelon" not in vars(m)
+    # delta^p's rows, then the image restricted to the free columns
+    rows, image = eliminations
+    assert _is_nonzero_rows_of(rows, delta)
+    assert len(image) == delta_prev.cols
+    assert all(len(v) <= space.dim_cocycles for v in image)
 
 
 def test_cohomology_and_relations_never_build_dense_delta3():
@@ -522,11 +632,9 @@ def test_cohomology_and_relations_never_build_dense_delta3():
 def test_quotient_eliminations_do_not_grow_with_candidates(eliminations):
     counts = []
     for n in (2, 12):
-        full = SubspaceBasis(n, Matrix.identity(n).entries)
-        sub = SubspaceBasis(n, (full.vectors[-1],))
         before = len(eliminations)
-        reps, project = quotient_representatives(sub, full)
-        for v in full.vectors:
+        reps, project, _ = quotient_representatives(Matrix.zeros(1, n), _column(n, n - 1))
+        for v in Matrix.identity(n).entries:
             project(v)
         assert reps.dim == n - 1
         counts.append(len(eliminations) - before)
