@@ -68,6 +68,17 @@ class LeibnizAlgebra(Record):
         return f"e_{i + 1}"
 
 
+def nonzero_constants(alg: LeibnizAlgebra) -> tuple[list, list[list], list[list]]:
+    """The nonzero structure constants c_{ab}^m = x as (a, b, m, x) in
+    lexicographic order, and in that order by a as (b, m, x) and by b as
+    (a, m, x).  Integral x are ``int``s, so that sums of products are int sums."""
+    nonzero = [(a, b, m, int(x) if x.denominator == 1 else x) for a, plane in enumerate(alg.structure_constants)
+               for b, row in enumerate(plane) for m, x in enumerate(row) if x]
+    by_left = [[(b, m, x) for a, b, m, x in nonzero if a == i] for i in range(alg.dim)]
+    by_right = [[(a, m, x) for a, b, m, x in nonzero if b == i] for i in range(alg.dim)]
+    return nonzero, by_left, by_right
+
+
 def validate(alg: LeibnizAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     """All basis triples violating the Leibniz identity, with their defects.
 
@@ -78,11 +89,7 @@ def validate(alg: LeibnizAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     over pairs of nonzero structure constants only.
     """
     n = alg.dim
-    # each nonzero constant c_{ab}^m = x, also listed by a and by b
-    nonzero = [(a, b, m, x) for a, plane in enumerate(alg.structure_constants)
-               for b, row in enumerate(plane) for m, x in enumerate(row) if x]
-    by_left = [[(b, m, x) for a, b, m, x in nonzero if a == i] for i in range(n)]
-    by_right = [[(a, m, x) for a, b, m, x in nonzero if b == i] for i in range(n)]
+    nonzero, by_left, by_right = nonzero_constants(alg)
     defects: dict[tuple[int, int, int], list] = {}
     for a, b, m, x in nonzero:
         terms = [((i, a, b), out, x * y) for i, out, y in by_right[m]]  # [e_i,[e_a,e_b]]

@@ -6,17 +6,16 @@ path or the builtin name ``lambda6``.  Options go before or after ALGEBRA, as
 repeats; ``-h``/``--help`` prints the usage to standard output.  Exit status
 is 0 on success and after help, 1 on malformed input (the command line,
 files, expressions and option values), 2 on precondition faults.  All
-computation is deterministic.
+computation is deterministic.  The ``--to`` names and ``--sub`` polynomials
+are read by ``deform``, which owns the polynomial format.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
 import sys
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import LeibnizAlgebra, load_algebra, validate
@@ -72,50 +71,6 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
             )
         reps.append(rep)
     return reps
-
-
-# compiled on first use by re's own cache, not by every command at import
-_NAME = r"[A-Za-z_]\w*"  # a generator name, in --to and in polynomial terms
-_TERM = rf"^(?:(-?\d+(?:/\d+)?)\*?)?((?:{_NAME}(?:\^\d+)?)(?:\*{_NAME}(?:\^\d+)?)*)?$"
-
-
-def parse_poly(expr: str, base: deform.LocalBase) -> deform.TruncatedPolynomial:
-    """Parse expressions like ``0``, ``t``, ``2*t^2*s - 1/2*t``."""
-    text = expr.replace(" ", "")
-    if not text:
-        raise FormatError("empty polynomial expression")
-    chunks = re.split(r"(?=[+-])", text)
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = Fraction(-1)
-            chunk = chunk[1:]
-        m = re.match(_TERM, chunk)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise FormatError(f"cannot parse polynomial term {chunk!r} in {expr!r}")
-        try:
-            coeff = sign * Fraction(m.group(1)) if m.group(1) else sign
-        except ZeroDivisionError:
-            raise FormatError(f"zero denominator in polynomial term {chunk!r} in {expr!r}") from None
-        mono = [0] * base.num_generators
-        if m.group(2):
-            for factor in m.group(2).split("*"):
-                if "^" in factor:
-                    name, power = factor.split("^")
-                    power = int(power)
-                else:
-                    name, power = factor, 1
-                if name not in base.generators:
-                    raise FormatError(f"unknown generator {name!r} in {expr!r}")
-                mono[base.generators.index(name)] += power
-        key = tuple(mono)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + coeff
-    return deform.TruncatedPolynomial(base, coeffs)
 
 
 def _at_least_one(option: str, value: int) -> int:
@@ -250,14 +205,8 @@ def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     max_order = _at_least_one("--max-order", args.max_order)
-    names = tuple(g for g in args.to.split(",") if g)
-    for name in names:
-        if not re.fullmatch(_NAME, name):
-            raise FormatError(
-                f"--to {args.to!r}: {name!r} is not a generator name (letters, digits and _, not starting with a digit)"
-            )
     try:
-        target = deform.LocalBase(names, max_order)
+        target = deform.LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
     except PreconditionError as e:
         raise FormatError(f"--to {args.to!r}: {e}") from e
     images, substitution = {}, {}
@@ -268,7 +217,7 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         name = name.strip()
         if name in images:
             raise FormatError(f"--sub gives generator {name!r} a second image")
-        images[name] = parse_poly(expr, target)
+        images[name] = deform.parse_poly(expr, target)
         substitution[name] = expr
     hl2 = _hl2_with_reps(alg, args.reps)
     d, _ = deform.versal_construct(alg, max_order, hl2.class_representatives)

@@ -27,7 +27,7 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import LeibnizAlgebra, validate
+from .algebra import LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import (
     F0,
@@ -148,16 +148,12 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     if p < 0:
         raise PreconditionError("degree must be nonnegative")
     n = alg.dim
-    # integral constants as ints, so that the sums below are int sums
-    sc = [
-        [[int(v) if v.denominator == 1 else v for v in row] for row in plane]
-        for plane in alg.structure_constants
-    ]
     # [e_a, e_b] = sum_k v e_k, nonzero terms only, by the left argument a, by
-    # the right argument b, and by the pair (a, b)
-    by_left = [[(b, k, v) for b in range(n) for k, v in enumerate(sc[a][b]) if v] for a in range(n)]
-    by_right = [[(a, k, v) for a in range(n) for k, v in enumerate(sc[a][b]) if v] for b in range(n)]
-    by_pair = [[[(k, v) for k, v in enumerate(sc[a][b]) if v] for b in range(n)] for a in range(n)]
+    # the right argument b, and by the pair (a, b); integral v are ints
+    nonzero, by_left, by_right = nonzero_constants(alg)
+    by_pair = [[[] for _ in range(n)] for _ in range(n)]
+    for a, b, k, v in nonzero:
+        by_pair[a][b].append((k, v))
 
     rows: list[dict[int, object]] = []
     for x in itertools.product(range(n), repeat=p + 1):

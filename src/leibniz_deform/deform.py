@@ -38,11 +38,17 @@ instead yields the versal construction.  These order-by-order steps group the
 products by the degree of m m', which is where they land when the relations
 are homogeneous, as the versal construction's are.  A step computes degree
 k+1 only, and checks degrees 0..k too unless the last step proved them flat.
+
+Base elements have one text and JSON format, kept here: ``render_poly`` and
+``poly_to_json`` write terms in render order, ascending total degree and
+earlier generators first within a degree (``1 - 1/2*s + t^2*s``), and
+``parse_poly`` reads the text back.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -51,11 +57,12 @@ from .algebra import LeibnizAlgebra
 from .cochain import (
     Cochain,
     CohomologySpace,
+    _join_terms,
     coboundary,
     coboundary_matrix,
     cohomology,
 )
-from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
+from .errors import DimensionMismatch, FormatError, LeibnizDeformError, PreconditionError
 from .graded import circle, graded_bracket
 from .linalg import F0, F1, Record, Reducer, Sparse, Vec, _exact, as_scalar, solve, vec_is_zero, zero_vec
 
@@ -63,6 +70,9 @@ Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
 
 _DEFAULT_NAMES = ("t", "s", "u", "v", "w")
+# compiled on first use by re's own cache, not by every command at import
+_NAME = r"[A-Za-z_]\w*"  # a generator name
+_TERM = rf"^(?:(-?\d+(?:/\d+)?)\*?)?((?:{_NAME}(?:\^\d+)?)(?:\*{_NAME}(?:\^\d+)?)*)?$"
 
 
 def _degree(mono: Monomial) -> int:
@@ -91,8 +101,11 @@ class LocalBase(Record):
     """K[t_1..t_m] truncated above ``truncation_order``, modulo ``relations``.
 
     The maximal ideal is generated by the parameters; evaluation at 0 is the
-    augmentation.  Relations are stored as canonical coefficient tables and
-    must have zero constant term.
+    augmentation.  A generator name is a letter or ``_`` followed by letters,
+    digits and ``_`` (``t``, ``t1``, ``x_2``), so that ``parse_poly`` reads
+    back what ``render_poly`` writes; names are checked before duplicates.
+    Relations are stored as canonical coefficient tables (``PolyData``, in
+    render order) and must have zero constant term.
 
     Elements are kept normal modulo I + m^(N+1): reduced by its Macaulay
     echelon over lex-descending monomials, unit multiples included.  No
@@ -102,6 +115,11 @@ class LocalBase(Record):
     _fields = ("generators", "truncation_order", "relations")
 
     def __init__(self, generators: tuple[str, ...], truncation_order: int, relations: tuple[PolyData, ...] = ()):
+        for name in generators:
+            if not re.fullmatch(_NAME, name):
+                raise PreconditionError(
+                    f"{name!r} is not a generator name (letters, digits and _, not starting with a digit)"
+                )
         if len(set(generators)) != len(generators):
             raise PreconditionError("duplicate generator names")
         if truncation_order < 0:
@@ -263,12 +281,77 @@ class TruncatedPolynomial:
         return result
 
     def __repr__(self):
-        from .reports import render_poly
-
-        return f"TruncatedPolynomial({render_poly(self)!r})"
+        return f"TruncatedPolynomial({render_poly(self.base, self.data())!r})"
 
 
 AVector = tuple[TruncatedPolynomial, ...]
+
+
+def render_monomial(base: LocalBase, mono: Monomial) -> str:
+    factors = [gen if e == 1 else f"{gen}^{e}" for gen, e in zip(base.generators, mono) if e]
+    return "*".join(factors) or "1"
+
+
+def render_poly(base: LocalBase, terms: PolyData) -> str:
+    """Canonical terms over ``base`` as text, such as ``2*t^2*s - 1/2*t``."""
+    return _join_terms([(c, render_monomial(base, m) if _degree(m) else "") for m, c in terms])
+
+
+def render_avector(av: AVector, alg: LeibnizAlgebra) -> str:
+    """A vector of base polynomials as one sum, monomial by monomial."""
+    terms = []
+    for mono in sorted({m for p in av for m in p.coeffs}, key=_render_key):
+        prefix = f"{render_monomial(av[0].base, mono)}*" if _degree(mono) else ""
+        terms += [(p.coeff(mono), prefix + alg.label(k)) for k, p in enumerate(av) if p.coeff(mono)]
+    return _join_terms(terms)
+
+
+def poly_to_json(base: LocalBase, terms: PolyData) -> list:
+    return [{"monomial": {g: e for g, e in zip(base.generators, m) if e}, "coeff": str(c)} for m, c in terms]
+
+
+def base_to_json(base: LocalBase) -> dict:
+    return {
+        "generators": list(base.generators),
+        "truncation_order": base.truncation_order,
+        "relations": [poly_to_json(base, rel) for rel in base.relations],
+    }
+
+
+def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
+    """The element of ``base`` written as ``expr``, such as ``0``, ``t`` or
+    ``2*t^2*s - 1/2*t``: spaces are ignored, and terms joined by ``+`` or
+    ``-`` are each an optional integer or ``p/q`` coefficient, an optional
+    ``*`` and factors ``NAME`` or ``NAME^k`` joined by ``*``, NAME a generator
+    of ``base``.  Raises FormatError naming the term or generator at fault.
+    """
+    text = expr.replace(" ", "")
+    if not text:
+        raise FormatError("empty polynomial expression")
+    coeffs: dict[Monomial, Fraction] = {}
+    for chunk in re.split(r"(?=[+-])", text):
+        if not chunk:
+            continue
+        sign = -F1 if chunk[0] == "-" else F1
+        if chunk[0] in "+-":
+            chunk = chunk[1:]
+        m = re.match(_TERM, chunk)
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise FormatError(f"cannot parse polynomial term {chunk!r} in {expr!r}")
+        try:
+            coeff = sign * Fraction(m.group(1)) if m.group(1) else sign
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator in polynomial term {chunk!r} in {expr!r}") from None
+        mono = [0] * base.num_generators
+        if m.group(2):
+            for factor in m.group(2).split("*"):
+                name, _, power = factor.partition("^")
+                if name not in base.generators:
+                    raise FormatError(f"unknown generator {name!r} in {expr!r}")
+                mono[base.generators.index(name)] += int(power or 1)
+        key = tuple(mono)
+        coeffs[key] = coeffs.get(key, F0) + coeff
+    return TruncatedPolynomial(base, coeffs)
 
 
 class Deformation:
@@ -452,8 +535,6 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
             classes[mono] = zero_class
             continue
         if not coboundary(d.algebra, entry).is_zero():
-            from .reports import render_monomial
-
             raise LeibnizDeformError(
                 f"obstruction candidate at order {k + 1}, monomial {render_monomial(d.base, mono)}, is not closed;"
                 " this signals an internal sign error"
@@ -506,8 +587,6 @@ def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport"
         if mono in added:
             entry = entry - circle(alg, mu, added[mono]) - circle(alg, added[mono], mu)
         if not entry.is_zero():
-            from .reports import render_monomial
-
             raise LeibnizDeformError(
                 f"extension failed to kill the defect at order {k + 1}, monomial {render_monomial(d.base, mono)};"
                 " internal error"
@@ -671,13 +750,14 @@ def versal_construct(
             )
             relations_log[k + 1] = polys
             d = d.with_base(d.base.with_relations(polys))
+            # the first try proved d flat through k, and relations homogeneous
+            # of degree k+1 change no term or normal form of degree 0..k
+            d._flat_through = k
             result = extend_to_order(d, k)
             if isinstance(result, ObstructionReport):
-                from .reports import render_poly
-
                 raise LeibnizDeformError(
                     f"the order-{k + 1} obstruction survived its own relations"
-                    f" {', '.join(map(render_poly, polys))}; internal error"
+                    f" {', '.join(render_poly(d.base, p.data()) for p in polys)}; internal error"
                 )
         d = result
     return d, relations_log

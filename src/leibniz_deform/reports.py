@@ -1,9 +1,11 @@
 """Text and JSON rendering of algebras, cochains, cohomology and deformations.
 
 Rationals render as ``p/q`` with positive q, or ``p`` alone when q is 1.
-Monomials render in ascending total degree, earlier generators first within a
-degree.  JSON output is canonical (two-space indent, sorted keys) so that
-parsing a report and re-serializing it is byte-identical.
+Base polynomials are written by ``deform``, which owns their format;
+``deformation_report`` calls it through ``from . import deform``, so the
+commands that build no deformation never load it.  JSON output is canonical
+(two-space indent, sorted keys) so that parsing a report and re-serializing
+it is byte-identical.
 """
 
 from __future__ import annotations
@@ -22,41 +24,8 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def render_monomial(base: deform.LocalBase, mono: deform.Monomial) -> str:
-    factors = []
-    for gen, e in zip(base.generators, mono):
-        if e == 1:
-            factors.append(gen)
-        elif e > 1:
-            factors.append(f"{gen}^{e}")
-    return "*".join(factors) if factors else "1"
-
-
-def render_poly(poly: deform.TruncatedPolynomial) -> str:
-    base = poly.base
-    terms = []
-    for mono in sorted(poly.coeffs, key=deform._render_key):
-        body = render_monomial(base, mono)
-        terms.append((poly.coeffs[mono], "" if body == "1" else body))
-    return _join_terms(terms)
-
-
 def render_vector(v: Sequence[Fraction], alg: LeibnizAlgebra) -> str:
     return _join_terms([(v[k], alg.label(k)) for k in range(len(v)) if v[k]])
-
-
-def render_avector(av: deform.AVector, alg: LeibnizAlgebra) -> str:
-    base = av[0].base
-    terms = []
-    monos = sorted({m for p in av for m in p.coeffs}, key=deform._render_key)
-    for mono in monos:
-        mono_str = render_monomial(base, mono)
-        for k, p in enumerate(av):
-            c = p.coeff(mono)
-            if c:
-                body = alg.label(k) if mono_str == "1" else f"{mono_str}*{alg.label(k)}"
-                terms.append((c, body))
-    return _join_terms(terms)
 
 
 def render_cochain(c: Cochain, alg: LeibnizAlgebra) -> list[str]:
@@ -66,15 +35,6 @@ def render_cochain(c: Cochain, alg: LeibnizAlgebra) -> list[str]:
         args = ",".join(alg.label(i) for i in idx)
         lines.append(f"({args}) -> {render_vector(val, alg)}")
     return lines or ["0"]
-
-
-def poly_to_json(poly: deform.TruncatedPolynomial) -> list:
-    base = poly.base
-    out = []
-    for mono in sorted(poly.coeffs, key=deform._render_key):
-        expo = {gen: e for gen, e in zip(base.generators, mono) if e}
-        out.append({"monomial": expo, "coeff": str(poly.coeffs[mono])})
-    return out
 
 
 def cochain_to_json(c: Cochain) -> dict:
@@ -108,25 +68,11 @@ def cochain_from_json(doc: dict) -> Cochain:
         raise FormatError(f"bad cochain document: {e}") from e
 
 
-def _relation_polys(base: deform.LocalBase) -> list[deform.TruncatedPolynomial]:
-    """The relations of a base as polynomials over its relation-free copy."""
-    free = deform.LocalBase(base.generators, base.truncation_order)
-    return [deform.TruncatedPolynomial(free, dict(rel)) for rel in base.relations]
-
-
-def base_to_json(base: deform.LocalBase) -> dict:
-    return {
-        "generators": list(base.generators),
-        "truncation_order": base.truncation_order,
-        "relations": [poly_to_json(p) for p in _relation_polys(base)],
-    }
-
-
 def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:
     """Text and JSON forms of the bracket table of a deformation."""
     base = d.base
     lines = [f"base: K[{','.join(base.generators)}] truncated at order {base.truncation_order}"]
-    lines.append("relations: " + ("; ".join(render_poly(p) for p in _relation_polys(base)) or "none"))
+    lines.append("relations: " + ("; ".join(deform.render_poly(base, rel) for rel in base.relations) or "none"))
     lines.append("brackets:")
     brackets_json = []
     n = alg.dim
@@ -135,10 +81,12 @@ def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str,
             av = d.basis_bracket(i, j)
             if all(p.is_zero() for p in av):
                 continue
-            lines.append(f"  [{alg.label(i)},{alg.label(j)}] = {render_avector(av, alg)}")
-            value = [{"basis": k + 1, **term} for k, p in enumerate(av) for term in poly_to_json(p)]
+            lines.append(f"  [{alg.label(i)},{alg.label(j)}] = {deform.render_avector(av, alg)}")
+            value = [
+                {"basis": k + 1, **term} for k, p in enumerate(av) for term in deform.poly_to_json(base, p.data())
+            ]
             brackets_json.append({"left": i + 1, "right": j + 1, "value": value})
-    doc = {"base": base_to_json(base), "brackets": brackets_json}
+    doc = {"base": deform.base_to_json(base), "brackets": brackets_json}
     return "\n".join(lines), doc
 
 

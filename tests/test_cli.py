@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 from helpers import misoriented_nf4
 from leibniz_deform import deform, graded
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
-from leibniz_deform.cli import parse_poly, run
-from leibniz_deform.deform import LocalBase
+from leibniz_deform.cli import run
+from leibniz_deform.deform import LocalBase, parse_poly
 from leibniz_deform.errors import FormatError
 from leibniz_deform.reports import dumps_canonical
 
@@ -496,6 +497,36 @@ def test_lazy_modules_are_registered_by_importing_the_cli():
     # from sys.modules to wrap their traced functions
     code = f"import sys, leibniz_deform.cli; print([m in sys.modules for m in {LAZY!r}])"
     assert python_s(code) == "[True, True]\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "leibniz_deform"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_inside_a_function(path):
+    """Every import of the package is at module level, where laziness is
+    decided by ``__init__``; a deferred import hides a dependency cycle."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    deferred = [
+        node.lineno
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert deferred == []
+
+
+def test_deform_names_neither_reports_nor_cli():
+    """The polynomial format is ``deform``'s own, so it needs no renderer or parser from elsewhere."""
+    tree = ast.parse((SRC / "deform.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update([node.module or "", *(a.name for a in node.names)])
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not {n.rpartition(".")[2] for n in names} & {"reports", "cli"}
 
 
 def test_every_exported_name_resolves_to_its_defining_module():
