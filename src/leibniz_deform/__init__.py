@@ -5,7 +5,8 @@ Everything is computed over the rationals with no rounding: cochain
 complexes and their cohomology, the graded Lie structure on cochains, Massey
 brackets, obstruction classes and order-by-order versal deformations over
 truncated polynomial bases.  The ``deform`` and ``graded`` submodules load on
-first use, so commands that compute only cohomology never compile them.
+first use: ``check`` and ``cohomology`` compile neither, ``massey`` only
+``graded``, and ``infinitesimal``, ``versal`` and ``pushforward`` both.
 """
 
 import sys
@@ -63,9 +64,9 @@ graded = _lazy("graded")
 
 
 def __getattr__(name: str):
-    """The ``__all__`` names that ``deform`` and ``graded`` define; the first use loads them."""
+    """``graded``'s and ``deform``'s ``__all__`` names, loaded on first use; ``deform`` imports ``graded``."""
     if name in __all__:
-        return getattr(deform if hasattr(deform, name) else graded, name)
+        return getattr(graded if hasattr(graded, name) else deform, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

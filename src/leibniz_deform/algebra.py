@@ -25,7 +25,8 @@ from .linalg import F0, Record, Vec, as_scalar
 
 
 class LeibnizAlgebra(Record):
-    __slots__ = _fields = ("dim", "structure_constants", "basis_labels")
+    _fields = ("dim", "structure_constants", "basis_labels")
+    __slots__ = (*_fields, "_hash")  # the hash, computed once: cache keys hash the algebra on every call
 
     def __init__(self, dim: int, structure_constants: tuple[tuple[Vec, ...], ...],
                  basis_labels: tuple[str, ...] | None = None):
@@ -37,6 +38,10 @@ class LeibnizAlgebra(Record):
         if basis_labels is not None and len(basis_labels) != dim:
             raise DimensionMismatch("wrong number of basis labels")
         super().__init__(dim, structure_constants, basis_labels)
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_brackets(

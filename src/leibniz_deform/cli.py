@@ -26,7 +26,7 @@ from .cochain import (
     lambda6_reference_representatives,
     with_representatives,
 )
-from . import deform
+from . import deform, graded
 from .errors import FormatError, LeibnizDeformError, PreconditionError
 from .linalg import vec_is_zero
 from .reports import (
@@ -129,8 +129,9 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     pair_reps = {}
     all_zero = True
     lines.append("second-order brackets:")
+    units = [tuple(int(k == i) for k in range(h)) for i in range(h)]
     for i, j in itertools.combinations_with_replacement(range(h), 2):
-        coords, rep = deform.massey2(alg, hl2, deform._unit(h, i), deform._unit(h, j))
+        coords, rep = graded.massey2(alg, hl2, units[i], units[j])
         pair_reps[(i, j)] = rep
         zero = vec_is_zero(coords)
         all_zero = all_zero and zero
@@ -149,10 +150,10 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     if all_zero:
         lines.append("third-order brackets:")
         # one witness per pair, solved once here for every triple
-        pair_wits = {pair: deform.massey_witness(alg, rep) for pair, rep in pair_reps.items()}
+        pair_wits = {pair: graded.massey_witness(alg, rep) for pair, rep in pair_reps.items()}
         for i, j, k in itertools.combinations_with_replacement(range(h), 3):
             wits = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
-            coords, rep = deform._triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
+            coords, rep = graded._triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
             cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append(

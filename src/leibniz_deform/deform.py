@@ -42,7 +42,8 @@ k+1 only, and checks degrees 0..k too unless the last step proved them flat.
 Base elements have one text and JSON format, kept here: ``render_poly`` and
 ``poly_to_json`` write terms in render order, ascending total degree and
 earlier generators first within a degree (``1 - 1/2*s + t^2*s``), and
-``parse_poly`` reads the text back.
+``parse_poly`` reads the text back.  ``massey3`` is kept only for the tests:
+the ``massey`` command takes its brackets from ``graded``.
 """
 
 from __future__ import annotations
@@ -59,12 +60,11 @@ from .cochain import (
     CohomologySpace,
     _join_terms,
     coboundary,
-    coboundary_matrix,
     cohomology,
 )
 from .errors import DimensionMismatch, FormatError, LeibnizDeformError, PreconditionError
-from .graded import circle, graded_bracket
-from .linalg import F0, F1, Record, Reducer, Sparse, Vec, _exact, as_scalar, solve, vec_is_zero, zero_vec
+from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
+from .linalg import F0, F1, Record, Reducer, Sparse, Vec, _exact, as_scalar, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
@@ -605,47 +605,8 @@ class MasseyWitness(Record):
         super().__init__(pair, witness)
 
 
-def _combine(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
-    if not reps:
-        raise PreconditionError("no representatives available")
-    out = Cochain.zeros(2, reps[0].dim)
-    for c, r in zip(coords, reps):
-        c = as_scalar(c)
-        if c:
-            out = out + r.scale(c)
-    return out
-
-
-def massey2(
-    alg: LeibnizAlgebra,
-    hl2: CohomologySpace,
-    class_a: Sequence,
-    class_b: Sequence,
-) -> tuple[Vec, Cochain]:
-    """Second-order bracket: the superbracket of representatives, as a class.
-
-    Returns the degree-3 class coordinates and the representing 3-cochain.
-    """
-    xa = _combine(hl2.class_representatives, class_a)
-    xb = _combine(hl2.class_representatives, class_b)
-    rep = graded_bracket(alg, xa, xb)
-    return cohomology(alg, 3).project_to_classes(rep), rep
-
-
-def massey_witness(alg: LeibnizAlgebra, bracket: Cochain) -> Cochain:
-    """The deterministic 2-cochain x with d x = ``bracket``, a superbracket of
-    degree-2 classes whose second-order Massey bracket vanishes; also the
-    correction term of a defect entry whose obstruction class vanishes."""
-    sol = solve(coboundary_matrix(alg, 2), tuple(-x for x in bracket.flat))
-    if sol is None:
-        raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
-    return Cochain(2, alg.dim, sol)
-
-
 def massey3(
-    alg: LeibnizAlgebra,
-    hl2: CohomologySpace,
-    classes: Sequence[Sequence],
+    alg: LeibnizAlgebra, hl2: CohomologySpace, classes: Sequence[Sequence],
     witnesses: Mapping[tuple[int, int], Cochain] | None = None,
 ) -> tuple[Vec, Cochain, tuple[MasseyWitness, ...]]:
     """Third-order bracket [x12,x3] + [x1,x23] + [x13,x2] as a class.
@@ -673,13 +634,6 @@ def massey3(
         chosen[key] = w
     witness_objs = tuple(MasseyWitness(k, chosen[k]) for k in sorted(chosen))
     return (*_triple_bracket(alg, xs, chosen), witness_objs)
-
-
-def _triple_bracket(alg: LeibnizAlgebra, xs: Sequence[Cochain], wits: Mapping[tuple[int, int], Cochain]):
-    """massey3's class and representative from the x_i and the witnesses x_ij."""
-    rep = graded_bracket(alg, wits[(0, 1)], xs[2]) + graded_bracket(alg, xs[0], wits[(1, 2)])
-    rep = rep + graded_bracket(alg, wits[(0, 2)], xs[1])
-    return cohomology(alg, 3).project_to_classes(rep), rep
 
 
 def push_forward(

@@ -1,6 +1,6 @@
 """The graded Lie algebra structure on cochains.
 
-Every function here takes and returns ``Cochain``s.  A cochain's graded
+The products here take and return ``Cochain``s.  A cochain's graded
 degree is its arity minus one, so a (p+1)-cochain has degree p.  For a of
 degree p and b of degree q the circle product a o b is the degree p+q element
 
@@ -15,18 +15,25 @@ differential d a = (-1)^{deg a} (coboundary of a) make this a differential
 graded Lie algebra; the tests check antisymmetry, the graded Jacobi identity
 and that d (``dgla_differential`` in ``tests/helpers.py``) is a square-zero
 derivation of the bracket.
+
+Massey brackets are built from the degree-2 classes: x_a combines the stored
+representatives with a class's coordinates, and <a, b> is the class of
+[x_a, x_b].  When it vanishes, the witness x_ab solves d x_ab = [x_a, x_b],
+and <a, b, c> is the class of [x_ab, x_c] + [x_a, x_bc] + [x_ac, x_b].  A
+witness is also the correction term of a defect entry with zero class.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
-from .cochain import Cochain
+from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import F0, Record
+from .linalg import F0, Record, Vec, as_scalar, solve
 
 
 class Shuffle(Record):
@@ -114,3 +121,41 @@ def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """[a, b] = a o b + (-1)^{pq+1} b o a."""
     sign = Fraction(1) if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else Fraction(-1)
     return circle(alg, a, b) + circle(alg, b, a).scale(sign)
+
+
+def _combine(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
+    """sum c_i reps[i]; unit coordinates give the stored representative itself."""
+    if not reps:
+        raise PreconditionError("no representatives available")
+    terms = [(c, r) for c, r in zip(map(as_scalar, coords), reps) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out = Cochain.zeros(2, reps[0].dim)
+    for c, r in terms:
+        out = out + r.scale(c)
+    return out
+
+
+def massey2(alg: LeibnizAlgebra, hl2: CohomologySpace, class_a: Sequence, class_b: Sequence) -> tuple[Vec, Cochain]:
+    """The second-order bracket <a, b>: its degree-3 class coordinates and the representing [x_a, x_b]."""
+    xa = _combine(hl2.class_representatives, class_a)
+    xb = _combine(hl2.class_representatives, class_b)
+    rep = graded_bracket(alg, xa, xb)
+    return cohomology(alg, 3).project_to_classes(rep), rep
+
+
+def massey_witness(alg: LeibnizAlgebra, bracket: Cochain) -> Cochain:
+    """The deterministic 2-cochain x with d x = ``bracket``, a superbracket of
+    degree-2 classes whose second-order Massey bracket vanishes; also the
+    correction term of a defect entry whose obstruction class vanishes."""
+    sol = solve(coboundary_matrix(alg, 2), tuple(-x for x in bracket.flat))
+    if sol is None:
+        raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
+    return Cochain(2, alg.dim, sol)
+
+
+def _triple_bracket(alg: LeibnizAlgebra, xs: Sequence[Cochain], wits: Mapping[tuple[int, int], Cochain]):
+    """The third-order bracket's class and representative from the x_i and the witnesses x_ij."""
+    rep = graded_bracket(alg, wits[(0, 1)], xs[2]) + graded_bracket(alg, xs[0], wits[(1, 2)])
+    rep = rep + graded_bracket(alg, wits[(0, 2)], xs[1])
+    return cohomology(alg, 3).project_to_classes(rep), rep

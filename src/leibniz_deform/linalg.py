@@ -264,14 +264,6 @@ class Matrix:
             raise DimensionMismatch("column index out of range")
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls.from_sparse(rows, cols, [{}] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.from_sparse(n, n, [{i: 1} for i in range(n)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -89,6 +89,14 @@ def from_rows(rows) -> Matrix:
     return Matrix(len(entries), len(entries[0]) if entries else 0, entries)
 
 
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix.from_sparse(rows, cols, [{}] * rows)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return Matrix.from_sparse(n, n, [{i: 1} for i in range(n)])
+
+
 def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form by dense elimination, pivoting on the first
     nonzero entry scanning top-to-bottom, left-to-right."""
@@ -346,6 +354,15 @@ def circle_by_filter(alg: LeibnizAlgebra, fa: Cochain, fb: Cochain) -> Cochain:
                 acc = vec_add(acc, vec_scale(F(k_sign * sgn), term))
         values.extend(acc)
     return Cochain(arity, n, tuple(values))
+
+
+def dense_combination(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
+    """sum c_i reps[i], summed entry by entry over the whole table."""
+    flat = [F0] * len(reps[0].flat)
+    for c, rep in zip(coords, reps):
+        for k, x in enumerate(rep.flat):
+            flat[k] += F(c) * x
+    return Cochain(reps[0].arity, reps[0].dim, tuple(flat))
 
 
 def dgla_differential(alg: LeibnizAlgebra, a: Cochain) -> Cochain:

@@ -425,8 +425,8 @@ def test_help_exits_zero_naming_every_subcommand_and_option(capsys, argv, names)
 
 def test_massey_solves_each_pair_witness_once(capsys, monkeypatch):
     solves, circles = [], []
-    real_solve, real_circle = deform.solve, graded.circle
-    monkeypatch.setattr(deform, "solve", lambda *a: solves.append(a) or real_solve(*a))
+    real_solve, real_circle = graded.solve, graded.circle
+    monkeypatch.setattr(graded, "solve", lambda *a: solves.append(a) or real_solve(*a))
     monkeypatch.setattr(graded, "circle", lambda *a: circles.append(a) or real_circle(*a))
     code, out, _ = invoke(capsys, "massey", "lambda6", "--output", "json")
     assert code == 0
@@ -488,8 +488,13 @@ def test_cohomology_commands_never_load_deform_or_graded(argv):
     assert loaded_after(argv) == "[False, False]\n"
 
 
-def test_versal_loads_deform_and_graded():
-    assert loaded_after(("versal", "lambda6", "--max-order", "2")) == "[True, True]\n"
+def test_massey_loads_graded_but_not_deform():
+    assert loaded_after(("massey", "lambda6")) == "[False, True]\n"
+
+
+@pytest.mark.parametrize("argv", [("versal", "lambda6", "--max-order", "2"), ("infinitesimal", "lambda6")])
+def test_deformation_commands_load_deform_and_graded(argv):
+    assert loaded_after(argv) == "[True, True]\n"
 
 
 def test_lazy_modules_are_registered_by_importing_the_cli():

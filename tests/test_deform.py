@@ -20,7 +20,7 @@ from helpers import (
     random_cochain,
     random_leibniz_algebra,
 )
-from leibniz_deform import deform
+from leibniz_deform import deform, graded
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import (
     Cochain,
@@ -593,8 +593,8 @@ def test_extension_post_check_rejects_a_wrong_solution(monkeypatch):
     # NF4's order-2 defect has nonzero entries with zero class
     assert isinstance(extend_to_order(_nf4_to_order_2(), 1), Deformation)
     solves = []
-    real = deform.solve
-    monkeypatch.setattr(deform, "solve", lambda m, rhs: solves.append(rhs) or tuple(2 * x for x in real(m, rhs)))
+    real = graded.solve
+    monkeypatch.setattr(graded, "solve", lambda m, rhs: solves.append(rhs) or tuple(2 * x for x in real(m, rhs)))
     with pytest.raises(LeibnizDeformError, match="extension failed to kill the defect"):
         extend_to_order(_nf4_to_order_2(), 1)
     assert solves

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     circle_by_filter,
+    dense_combination,
     dgla_differential,
+    h3,
     nf4,
     random_cochain,
     random_leibniz_algebra,
     shuffles_by_filter,
 )
 from leibniz_deform.algebra import abelian, lambda6
-from leibniz_deform.cochain import Cochain, coboundary, lambda6_reference_representatives
-from leibniz_deform.graded import circle, graded_bracket, shuffles
+from leibniz_deform.cochain import Cochain, coboundary, cohomology, lambda6_reference_representatives
+from leibniz_deform.graded import _combine, circle, graded_bracket, massey2, shuffles
 
 F = Fraction
 
@@ -235,3 +237,22 @@ def test_derivation_and_jacobi_on_lambda6_degree_one():
     t1 = graded_bracket(alg, dgla_differential(alg, a), b)
     t2 = graded_bracket(alg, a, dgla_differential(alg, b))
     assert lhs == t1 + t2.scale(F(-1))
+
+
+@pytest.mark.parametrize("alg", [lambda6(), h3(), abelian(2)], ids=["lambda6", "h3", "abelian2"])
+def test_massey2_equals_the_bracket_of_dense_combinations(alg):
+    hl2 = cohomology(alg, 2)
+    h, reps = hl2.dim, hl2.class_representatives
+    units = [tuple(int(k == i) for k in range(h)) for i in range(h)]
+    zero = (0,) * h
+    mixed = tuple(F((-1) ** k * (k + 1), 2) for k in range(h))
+    scaled = tuple(2 * c for c in units[-1])
+    pairs = [(units[0], units[0]), (units[0], units[-1]), (zero, units[0]), (units[0], zero), (zero, zero),
+             (mixed, units[0]), (scaled, mixed), (mixed, mixed), (units[-1], scaled), (scaled, scaled)]
+    for a, b in pairs:
+        xa, xb = dense_combination(reps, a), dense_combination(reps, b)
+        # in graded degree 1 the superbracket is x o y + y o x
+        rep = circle_by_filter(alg, xa, xb) + circle_by_filter(alg, xb, xa)
+        assert massey2(alg, hl2, a, b) == (cohomology(alg, 3).project_to_classes(rep), rep)
+    # a unit coordinate vector selects the stored representative itself
+    assert all(_combine(reps, u) is rep for u, rep in zip(units, reps))

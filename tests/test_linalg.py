@@ -15,11 +15,13 @@ from helpers import (
     from_rows,
     greedy_representatives,
     h3,
+    identity_matrix,
     matmul,
     nf4,
     random_cochain,
     random_leibniz_algebra,
     random_matrix,
+    zero_matrix,
 )
 from leibniz_deform import cochain, linalg
 from leibniz_deform.algebra import abelian, lambda6
@@ -41,14 +43,14 @@ F = Fraction
 
 
 def test_rref_identity():
-    m = Matrix.identity(2)
+    m = identity_matrix(2)
     reduced, pivots = rref(m)
     assert reduced == m
     assert pivots == (0, 1)
 
 
 def test_rref_zero():
-    m = Matrix.zeros(2, 2)
+    m = zero_matrix(2, 2)
     reduced, pivots = rref(m)
     assert reduced == m
     assert pivots == ()
@@ -62,11 +64,11 @@ def test_rref_rank_one():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(3)).vectors == ()
+    assert kernel_basis(identity_matrix(3)).vectors == ()
 
 
 def test_kernel_zero_matrix_full():
-    k = kernel_basis(Matrix.zeros(2, 3))
+    k = kernel_basis(zero_matrix(2, 3))
     assert k.vectors == ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 
 
@@ -76,12 +78,12 @@ def test_kernel_one_row():
 
 
 def test_image_identity():
-    b = image_basis(Matrix.identity(3))
+    b = image_basis(identity_matrix(3))
     assert b.vectors == ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 
 
 def test_image_zero_empty():
-    assert image_basis(Matrix.zeros(3, 2)).vectors == ()
+    assert image_basis(zero_matrix(3, 2)).vectors == ()
 
 
 def test_image_rank_one_keeps_original_column():
@@ -90,11 +92,11 @@ def test_image_rank_one_keeps_original_column():
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(2), [3, -5]) == (F(3), F(-5))
+    assert solve(identity_matrix(2), [3, -5]) == (F(3), F(-5))
 
 
 def test_solve_inconsistent():
-    assert solve(Matrix.zeros(2, 2), [1, 0]) is None
+    assert solve(zero_matrix(2, 2), [1, 0]) is None
 
 
 def test_solve_zeroes_free_variables():
@@ -107,21 +109,21 @@ def _column(n, j):
 
 
 def test_quotient_trivial_image():
-    reps, project, image = quotient_representatives(Matrix.zeros(1, 3), Matrix.zeros(3, 1))
-    assert reps.vectors == Matrix.identity(3).entries
+    reps, project, image = quotient_representatives(zero_matrix(1, 3), zero_matrix(3, 1))
+    assert reps.vectors == identity_matrix(3).entries
     assert image.vectors == ()
     assert project((F(2), F(-1), F(5))) == (F(2), F(-1), F(5))
 
 
 def test_quotient_image_equals_kernel():
-    reps, project, image = quotient_representatives(Matrix.zeros(1, 2), Matrix.identity(2))
+    reps, project, image = quotient_representatives(zero_matrix(1, 2), identity_matrix(2))
     assert reps.vectors == ()
-    assert image.vectors == Matrix.identity(2).entries
+    assert image.vectors == identity_matrix(2).entries
     assert project((F(4), F(7))) == ()
 
 
 def test_quotient_greedy_extension():
-    reps, project, image = quotient_representatives(Matrix.zeros(1, 3), _column(3, 0))
+    reps, project, image = quotient_representatives(zero_matrix(1, 3), _column(3, 0))
     assert reps.vectors == ((F(0), F(1), F(0)), (F(0), F(0), F(1)))
     assert image.vectors == ((F(1), F(0), F(0)),)
     assert project((F(9), F(2), F(3))) == (F(2), F(3))
@@ -633,8 +635,8 @@ def test_quotient_eliminations_do_not_grow_with_candidates(eliminations):
     counts = []
     for n in (2, 12):
         before = len(eliminations)
-        reps, project, _ = quotient_representatives(Matrix.zeros(1, n), _column(n, n - 1))
-        for v in Matrix.identity(n).entries:
+        reps, project, _ = quotient_representatives(zero_matrix(1, n), _column(n, n - 1))
+        for v in identity_matrix(n).entries:
             project(v)
         assert reps.dim == n - 1
         counts.append(len(eliminations) - before)
