@@ -4,48 +4,16 @@ Leibniz algebras.
 Everything is computed over the rationals with no rounding: cochain
 complexes and their cohomology, the graded Lie structure on cochains, Massey
 brackets, obstruction classes and order-by-order versal deformations over
-truncated polynomial bases.  The ``deform`` and ``graded`` submodules load on
-first use: ``check`` and ``cohomology`` compile neither, ``massey`` only
-``graded``, and ``infinitesimal``, ``versal`` and ``pushforward`` both.
+truncated polynomial bases.  Every submodule but ``cli`` is registered here
+and loads on first use, so each command compiles only the layers it runs:
+``check`` runs ``algebra`` and ``reports``; ``cohomology`` adds ``linalg``
+and ``cochain``; ``massey`` adds ``graded``; and ``infinitesimal``,
+``versal`` and ``pushforward`` add ``deform``.  All of them run ``errors``
+and ``values``.  Looking up one exported name loads only its own layer.
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
-
-from .algebra import (
-    LeibnizAlgebra,
-    abelian,
-    algebra_from_json,
-    algebra_to_json,
-    lambda6,
-    load_algebra,
-    validate,
-)
-from .cochain import (
-    Cochain,
-    CohomologySpace,
-    coboundary,
-    coboundary_matrix,
-    cocycle_relations,
-    cohomology,
-    lambda6_reference_representatives,
-    with_representatives,
-)
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    LeibnizDeformError,
-    PreconditionError,
-)
-from .linalg import (
-    Matrix,
-    SubspaceBasis,
-    image_basis,
-    kernel_basis,
-    quotient_representatives,
-    rref,
-    solve,
-)
 
 
 def _lazy(name: str):
@@ -59,30 +27,28 @@ def _lazy(name: str):
     return module
 
 
-deform = _lazy("deform")
-graded = _lazy("graded")
+# Each layer and the names the package exports from it.
+_EXPORTS = {
+    "errors": ("DimensionMismatch", "FormatError", "LeibnizDeformError", "PreconditionError"),
+    "values": (),
+    "algebra": ("LeibnizAlgebra", "abelian", "algebra_from_json", "algebra_to_json", "lambda6", "load_algebra",
+                "validate"),
+    "linalg": ("Matrix", "SubspaceBasis", "image_basis", "kernel_basis", "quotient_representatives", "rref", "solve"),
+    "cochain": ("Cochain", "CohomologySpace", "coboundary", "coboundary_matrix", "cocycle_relations", "cohomology",
+                "lambda6_reference_representatives", "with_representatives"),
+    "graded": ("Shuffle", "circle", "graded_bracket", "massey2", "massey_witness", "shuffles"),
+    "deform": ("Deformation", "LocalBase", "MasseyWitness", "ObstructionReport", "TruncatedPolynomial",
+               "extend_to_order", "leibniz_defect", "massey3", "obstruction_classes", "push_forward",
+               "universal_infinitesimal", "versal_construct"),
+    "reports": (),
+}
+globals().update({layer: _lazy(layer) for layer in _EXPORTS})
+_OWNER = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = list(_OWNER)
 
 
 def __getattr__(name: str):
-    """``graded``'s and ``deform``'s ``__all__`` names, loaded on first use; ``deform`` imports ``graded``."""
-    if name in __all__:
-        return getattr(graded if hasattr(graded, name) else deform, name)
+    """An ``__all__`` name, read from the one layer that defines it."""
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "LeibnizAlgebra", "abelian", "algebra_from_json", "algebra_to_json",
-    "lambda6", "load_algebra", "validate",
-    "Cochain", "CohomologySpace", "coboundary", "coboundary_matrix",
-    "cocycle_relations", "cohomology", "lambda6_reference_representatives",
-    "with_representatives",
-    "Deformation", "LocalBase", "MasseyWitness", "ObstructionReport",
-    "TruncatedPolynomial",
-    "extend_to_order", "leibniz_defect", "massey2", "massey3", "massey_witness",
-    "obstruction_classes", "push_forward", "universal_infinitesimal",
-    "versal_construct",
-    "DimensionMismatch", "FormatError", "LeibnizDeformError", "PreconditionError",
-    "Shuffle", "circle", "graded_bracket", "shuffles",
-    "Matrix", "SubspaceBasis", "image_basis", "kernel_basis",
-    "quotient_representatives", "rref", "solve",
-]

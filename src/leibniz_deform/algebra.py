@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .linalg import F0, Record, Vec, as_scalar
+from .values import F0, Record, Vec, as_scalar
 
 
 class LeibnizAlgebra(Record):
@@ -178,8 +178,11 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
     dim = doc.get("dim")
     if type(dim) is not int or dim < 1:  # a bool or float is no dimension
         raise FormatError("'dim' must be a positive integer")
+    items = doc.get("brackets", [])
+    if not isinstance(items, list):
+        raise FormatError("'brackets' must be a list")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for pos, item in enumerate(doc.get("brackets", [])):
+    for pos, item in enumerate(items):
         where = f"brackets[{pos}]"
         if not isinstance(item, dict):
             raise FormatError(f"{where} must be an object")

@@ -19,16 +19,9 @@ from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .algebra import LeibnizAlgebra, load_algebra, validate
-from .cochain import (
-    Cochain,
-    cocycle_relations,
-    cohomology,
-    lambda6_reference_representatives,
-    with_representatives,
-)
-from . import deform, graded
+from . import cochain, deform, graded
 from .errors import FormatError, LeibnizDeformError, PreconditionError
-from .linalg import vec_is_zero
+from .values import vec_is_zero
 from .reports import (
     cochain_from_json,
     cochain_to_json,
@@ -39,11 +32,11 @@ from .reports import (
 )
 
 
-def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
+def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[cochain.Cochain]:
     if spec == "paper":
         if alg.dim != 3 or alg != load_algebra("lambda6"):
             raise FormatError("--reps paper is only defined for the builtin algebra lambda6")
-        return list(lambda6_reference_representatives())
+        return list(cochain.lambda6_reference_representatives())
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -55,21 +48,20 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[Cochain]:
         raise FormatError("representatives file must be an object with a 'cochains' list")
     reps = []
     for index, item in enumerate(doc["cochains"]):
+        where = f"entry {index} of 'cochains'"
         if not isinstance(item, dict):
-            raise FormatError(f"entry {index} of 'cochains' is not an object")
-        item = dict(item)
-        item.setdefault("arity", 2)
-        item.setdefault("dim", doc.get("dim", alg.dim))
+            raise FormatError(f"{where} is not an object")
+        item = {"arity": 2, "dim": doc.get("dim", alg.dim), **item}
+        arity, dim = item["arity"], item["dim"]
+        # before cochain_from_json allocates all dim ** (arity + 1) coordinates;
+        # an arity or dim that is no integer is its error to report
+        if type(arity) is type(dim) is int and (arity, dim) != (2, alg.dim):
+            raise FormatError(f"{where} has arity {arity} and dimension {dim};"
+                              f" expected arity 2 and dimension {alg.dim}")
         try:
-            rep = cochain_from_json(item)
+            reps.append(cochain_from_json(item))
         except FormatError as e:
-            raise FormatError(f"entry {index} of 'cochains': {e}") from e
-        if rep.arity != 2 or rep.dim != alg.dim:
-            raise FormatError(
-                f"entry {index} of 'cochains' has arity {rep.arity} and dimension {rep.dim};"
-                f" expected arity 2 and dimension {alg.dim}"
-            )
-        reps.append(rep)
+            raise FormatError(f"{where}: {e}") from e
     return reps
 
 
@@ -106,23 +98,23 @@ def cmd_check(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_cohomology(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    space = cohomology(alg, _at_least_one("--degree", args.degree))
-    relations = cocycle_relations(alg, args.degree)
+    space = cochain.cohomology(alg, _at_least_one("--degree", args.degree))
+    relations = cochain.cocycle_relations(alg, args.degree)
     text, doc = cohomology_report(alg, space, relations)
     doc["command"] = "cohomology"
     return text, doc
 
 
 def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None):
-    hl2 = cohomology(alg, 2)
+    hl2 = cochain.cohomology(alg, 2)
     if reps_spec is not None:
-        hl2 = with_representatives(hl2, _load_reps(reps_spec, alg), alg)
+        hl2 = cochain.with_representatives(hl2, _load_reps(reps_spec, alg), alg)
     return hl2
 
 
 def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     hl2 = _hl2_with_reps(alg, args.reps)
-    hl3 = cohomology(alg, 3)
+    hl3 = cochain.cohomology(alg, 3)
     h = hl2.dim
     lines = [f"dim HL^2 = {h}, dim HL^3 = {hl3.dim}"]
     pair_docs = []

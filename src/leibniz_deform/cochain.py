@@ -29,22 +29,8 @@ from functools import lru_cache
 
 from .algebra import LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import (
-    F0,
-    Matrix,
-    Record,
-    SubspaceBasis,
-    Vec,
-    as_scalar,
-    kernel_basis,
-    quotient_representatives,
-    rank,
-    solve,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vec,
-)
+from .linalg import Matrix, SubspaceBasis, kernel_basis, quotient_representatives, rank, solve
+from .values import F0, Record, Vec, _join_terms, as_scalar, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
 class Cochain(Record):
@@ -274,24 +260,6 @@ def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
     mu1 = Cochain.from_entries(2, 3, {(1, 2): {0: -1}})
     mu2 = Cochain.from_entries(2, 3, {(0, 2): {0: 1}})
     return mu1, mu2
-
-
-def _join_terms(terms: list[tuple[int | Fraction, str]]) -> str:
-    """Assemble signed terms; ``body`` may be empty for a bare coefficient."""
-    if not terms:
-        return "0"
-    parts = []
-    for coeff, body in terms:
-        mag = abs(coeff)
-        if body:
-            piece = body if mag == 1 else f"{mag}*{body}"
-        else:
-            piece = str(mag)
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(parts)
 
 
 def cocycle_relations(alg: LeibnizAlgebra, p: int) -> list[str]:

@@ -55,16 +55,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import LeibnizAlgebra
-from .cochain import (
-    Cochain,
-    CohomologySpace,
-    _join_terms,
-    coboundary,
-    cohomology,
-)
+from .cochain import Cochain, CohomologySpace, coboundary, cohomology
 from .errors import DimensionMismatch, FormatError, LeibnizDeformError, PreconditionError
 from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
-from .linalg import F0, F1, Record, Reducer, Sparse, Vec, _exact, as_scalar, vec_is_zero, zero_vec
+from .linalg import Reducer
+from .values import F0, F1, Record, Sparse, Vec, _exact, _join_terms, as_scalar, vec_is_zero, zero_vec
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]

@@ -33,7 +33,8 @@ from functools import lru_cache
 from .algebra import LeibnizAlgebra
 from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import F0, Record, Vec, as_scalar, solve
+from .linalg import solve
+from .values import F0, Record, Vec, as_scalar
 
 
 class Shuffle(Record):

@@ -8,10 +8,11 @@ inserted vectors.
 
 Scalar policy: inside this module, in the stored rows and throughout
 elimination, an integral entry is a Python ``int`` and only a non-integral
-one is a ``fractions.Fraction``.  Both are exact; integer structure constants
-keep most entries integral, and ``int`` arithmetic skips the ``Fraction``
-overhead.  A pivot is inverted as ``Fraction(1, p)``, never ``1 / p``, and a
-``Fraction`` result that turns out integral is demoted back to ``int``.
+one is a ``fractions.Fraction``: the stored form of ``values._exact``.  Both
+are exact; integer structure constants keep most entries integral, and
+``int`` arithmetic skips the ``Fraction`` overhead.  A pivot is inverted as
+``Fraction(1, p)``, never ``1 / p``, and a ``Fraction`` result that turns out
+integral is demoted back to ``int``.
 Everything that leaves the module is a ``Fraction`` in lowest terms: the
 dense ``Matrix.entries`` view, ``matvec``, ``rref``, ``echelon_rows``, kernel
 and image vectors, and ``solve`` and ``project`` coordinates.
@@ -37,82 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, PreconditionError
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-Vec = tuple[Fraction, ...]
-Exact = int | Fraction  # a stored scalar: int when integral
-Sparse = dict[int, Exact]
-
-
-class Record:
-    """An immutable value with the fields named in ``_fields``.
-
-    ``__init__`` sets them in order; instances of one class compare and hash
-    by them, and assigning an attribute raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
-
-
-def as_scalar(x) -> Fraction:
-    """Coerce an int, string like ``"3/4"`` or Fraction to an exact scalar."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(as_scalar(x) for x in entries)
-
-
-def zero_vec(n: int) -> Vec:
-    return (F0,) * n
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    # Zero entries are skipped: most cochain entries are zero.
-    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x if x else F0 for x in a)
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
-
-
-def _exact(x) -> Exact:
-    """The stored form of a scalar: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    x = as_scalar(x)
-    return x.numerator if x.denominator == 1 else x
+from .values import F0, Exact, Record, Sparse, Vec, _exact, as_scalar, vec
 
 
 def _sparse(v: Sequence[Fraction]) -> Sparse:

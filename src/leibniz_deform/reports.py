@@ -1,9 +1,10 @@
 """Text and JSON rendering of algebras, cochains, cohomology and deformations.
 
 Rationals render as ``p/q`` with positive q, or ``p`` alone when q is 1.
-Base polynomials are written by ``deform``, which owns their format;
-``deformation_report`` calls it through ``from . import deform``, so the
-commands that build no deformation never load it.  JSON output is canonical
+Base polynomials are written by ``deform``, which owns their format.  This
+module reaches ``cochain`` and ``deform`` as modules (``from . import
+cochain, deform``), so ``check`` loads neither, and the commands that build
+no deformation never load ``deform``.  JSON output is canonical
 (two-space indent, sorted keys) so that parsing a report and re-serializing
 it is byte-identical.
 """
@@ -15,9 +16,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, json_index, vector_from_json, vector_to_json
-from .cochain import Cochain, CohomologySpace, _join_terms
-from . import deform
+from . import cochain, deform
 from .errors import DimensionMismatch, FormatError
+from .values import _join_terms
 
 
 def dumps_canonical(obj) -> str:
@@ -28,7 +29,7 @@ def render_vector(v: Sequence[Fraction], alg: LeibnizAlgebra) -> str:
     return _join_terms([(v[k], alg.label(k)) for k in range(len(v)) if v[k]])
 
 
-def render_cochain(c: Cochain, alg: LeibnizAlgebra) -> list[str]:
+def render_cochain(c: cochain.Cochain, alg: LeibnizAlgebra) -> list[str]:
     """Sparse rendering: one ``(inputs) -> value`` line per nonzero entry."""
     lines = []
     for idx, val in c.nonzero_entries():
@@ -37,14 +38,14 @@ def render_cochain(c: Cochain, alg: LeibnizAlgebra) -> list[str]:
     return lines or ["0"]
 
 
-def cochain_to_json(c: Cochain) -> dict:
+def cochain_to_json(c: cochain.Cochain) -> dict:
     entries = []
     for idx, val in c.nonzero_entries():
         entries.append({"args": [i + 1 for i in idx], "value": vector_to_json(val)})
     return {"arity": c.arity, "dim": c.dim, "entries": entries}
 
 
-def cochain_from_json(doc: dict) -> Cochain:
+def cochain_from_json(doc: dict) -> cochain.Cochain:
     """The cochain of a ``cochain_to_json`` document; 1-based indices.
 
     Raises FormatError for a malformed document, naming the entry whose
@@ -53,17 +54,22 @@ def cochain_from_json(doc: dict) -> Cochain:
     """
     try:
         arity, dim = json_index(doc["arity"], "'arity'"), json_index(doc["dim"], "'dim'")
+        items = doc.get("entries", [])
+        if not isinstance(items, list):
+            raise FormatError("'entries' must be a list")
         entries = {}
-        for pos, item in enumerate(doc.get("entries", [])):
+        for pos, item in enumerate(items):
             where = f"entry {pos} of 'entries'"
-            args = item["args"]
-            if len(args) != arity or not all(type(a) is int and 1 <= a <= dim for a in args):
+            if not isinstance(item, dict):
+                raise FormatError(f"{where} is not an object")
+            args = item.get("args")
+            if type(args) is not list or len(args) != arity or not all(type(a) is int and 1 <= a <= dim for a in args):
                 raise FormatError(f"{where} has args {json.dumps(args)}; expected {arity} indices in 1..{dim}")
             key = tuple(a - 1 for a in args)
             if key in entries:
                 raise FormatError(f"{where} repeats args {json.dumps(args)}")
             entries[key] = vector_from_json(item.get("value", []), dim, where)
-        return Cochain.from_entries(arity, dim, entries)
+        return cochain.Cochain.from_entries(arity, dim, entries)
     except (KeyError, TypeError, DimensionMismatch) as e:
         raise FormatError(f"bad cochain document: {e}") from e
 
@@ -92,7 +98,7 @@ def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str,
 
 def cohomology_report(
     alg: LeibnizAlgebra,
-    space: CohomologySpace,
+    space: cochain.CohomologySpace,
     relations: list[str],
 ) -> tuple[str, dict]:
     p = space.degree

@@ -27,7 +27,8 @@ from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6, validate
 from leibniz_deform.cochain import Cochain, coboundary
 from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
-from leibniz_deform.linalg import F0, F1, Matrix, Vec, rank, solve, vec, vec_add, vec_is_zero, vec_scale, zero_vec
+from leibniz_deform.linalg import Matrix, rank, solve
+from leibniz_deform.values import F0, F1, Vec, vec, vec_add, vec_is_zero, vec_scale, zero_vec
 
 F = Fraction
 

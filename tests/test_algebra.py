@@ -197,6 +197,10 @@ def test_json_rejects_bad_documents():
             '{"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [{"basis": 2, "coeff": "x"}]}]}',
             r"brackets\[0\] has no rational 'coeff' at basis 2",
         ),
+        ('{"dim": 2, "brackets": null}', "'brackets' must be a list"),
+        ('{"dim": 2, "brackets": 5}', "'brackets' must be a list"),
+        ('{"dim": 2, "brackets": "ab"}', "'brackets' must be a list"),
+        ('{"dim": 2, "brackets": {"a": 1}}', "'brackets' must be a list"),
     ):
         with pytest.raises(FormatError, match=message):
             algebra_from_json(doc)

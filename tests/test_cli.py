@@ -203,6 +203,8 @@ def test_reps_file_reproduces_reference_table(capsys, tmp_path):
         ),
         ([{"dim": True, "entries": []}], "entry 0 of 'cochains': bad cochain document: 'dim' is true, not an integer"),
         ([{"arity": 2.0, "entries": []}], "entry 0 of 'cochains': bad cochain document: 'arity' is 2.0, not an integer"),
+        ([{"entries": {"x": 1}}], "entry 0 of 'cochains': 'entries' must be a list"),
+        ([{"entries": ["x"]}], "entry 0 of 'cochains': entry 0 of 'entries' is not an object"),
     ],
 )
 def test_malformed_reps_file_exits_one(capsys, tmp_path, command, cochains, message):
@@ -225,6 +227,15 @@ def test_malformed_reps_file_exits_one(capsys, tmp_path, command, cochains, mess
         (
             [{"arity": 2, "dim": 2, "entries": []}],
             "entry 0 of 'cochains' has arity 2 and dimension 2; expected arity 2 and dimension 3",
+        ),
+        # shapes far too large to allocate, rejected before any coordinate is allocated
+        (
+            [{"dim": 300000, "entries": []}],
+            "entry 0 of 'cochains' has arity 2 and dimension 300000; expected arity 2 and dimension 3",
+        ),
+        (
+            [{"arity": 40, "entries": []}],
+            "entry 0 of 'cochains' has arity 40 and dimension 3; expected arity 2 and dimension 3",
         ),
     ],
 )
@@ -468,8 +479,12 @@ def test_check_loads_no_argument_parsing_or_typing_modules():
     assert python_s(code) == "Leibniz identity: OK (0 violations)\n[]\n"
 
 
-# The submodules that only deformation commands run; they load on first use.
-LAZY = ("leibniz_deform.deform", "leibniz_deform.graded")
+# The layers that not every command runs; they load on first use.
+LAZY = ("leibniz_deform.linalg", "leibniz_deform.cochain", "leibniz_deform.graded", "leibniz_deform.deform")
+# The layers that bench/tracing.py wraps.
+TRACED_LAYERS = ("algebra", "linalg", "cochain", "graded", "deform", "reports")
+# An expression, for a python_s script, of the submodules that have run their source.
+RUN_SUBMODULES = "sorted(m[15:] for m, v in sys.modules.items() if m[:15] == 'leibniz_deform.' and type(v) is types.ModuleType)"
 
 
 def loaded_after(argv) -> str:
@@ -485,23 +500,30 @@ def loaded_after(argv) -> str:
 
 @pytest.mark.parametrize("argv", [("check", "lambda6"), ("cohomology", "lambda6", "--degree", "3")])
 def test_cohomology_commands_never_load_deform_or_graded(argv):
-    assert loaded_after(argv) == "[False, False]\n"
+    # check runs neither linalg nor cochain, cohomology both
+    eliminates = argv[0] == "cohomology"
+    assert loaded_after(argv) == f"{[eliminates, eliminates, False, False]}\n"
 
 
 def test_massey_loads_graded_but_not_deform():
-    assert loaded_after(("massey", "lambda6")) == "[False, True]\n"
+    assert loaded_after(("massey", "lambda6")) == "[True, True, True, False]\n"
 
 
 @pytest.mark.parametrize("argv", [("versal", "lambda6", "--max-order", "2"), ("infinitesimal", "lambda6")])
 def test_deformation_commands_load_deform_and_graded(argv):
-    assert loaded_after(argv) == "[True, True]\n"
+    assert loaded_after(argv) == "[True, True, True, True]\n"
+
+
+def test_bare_import_runs_no_layer():
+    """``__init__`` only registers the layers; it needs none of them to run."""
+    assert python_s(f"import sys, types, leibniz_deform; print({RUN_SUBMODULES})") == "[]\n"
 
 
 def test_lazy_modules_are_registered_by_importing_the_cli():
-    # bench/tracing.py imports leibniz_deform.cli and then reads both modules
-    # from sys.modules to wrap their traced functions
-    code = f"import sys, leibniz_deform.cli; print([m in sys.modules for m in {LAZY!r}])"
-    assert python_s(code) == "[True, True]\n"
+    # bench/tracing.py imports leibniz_deform.cli and then reads every traced
+    # layer from sys.modules to wrap its functions
+    code = f"import sys, leibniz_deform.cli; print([f'leibniz_deform.{{m}}' in sys.modules for m in {TRACED_LAYERS!r}])"
+    assert python_s(code) == f"{[True] * len(TRACED_LAYERS)}\n"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "leibniz_deform"
@@ -535,8 +557,13 @@ def test_deform_names_neither_reports_nor_cli():
 
 
 def test_every_exported_name_resolves_to_its_defining_module():
-    code = """
+    # looking up one name runs its own layer and the layers that it imports
+    code = f"""
+import sys, types
 import leibniz_deform as pkg
+for name in ("FormatError", "validate", "rref", "cohomology", "circle", "versal_construct"):
+    getattr(pkg, name)
+    print(name, *{RUN_SUBMODULES})
 from leibniz_deform import *
 names = globals()
 for name in pkg.__all__:
@@ -548,7 +575,15 @@ try:
 except AttributeError as e:
     print(e)
 """
-    assert python_s(code) == "module 'leibniz_deform' has no attribute 'no_such_name'\n"
+    assert python_s(code) == (
+        "FormatError errors\n"
+        "validate algebra errors values\n"
+        "rref algebra errors linalg values\n"
+        "cohomology algebra cochain errors linalg values\n"
+        "circle algebra cochain errors graded linalg values\n"
+        "versal_construct algebra cochain deform errors graded linalg values\n"
+        "module 'leibniz_deform' has no attribute 'no_such_name'\n"
+    )
 
 
 def test_reps_paper_rejected_for_other_algebras(capsys, tmp_path):

@@ -47,7 +47,7 @@ from leibniz_deform.deform import (
 )
 from leibniz_deform.errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from leibniz_deform.graded import graded_bracket
-from leibniz_deform.linalg import vec_is_zero
+from leibniz_deform.values import vec_is_zero
 
 F = Fraction
 

@@ -23,7 +23,7 @@ from helpers import (
     random_matrix,
     zero_matrix,
 )
-from leibniz_deform import cochain, linalg
+from leibniz_deform import cochain, linalg, values
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import Cochain, coboundary, coboundary_matrix
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
@@ -35,9 +35,8 @@ from leibniz_deform.linalg import (
     rank,
     rref,
     solve,
-    vec_add,
-    vec_scale,
 )
+from leibniz_deform.values import vec_add, vec_scale
 
 F = Fraction
 
@@ -510,12 +509,12 @@ def test_coboundary_and_cohomology_return_fractions(p):
 # Zeros that are the shared F0, fresh Fraction(0, d) objects, or results of
 # cancellation, mixed with nonzero rationals.
 mixed_zeros = st.one_of(
-    st.just(linalg.F0),
+    st.just(values.F0),
     st.builds(Fraction, st.just(0), st.integers(1, 9)),
     st.integers(-9, 9).map(lambda k: Fraction(k, 3) - Fraction(k, 3)),
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
 )
-factors = st.one_of(st.sampled_from((linalg.F0, F(0), F(-1), F(1))), mixed_zeros)
+factors = st.one_of(st.sampled_from((values.F0, F(0), F(-1), F(1))), mixed_zeros)
 
 
 @st.composite

@@ -17,7 +17,8 @@ from leibniz_deform.cochain import Cochain, CohomologySpace, cohomology
 from leibniz_deform.deform import Deformation, LocalBase, MasseyWitness, ObstructionReport
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.graded import Shuffle, shuffles
-from leibniz_deform.linalg import F0, F1, SubspaceBasis
+from leibniz_deform.linalg import SubspaceBasis
+from leibniz_deform.values import F0, F1
 
 F = Fraction
 
