@@ -17,7 +17,7 @@ machinery builds candidate brackets that may fail the identity, and
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
@@ -25,31 +25,23 @@ from .values import F0, Record, Vec, as_scalar
 
 
 class LeibnizAlgebra(Record):
-    _fields = ("dim", "structure_constants", "basis_labels")
+    _fields = ("dim", "structure_constants")
     __slots__ = (*_fields, "_hash")  # the hash, computed once: cache keys hash the algebra on every call
 
-    def __init__(self, dim: int, structure_constants: tuple[tuple[Vec, ...], ...],
-                 basis_labels: tuple[str, ...] | None = None):
+    def __init__(self, dim: int, structure_constants: tuple[tuple[Vec, ...], ...]):
         if len(structure_constants) != dim:
             raise DimensionMismatch("structure constant table has wrong shape")
         for plane in structure_constants:
             if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise DimensionMismatch("structure constant table has wrong shape")
-        if basis_labels is not None and len(basis_labels) != dim:
-            raise DimensionMismatch("wrong number of basis labels")
-        super().__init__(dim, structure_constants, basis_labels)
+        super().__init__(dim, structure_constants)
         object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self):
         return self._hash
 
     @classmethod
-    def from_brackets(
-        cls,
-        dim: int,
-        brackets: Mapping[tuple[int, int], Mapping[int, object]],
-        basis_labels: Sequence[str] | None = None,
-    ) -> "LeibnizAlgebra":
+    def from_brackets(cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]]) -> "LeibnizAlgebra":
         """Build an algebra from the nonzero brackets only (0-based indices)."""
         table = [[[F0] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), value in brackets.items():
@@ -60,16 +52,13 @@ class LeibnizAlgebra(Record):
                     raise DimensionMismatch(f"basis index {k} out of range")
                 table[i][j][k] = as_scalar(coeff)
         entries = tuple(tuple(tuple(row) for row in plane) for plane in table)
-        labels = tuple(basis_labels) if basis_labels is not None else None
-        return cls(dim, entries, labels)
+        return cls(dim, entries)
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] as a coordinate vector."""
         return self.structure_constants[i][j]
 
     def label(self, i: int) -> str:
-        if self.basis_labels is not None:
-            return self.basis_labels[i]
         return f"e_{i + 1}"
 
 

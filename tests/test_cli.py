@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import misoriented_nf4
+from helpers import h3, misoriented_nf4
 from leibniz_deform import deform, graded
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
@@ -18,8 +18,9 @@ from leibniz_deform.reports import dumps_canonical
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 # outputs the benchmark goldens do not cover; a name ending in .json is the
-# command's --output json form, and the algebra "abelian2" is written to a file
+# command's --output json form, and the algebras of FILE_ALGEBRAS are written to files
 TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
+FILE_ALGEBRAS = {"abelian2": abelian(2), "h3": h3()}
 GOLDEN_COMMANDS = {
     "versal-abelian2-max-order-3.txt": ("versal", "abelian2", "--max-order", "3"),
     "versal-abelian2-max-order-3.json": ("versal", "abelian2", "--max-order", "3"),
@@ -30,6 +31,8 @@ GOLDEN_COMMANDS = {
     "infinitesimal-lambda6.txt": ("infinitesimal", "lambda6"),
     "infinitesimal-lambda6.json": ("infinitesimal", "lambda6"),
     "cohomology-lambda6-degree-3.txt": ("cohomology", "lambda6", "--degree", "3"),
+    # a second-order bracket is nonzero, so no third-order bracket is defined
+    "massey-h3.txt": ("massey", "h3"),
 }
 
 
@@ -99,9 +102,9 @@ def test_pushforward_specialization(capsys):
 
 
 def golden_argv(name, tmp_path):
-    path = tmp_path / "abelian2.json"
-    path.write_text(algebra_to_json(abelian(2)), encoding="utf-8")
-    argv = [str(path) if a == "abelian2" else a for a in GOLDEN_COMMANDS[name]]
+    for alg_name, alg in FILE_ALGEBRAS.items():
+        (tmp_path / f"{alg_name}.json").write_text(algebra_to_json(alg), encoding="utf-8")
+    argv = [str(tmp_path / f"{a}.json") if a in FILE_ALGEBRAS else a for a in GOLDEN_COMMANDS[name]]
     return argv + ["--output", "json"] if name.endswith(".json") else argv
 
 
@@ -556,33 +559,31 @@ def test_deform_names_neither_reports_nor_cli():
     assert not {n.rpartition(".")[2] for n in names} & {"reports", "cli"}
 
 
-def test_every_exported_name_resolves_to_its_defining_module():
-    # looking up one name runs its own layer and the layers that it imports
+def test_looking_up_a_name_runs_its_layer_and_the_layers_that_it_imports():
+    # a bare import of a layer runs nothing; looking up one of its names runs
+    # it and the layers that it imports; the package itself exports no name
     code = f"""
-import sys, types
+import sys, types, leibniz_deform.cochain
 import leibniz_deform as pkg
-for name in ("FormatError", "validate", "rref", "cohomology", "circle", "versal_construct"):
-    getattr(pkg, name)
+print("import", *{RUN_SUBMODULES})
+for layer, name in (("errors", "FormatError"), ("algebra", "validate"), ("linalg", "rref"),
+                    ("cochain", "cohomology"), ("graded", "circle"), ("deform", "versal_construct")):
+    assert getattr(getattr(pkg, layer), name).__module__ == f"leibniz_deform.{{layer}}", name
     print(name, *{RUN_SUBMODULES})
-from leibniz_deform import *
-names = globals()
-for name in pkg.__all__:
-    obj = getattr(pkg, name)
-    module = __import__(obj.__module__, fromlist=[name])
-    assert names[name] is obj is getattr(module, name) and module.__name__.startswith("leibniz_deform."), name
 try:
-    pkg.no_such_name
+    pkg.cohomology
 except AttributeError as e:
     print(e)
 """
     assert python_s(code) == (
+        "import\n"
         "FormatError errors\n"
         "validate algebra errors values\n"
         "rref algebra errors linalg values\n"
         "cohomology algebra cochain errors linalg values\n"
         "circle algebra cochain errors graded linalg values\n"
         "versal_construct algebra cochain deform errors graded linalg values\n"
-        "module 'leibniz_deform' has no attribute 'no_such_name'\n"
+        "module 'leibniz_deform' has no attribute 'cohomology'\n"
     )
 
 

@@ -38,11 +38,6 @@ EQUAL_AND_DIFFERENT = {
         lambda6(),
         LeibnizAlgebra(3, _table(3, [(0, 2, 1, 1), (2, 2, 0, 2)])),
     ),
-    "LeibnizAlgebra labels": lambda: (
-        LeibnizAlgebra(2, _table(2), ("x", "y")),
-        LeibnizAlgebra(2, _table(2), ("x", "y")),
-        LeibnizAlgebra(2, _table(2)),
-    ),
     "Cochain": lambda: (
         Cochain.from_entries(1, 2, {(0,): {1: 3}}),
         Cochain(1, 2, (F0, F(3), F0, F0)),
@@ -109,9 +104,7 @@ def test_lru_cache_keys_hit_on_equal_algebras():
 def test_keyword_and_positional_construction_agree():
     table = _table(2, [(1, 1, 0, 1)])
     alg = LeibnizAlgebra(dim=2, structure_constants=table)
-    assert alg == LeibnizAlgebra(2, table) == LeibnizAlgebra(2, table, None)
-    assert alg.basis_labels is None
-    assert LeibnizAlgebra(2, table, basis_labels=("a", "b")).label(1) == "b"
+    assert alg == LeibnizAlgebra(2, table)
 
     flat = (F0, F1, F0, F0)
     assert Cochain(arity=1, dim=2, flat=flat) == Cochain(1, 2, flat)
@@ -172,7 +165,6 @@ def test_deformation_keeps_its_own_copy_of_the_nonzero_terms():
     [
         (lambda6(), "dim"),
         (lambda6(), "structure_constants"),
-        (lambda6(), "basis_labels"),
         (Cochain.zeros(1, 2), "flat"),
         (Cochain.zeros(1, 2), "arity"),
         (LocalBase(("t",), 2), "truncation_order"),
@@ -221,7 +213,6 @@ def test_local_base_echelon_is_built_once_per_instance(monkeypatch):
         (lambda: LeibnizAlgebra(2, _table(3)), "wrong shape"),
         (lambda: LeibnizAlgebra(2, (_table(2)[0], _table(2)[1][:1])), "wrong shape"),
         (lambda: LeibnizAlgebra(2, (((F0,) * 2, (F0,)), _table(2)[1])), "wrong shape"),
-        (lambda: LeibnizAlgebra(2, _table(2), ("x",)), "basis labels"),
         (lambda: Cochain(1, 2, (F0,) * 3), "wrong length"),
         (lambda: Cochain(-1, 2, ()), "nonnegative"),
         (lambda: SubspaceBasis(2, ((F1, F0), (F1,))), "ambient dimension"),
