@@ -38,6 +38,11 @@ EQUAL_AND_DIFFERENT = {
         lambda6(),
         LeibnizAlgebra(3, _table(3, [(0, 2, 1, 1), (2, 2, 0, 2)])),
     ),
+    "LeibnizAlgebra from_brackets": lambda: (
+        LeibnizAlgebra.from_brackets(3, {(0, 2): {1: "1/2"}, (2, 2): {0: 1, 2: 0}}),
+        LeibnizAlgebra(3, _table(3, [(0, 2, 1, F(1, 2)), (2, 2, 0, 1)])),
+        LeibnizAlgebra.from_brackets(3, {(0, 2): {1: "1/2"}, (2, 2): {2: 1}}),
+    ),
     "Cochain": lambda: (
         Cochain.from_entries(1, 2, {(0,): {1: 3}}),
         Cochain(1, 2, (F0, F(3), F0, F0)),
@@ -213,6 +218,8 @@ def test_local_base_echelon_is_built_once_per_instance(monkeypatch):
         (lambda: LeibnizAlgebra(2, _table(3)), "wrong shape"),
         (lambda: LeibnizAlgebra(2, (_table(2)[0], _table(2)[1][:1])), "wrong shape"),
         (lambda: LeibnizAlgebra(2, (((F0,) * 2, (F0,)), _table(2)[1])), "wrong shape"),
+        (lambda: LeibnizAlgebra.from_brackets(2, {(0, 2): {0: 1}}), r"bracket index \(0,2\) out of range"),
+        (lambda: LeibnizAlgebra.from_brackets(2, {(1, 0): {-1: 1}}), "basis index -1 out of range"),
         (lambda: Cochain(1, 2, (F0,) * 3), "wrong length"),
         (lambda: Cochain(-1, 2, ()), "nonnegative"),
         (lambda: SubspaceBasis(2, ((F1, F0), (F1,))), "ambient dimension"),
