@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .algebra import LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import Matrix, SubspaceBasis, kernel_basis, quotient_representatives, rank, solve
+from .linalg import Matrix, quotient_representatives, rank, solve
 from .values import F0, Record, Vec, _join_terms, as_scalar, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
@@ -65,12 +65,6 @@ class Cochain(Record):
                     raise DimensionMismatch(f"output index {k} of input tuple {idx} is outside 0..{dim - 1}")
                 flat[t + k] = as_scalar(coeff)
         return cls(arity, dim, tuple(flat))
-
-    @classmethod
-    def from_flat(cls, arity: int, dim: int, flat: Sequence) -> "Cochain":
-        """The cochain with these coordinates; a list or int entries are
-        coerced to the stored tuple of Fractions."""
-        return cls(arity, dim, tuple(as_scalar(x) for x in flat))
 
     @staticmethod
     def _flat_input(dim: int, idx: tuple[int, ...]) -> int:
@@ -175,23 +169,16 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
 
 
 class CohomologySpace:
-    """Cocycles, coboundaries and chosen class representatives in one degree."""
+    """The dimensions of the cocycles and coboundaries in one degree, and
+    chosen class representatives with the projection onto them."""
 
-    def __init__(self, degree: int, cocycle_basis: SubspaceBasis, coboundary_basis: SubspaceBasis,
+    def __init__(self, degree: int, dim_cocycles: int, dim_coboundaries: int,
                  class_representatives: tuple[Cochain, ...], _project: Callable[[Sequence], Vec]):
         self.degree = degree
-        self.cocycle_basis = cocycle_basis
-        self.coboundary_basis = coboundary_basis
+        self.dim_cocycles = dim_cocycles
+        self.dim_coboundaries = dim_coboundaries
         self.class_representatives = class_representatives
         self._project = _project
-
-    @property
-    def dim_cocycles(self) -> int:
-        return self.cocycle_basis.dim
-
-    @property
-    def dim_coboundaries(self) -> int:
-        return self.coboundary_basis.dim
 
     @property
     def dim(self) -> int:
@@ -206,13 +193,14 @@ class CohomologySpace:
 
 @lru_cache(maxsize=None)
 def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
-    """ZL^p, BL^p and HL^p with deterministic greedy representatives.
+    """dim ZL^p, dim BL^p and HL^p with deterministic greedy representatives.
 
     The row echelon of the degree-p coboundary matrix is the only elimination
-    at ambient length: ZL^p is its kernel, and ``quotient_representatives``
-    reads BL^p, the representatives and their projection off its free
-    columns.  Raises PreconditionError, naming the first violating basis
-    triple, when the algebra does not satisfy the Leibniz identity.
+    at ambient length: dim ZL^p is its number of free columns, and
+    ``quotient_representatives`` reads dim BL^p, the representatives and
+    their projection off those columns.  Raises PreconditionError, naming the
+    first violating basis triple, when the algebra does not satisfy the
+    Leibniz identity.
     """
     if p < 1:
         raise PreconditionError("cohomology degree must be at least 1")
@@ -221,8 +209,9 @@ def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
         triple = ",".join(alg.label(i) for i in violations[0][0])
         raise PreconditionError(f"not a Leibniz algebra: the identity fails on ({triple})")
     delta = coboundary_matrix(alg, p)
-    reps, project, bl = quotient_representatives(delta, coboundary_matrix(alg, p - 1))
-    return CohomologySpace(p, kernel_basis(delta), bl, tuple(Cochain(p, alg.dim, v) for v in reps.vectors), project)
+    reps, project, dim_bl = quotient_representatives(delta, coboundary_matrix(alg, p - 1))
+    classes = tuple(Cochain(p, alg.dim, v) for v in reps.vectors)
+    return CohomologySpace(p, delta.cols - rank(delta), dim_bl, classes, project)
 
 
 def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> CohomologySpace:
@@ -248,9 +237,7 @@ def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: L
         assert sol is not None  # change of basis is invertible
         return sol
 
-    return CohomologySpace(
-        space.degree, space.cocycle_basis, space.coboundary_basis, tuple(reps), project
-    )
+    return CohomologySpace(space.degree, space.dim_cocycles, space.dim_coboundaries, tuple(reps), project)
 
 
 def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:

@@ -142,17 +142,11 @@ class LocalBase(Record):
     def zero(self) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {})
 
-    def one(self) -> "TruncatedPolynomial":
-        return self.constant(F1)
-
     def constant(self, c) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {self.zero_monomial(): as_scalar(c)})
 
     def generator(self, name: str) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {_unit(self.num_generators, self.generators.index(name)): F1})
-
-    def monomial(self, mono: Monomial, coeff=1) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self, {tuple(mono): as_scalar(coeff)})
 
     def with_truncation(self, order: int) -> "LocalBase":
         return LocalBase(self.generators, order, self.relations)
@@ -640,7 +634,7 @@ def push_forward(
 
     The homomorphism is given by the images of the generators, one for each
     source generator and no other, which must be polynomials over the target
-    base with zero constant term.
+    base with zero constant term, and must send every source relation to 0.
     """
     n = d.algebra.dim
     for gen in images:
@@ -654,8 +648,14 @@ def push_forward(
             raise DimensionMismatch("image lives over the wrong base")
         if img.constant_term():
             raise PreconditionError(f"image of {gen!r} has a nonzero constant term")
-    new_terms: dict[Monomial, Cochain] = {}
     source_proxy = LocalBase(d.base.generators, d.base.truncation_order)
+    for rel in d.base.relations:
+        image = TruncatedPolynomial(source_proxy, dict(rel)).substitute(target_base, images)
+        if not image.is_zero():
+            raise PreconditionError(
+                f"relation {render_poly(d.base, rel)} maps to {render_poly(target_base, image.data())}, not 0"
+            )
+    new_terms: dict[Monomial, Cochain] = {}
     for mono, psi in d.terms.items():
         poly = TruncatedPolynomial(source_proxy, {mono: F1}).substitute(target_base, images)
         for m2, c2 in poly.coeffs.items():

@@ -34,17 +34,7 @@ from .algebra import LeibnizAlgebra
 from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import solve
-from .values import F0, Record, Vec, as_scalar
-
-
-class Shuffle(Record):
-    """A (p,q)-shuffle: increasing on the first p and on the last q positions;
-    ``permutation`` holds the images of 1..p+q, 1-based."""
-
-    __slots__ = _fields = ("p", "q", "permutation", "sign")
-
-    def __init__(self, p: int, q: int, permutation: tuple[int, ...], sign: int):
-        super().__init__(p, q, permutation, sign)
+from .values import F0, Vec, as_scalar
 
 
 def _parity_sign(perm: tuple[int, ...]) -> int:
@@ -56,8 +46,10 @@ def _parity_sign(perm: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def shuffles(p: int, q: int) -> tuple[Shuffle, ...]:
-    """All (p,q)-shuffles, lexicographic by permutation image.
+def shuffles(p: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All (p,q)-shuffles as (permutation, sign) pairs, lexicographic by
+    permutation.  A shuffle is increasing on the first p and on the last q
+    positions; its permutation holds the images of 1..p+q, 1-based.
 
     Generated by choosing the image set of the first block; the count is
     binomial(p+q, p).
@@ -69,7 +61,7 @@ def shuffles(p: int, q: int) -> tuple[Shuffle, ...]:
     for first in itertools.combinations(letters, p):
         rest = tuple(x for x in letters if x not in first)
         perm = first + rest
-        out.append(Shuffle(p, q, perm, _parity_sign(perm)))
+        out.append((perm, _parity_sign(perm)))
     return tuple(out)
 
 
@@ -97,9 +89,8 @@ def circle(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
         by_slot: dict[int, list] = {}
         for args, value in a_entries:
             by_slot.setdefault(args[k - 1], []).append((args[: k - 1], args[k:], value))
-        for sh in shuffles(q, p - k + 1):
-            perm = sh.permutation
-            s = k_sign * sh.sign
+        for perm, sign in shuffles(q, p - k + 1):
+            s = k_sign * sign
             for b_args, b_value in b_entries:
                 for c, coeff in enumerate(b_value):
                     if not coeff or c not in by_slot:

@@ -19,11 +19,11 @@ and image vectors, and ``solve`` and ``project`` coordinates.
 
 Factor once: each ``Matrix`` is eliminated at most once per side, and the
 result is cached on the instance.  Its rows, inserted sparsest first, give
-``rref``, ``echelon_rows``, ``rank``, ``kernel_basis`` and the quotient of
-``quotient_representatives``; its columns, inserted in order with
-combinations tracked, serve only ``image_basis`` and ``solve``.  Later
-queries, and the ``project`` returned by ``quotient_representatives``, only
-reduce one vector against stored rows.
+``rref``, ``echelon_rows``, ``rank``, ``kernel_basis``, ``image_basis`` and
+the quotient of ``quotient_representatives``; its columns, inserted in order
+with combinations tracked, serve ``solve`` only.  Later queries, and the
+``project`` returned by ``quotient_representatives``, only reduce one vector
+against stored rows.
 
 Outputs do not depend on how elimination is organised: the reduced row
 echelon form is unique, its pivot columns are the greedily independent
@@ -85,14 +85,12 @@ class Reducer:
     ``rows`` maps each pivot column to its fully reduced pivot row.  With
     ``track``, ``combos`` maps each pivot column to the coefficients, keyed
     by insertion index, of the inserted vectors that sum to its row.
-    ``independent`` lists the insertion indices that raised the rank.
     Inserted vectors hold stored scalars and are not modified.
     """
 
     def __init__(self, track: bool = False):
         self.rows: dict[int, Sparse] = {}
         self.combos: dict[int, Sparse] | None = {} if track else None
-        self.independent: list[int] = []
         self.inserted = 0
 
     def _reduce(self, v: Sparse) -> tuple[Sparse, list[tuple[int, Exact]]]:
@@ -135,7 +133,6 @@ class Reducer:
         self.rows[p] = row
         if combos is not None:
             combos[p] = combo
-        self.independent.append(index)
         return True
 
     def coordinates(self, v: Sparse) -> Sparse | None:
@@ -292,8 +289,9 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
 
 
 def image_basis(m: Matrix) -> SubspaceBasis:
-    """Basis of the column space: the original columns in pivot positions."""
-    return SubspaceBasis(m.rows, tuple(m.column(j) for j in m._column_echelon.independent))
+    """Basis of the column space: the original columns at the pivots of the
+    reduced row echelon form, which are the greedily independent columns."""
+    return SubspaceBasis(m.rows, tuple(m.column(j) for j in sorted(m._row_echelon.rows)))
 
 
 def solve(m: Matrix, rhs: Sequence) -> Vec | None:
@@ -312,18 +310,18 @@ def solve(m: Matrix, rhs: Sequence) -> Vec | None:
 
 def quotient_representatives(
     d: Matrix, d_prev: Matrix
-) -> tuple[SubspaceBasis, Callable[[Sequence], Vec], SubspaceBasis]:
+) -> tuple[SubspaceBasis, Callable[[Sequence], Vec], int]:
     """Representatives of ker d modulo im d_prev, the ``project`` to their
-    coordinates, and the basis of im d_prev that ``image_basis`` picks.
+    coordinates, and the dimension of im d_prev.
 
     Only d's reduced rows are eliminated at ambient length.  A vector of
     ker d is the combination of ``kernel_basis(d)`` given by its entries at
-    d's free columns, so restricting to those is injective on ker d.  The
-    image basis is the columns of d_prev independent after restriction; the
+    d's free columns, so restricting to those is injective on ker d, and the
+    restricted image of d_prev has the rank of im d_prev.  The
     representatives, the kernel basis vectors chosen greedily in order
-    modulo it, are at the free columns that are not pivots of the restricted
-    image eliminated in descending column order.  It is a fault if a column
-    of d_prev, or a projected vector, is not in ker d.
+    modulo the image, are at the free columns that are not pivots of the
+    restricted image eliminated in descending column order.  It is a fault
+    if a column of d_prev, or a projected vector, is not in ker d.
     """
     if d_prev.rows != d.cols:
         raise DimensionMismatch(f"d has {d.cols} columns but d_prev has {d_prev.rows} rows")
@@ -356,8 +354,4 @@ def quotient_representatives(
         residual = image._reduce(restricted(v))[0]
         return tuple(as_scalar(residual[-f]) if -f in residual else F0 for f in reps)
 
-    return (
-        SubspaceBasis(n, tuple(_dense(kernel[f], n) for f in reps)),
-        project,
-        SubspaceBasis(d_prev.rows, tuple(d_prev.column(j) for j in image.independent)),
-    )
+    return SubspaceBasis(n, tuple(_dense(kernel[f], n) for f in reps)), project, len(image.rows)

@@ -379,7 +379,7 @@ def dgla_differential(alg: LeibnizAlgebra, a: Cochain) -> Cochain:
 
 def embed_basis(d: Deformation, i: int) -> tuple:
     """1 x e_i as a vector of base polynomials."""
-    one, zero = d.base.one(), d.base.zero()
+    one, zero = d.base.constant(1), d.base.zero()
     return tuple(one if k == i else zero for k in range(d.algebra.dim))
 
 

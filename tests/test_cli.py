@@ -11,7 +11,7 @@ from helpers import h3, misoriented_nf4
 from leibniz_deform import deform, graded
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
-from leibniz_deform.deform import LocalBase, parse_poly
+from leibniz_deform.deform import LocalBase, TruncatedPolynomial, parse_poly
 from leibniz_deform.errors import FormatError
 from leibniz_deform.reports import dumps_canonical
 
@@ -299,14 +299,23 @@ def test_reps_with_out_of_range_indices_exit_one(capsys, tmp_path, command, entr
     assert err == f"error: {message}\n"
 
 
-def test_pushforward_of_unknown_generator_exits_two(capsys):
-    code, out, err = invoke(
-        capsys, "pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--sub", "q=1",
-        "--to", "x",
-    )
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lambda6", "--sub", "t=x", "--sub", "s=0", "--sub", "q=1", "--to", "x"),
+         "image supplied for 'q', which is not a source generator"),
+        # the versal base of abelian(1) has the relation t^2, which t -> x breaks
+        (("abelian1", "--to", "x", "--sub", "t=x", "--max-order", "2"), "relation t^2 maps to x^2, not 0"),
+    ],
+    ids=["unknown-generator", "relation-not-sent-to-zero"],
+)
+def test_pushforward_that_is_no_base_homomorphism_exits_two(capsys, tmp_path, argv, message):
+    path = tmp_path / "abelian1.json"
+    path.write_text(algebra_to_json(abelian(1)), encoding="utf-8")
+    code, out, err = invoke(capsys, "pushforward", *(str(path) if a == "abelian1" else a for a in argv))
     assert code == 2
     assert out == ""
-    assert err == "fault: image supplied for 'q', which is not a source generator\n"
+    assert err == f"fault: {message}\n"
 
 
 def test_pushforward_zero_denominator_exits_one(capsys):
@@ -559,6 +568,55 @@ def test_deform_names_neither_reports_nor_cli():
     assert not {n.rpartition(".")[2] for n in names} & {"reports", "cli"}
 
 
+BENCH = SRC.parent.parent / "bench"
+
+
+def _src_names(tree) -> set[str]:
+    """The names a module reads: plain names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def _bench_names(tree) -> set[str]:
+    """The package names a benchmark module reaches: each part of a ``TRACED``
+    path, each name imported from ``leibniz_deform`` and each attribute read."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("leibniz_deform"):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            names.update(part for c in ast.walk(node.value) if isinstance(c, ast.Constant) for part in c.value.split("."))
+    return names
+
+
+def test_every_definition_in_src_is_reached():
+    """Each function, class and method of ``src/``, dunders aside, is named
+    elsewhere in ``src/`` or reached by ``bench/*.py``: a definition that only
+    tests reach belongs in ``tests/helpers.py``, or nowhere."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    reached = set().union(*map(_src_names, trees.values()))
+    for path in sorted(BENCH.glob("*.py")):
+        reached |= _bench_names(ast.parse(path.read_text(encoding="utf-8")))
+    unreached = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in reached
+    ]
+    assert unreached == []
+
+
 def test_looking_up_a_name_runs_its_layer_and_the_layers_that_it_imports():
     # a bare import of a layer runs nothing; looking up one of its names runs
     # it and the layers that it imports; the package itself exports no name
@@ -600,10 +658,8 @@ def test_parse_poly_expressions():
     base = LocalBase(("t", "s"), 3)
     assert parse_poly("0", base).is_zero()
     assert parse_poly("t", base) == base.generator("t")
-    assert parse_poly("2*t^2*s", base) == base.monomial((2, 1), 2)
-    assert parse_poly("t - 1/2*s", base) == base.monomial((1, 0)) + base.monomial(
-        (0, 1), Fraction(-1, 2)
-    )
+    assert parse_poly("2*t^2*s", base) == TruncatedPolynomial(base, {(2, 1): 2})
+    assert parse_poly("t - 1/2*s", base) == TruncatedPolynomial(base, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
     combo = parse_poly("t - 1/2*s + t", base)
     assert combo.coeff((1, 0)) == 2
     assert combo.coeff((0, 1)) == Fraction(-1, 2)

@@ -80,12 +80,12 @@ def test_poly_truncation_drops_high_degrees():
     p = (t + s) * (t + s) * t
     assert p.is_zero()
     q = (t + s) * (t - s)
-    assert q == base.monomial((2, 0)) - base.monomial((0, 2))
+    assert q == TruncatedPolynomial(base, {(2, 0): 1, (0, 2): -1})
 
 
 def test_poly_relation_reduction():
     plain = LocalBase(("t",), 3)
-    t2 = plain.monomial((2,))
+    t2 = TruncatedPolynomial(plain, {(2,): 1})
     base = plain.with_relations([t2])
     t = base.generator("t")
     assert (t * t).is_zero()
@@ -97,7 +97,7 @@ def test_poly_relation_reduction():
 def test_poly_relation_with_tail_substitutes():
     plain = LocalBase(("t", "s"), 2)
     # t^2 = s^2 in the quotient: t^2, the lex-larger monomial, is eliminated
-    rel = plain.monomial((2, 0)) - plain.monomial((0, 2))
+    rel = TruncatedPolynomial(plain, {(2, 0): 1, (0, 2): -1})
     base = plain.with_relations([rel])
     t, s = base.generator("t"), base.generator("s")
     assert t * t == s * s
@@ -223,7 +223,7 @@ def test_universal_infinitesimal_reference_brackets():
     assert d.base.generators == ("t", "s")
     assert d.base.truncation_order == 1
     t, s, zero = d.base.generator("t"), d.base.generator("s"), d.base.zero()
-    one = d.base.one()
+    one = d.base.constant(1)
     assert d.basis_bracket(0, 2) == (s, one, zero)        # [e1,e3] = e2 + s e1
     assert d.basis_bracket(1, 2) == (-1 * t, zero, zero)  # [e2,e3] = -t e1
     assert d.basis_bracket(2, 2) == (one, zero, zero)     # [e3,e3] = e1
@@ -265,7 +265,7 @@ def test_bracket_e1_e3_under_versal():
     d, _ = versal_construct(alg, 3, lambda6_reference_representatives())
     out = d.bracket(embed_basis(d, 0), embed_basis(d, 2))
     s = d.base.generator("s")
-    assert out == (s, d.base.one(), d.base.zero())
+    assert out == (s, d.base.constant(1), d.base.zero())
 
 
 def test_bracket_degree_zero_part_is_undeformed():
@@ -396,7 +396,7 @@ def test_defect_vanishes_on_a_unit_multiple_of_a_relation():
     d = Deformation(alg, base, {(1,): a, (2,): b})
     defect = leibniz_defect(d)
     assert defect == bracket_defect(d)
-    assert base.monomial((2,)).is_zero()
+    assert TruncatedPolynomial(base, {(2,): 1}).is_zero()
     assert defect[(2,)].is_zero()
 
 
@@ -405,8 +405,8 @@ def test_defect_sums_products_moved_down_by_a_nonhomogeneous_relation():
     rng = random.Random(41)
     alg = random_leibniz_algebra(rng)
     base = LocalBase(("t", "s"), 4).with_relations([(((3, 0), F(1)), ((0, 2), F(-1)))])
-    assert base.monomial((3, 0)) == base.monomial((0, 2))
-    assert not base.monomial((0, 2)).is_zero()
+    assert TruncatedPolynomial(base, {(3, 0): 1}) == TruncatedPolynomial(base, {(0, 2): 1})
+    assert not TruncatedPolynomial(base, {(0, 2): 1}).is_zero()
     a = random_cochain(rng, 2, alg.dim, density=1.0)
     b = random_cochain(rng, 2, alg.dim, density=1.0)
     d = Deformation(alg, base, {(1, 0): a, (2, 0): b})
@@ -768,7 +768,7 @@ def test_pushforward_rejects_nonzero_constant_term():
     alg, d = _versal()
     target = LocalBase(("t",), 3)
     with pytest.raises(PreconditionError):
-        push_forward(d, target, {"t": target.one(), "s": target.zero()})
+        push_forward(d, target, {"t": target.constant(1), "s": target.zero()})
 
 
 def test_pushforward_rejects_image_of_unknown_generator():
@@ -776,7 +776,18 @@ def test_pushforward_rejects_image_of_unknown_generator():
     target = LocalBase(("x",), 3)
     x = target.generator("x")
     with pytest.raises(PreconditionError, match="'q', which is not a source generator"):
-        push_forward(d, target, {"t": x, "s": target.zero(), "q": target.one()})
+        push_forward(d, target, {"t": x, "s": target.zero(), "q": target.constant(1)})
+
+
+def test_pushforward_sends_every_source_relation_to_zero():
+    d, relations = versal_construct(abelian(1), 2)
+    assert [p.data() for p in relations[2]] == [(((2,), F(1)),)]  # t^2
+    free = LocalBase(("x",), 2)
+    with pytest.raises(PreconditionError, match=r"relation t\^2 maps to x\^2, not 0"):
+        push_forward(d, free, {"t": free.generator("x")})
+    assert push_forward(d, free, {"t": free.zero()}).terms == {}
+    related = free.with_relations([TruncatedPolynomial(free, {(2,): 1})])
+    assert push_forward(d, related, {"t": related.generator("x")}).terms == d.terms
 
 
 def test_pushforward_functoriality():
@@ -810,7 +821,7 @@ def test_pushforward_functoriality():
 
 def _identity_phi(base, n):
     return tuple(
-        tuple(base.one() if i == j else base.zero() for j in range(n)) for i in range(n)
+        tuple(base.constant(1) if i == j else base.zero() for j in range(n)) for i in range(n)
     )
 
 
@@ -839,7 +850,7 @@ def test_equivalence_of_representative_change():
     t = d1.base.generator("t")
     phi = tuple(
         tuple(
-            (d1.base.one() if i == j else d1.base.zero()) + t * g.eval_basis((j,))[i]
+            (d1.base.constant(1) if i == j else d1.base.zero()) + t * g.eval_basis((j,))[i]
             for j in range(3)
         )
         for i in range(3)

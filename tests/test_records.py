@@ -1,7 +1,7 @@
 """Value semantics of the package's record classes.
 
-Immutable records (algebras, cochains, bases, subspace bases, shuffles and
-Massey witnesses) compare and hash by their fields and refuse assignment;
+Immutable records (algebras, cochains, bases, subspace bases and Massey
+witnesses) compare and hash by their fields and refuse assignment;
 the mutable ones (cohomology spaces, deformations, obstruction reports) are
 plain attribute holders.  All of them take their fields by position or by
 keyword and validate them on construction.
@@ -14,9 +14,8 @@ import pytest
 from leibniz_deform import deform
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6
 from leibniz_deform.cochain import Cochain, CohomologySpace, cohomology
-from leibniz_deform.deform import Deformation, LocalBase, MasseyWitness, ObstructionReport
+from leibniz_deform.deform import Deformation, LocalBase, MasseyWitness, ObstructionReport, TruncatedPolynomial
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
-from leibniz_deform.graded import Shuffle, shuffles
 from leibniz_deform.linalg import SubspaceBasis
 from leibniz_deform.values import F0, F1
 
@@ -60,18 +59,13 @@ EQUAL_AND_DIFFERENT = {
     ),
     "LocalBase relations": lambda: (
         LocalBase(("t",), 3, ((((2,), F1),),)),
-        LocalBase(("t",), 3).with_relations([LocalBase(("t",), 3).monomial((2,))]),
+        LocalBase(("t",), 3).with_relations([TruncatedPolynomial(LocalBase(("t",), 3), {(2,): 1})]),
         LocalBase(("t",), 3, ((((3,), F1),),)),
     ),
     "SubspaceBasis": lambda: (
         SubspaceBasis(2, ((F1, F0),)),
         SubspaceBasis(2, ((F(1), F(0)),)),
         SubspaceBasis(2, ((F0, F1),)),
-    ),
-    "Shuffle": lambda: (
-        shuffles(1, 2)[0],
-        Shuffle(1, 2, (1, 2, 3), 1),
-        shuffles(1, 2)[1],
     ),
     "MasseyWitness": lambda: (
         MasseyWitness((0, 1), Cochain.zeros(2, 2)),
@@ -118,20 +112,19 @@ def test_keyword_and_positional_construction_agree():
     assert base == LocalBase(("t",), 2) and base.relations == ()
 
     assert SubspaceBasis(ambient_dim=2, vectors=((F1, F0),)) == SubspaceBasis(2, ((F1, F0),))
-    assert Shuffle(p=1, q=1, permutation=(2, 1), sign=-1) == Shuffle(1, 1, (2, 1), -1)
     w = Cochain.zeros(2, 2)
     assert MasseyWitness(pair=(0, 0), witness=w) == MasseyWitness((0, 0), w)
 
     hl2 = cohomology(lambda6(), 2)
     space = CohomologySpace(
         degree=2,
-        cocycle_basis=hl2.cocycle_basis,
-        coboundary_basis=hl2.coboundary_basis,
+        dim_cocycles=hl2.dim_cocycles,
+        dim_coboundaries=hl2.dim_coboundaries,
         class_representatives=hl2.class_representatives,
         _project=hl2._project,
     )
     positional = CohomologySpace(
-        2, hl2.cocycle_basis, hl2.coboundary_basis, hl2.class_representatives, hl2._project
+        2, hl2.dim_cocycles, hl2.dim_coboundaries, hl2.class_representatives, hl2._project
     )
     for s in (space, positional):
         assert (s.degree, s.dim, s.dim_cocycles, s.dim_coboundaries) == (2, 2, 8, 6)
@@ -175,7 +168,6 @@ def test_deformation_keeps_its_own_copy_of_the_nonzero_terms():
         (LocalBase(("t",), 2), "truncation_order"),
         (LocalBase(("t",), 2), "relations"),
         (SubspaceBasis(1, ()), "vectors"),
-        (Shuffle(1, 0, (1,), 1), "sign"),
         (MasseyWitness((0, 0), Cochain.zeros(2, 1)), "witness"),
     ],
     ids=lambda x: x if isinstance(x, str) else type(x).__name__,
@@ -200,7 +192,7 @@ def test_local_base_echelon_is_built_once_per_instance(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(deform, "Reducer", CountingReducer)
-    base = LocalBase(("t",), 4).with_relations([LocalBase(("t",), 4).monomial((2,))])
+    base = LocalBase(("t",), 4).with_relations([TruncatedPolynomial(LocalBase(("t",), 4), {(2,): 1})])
     first = base._echelon
     assert base._echelon is first
     assert base.generator("t") * base.generator("t") == base.zero()  # normalizes through it
