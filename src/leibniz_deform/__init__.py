@@ -10,7 +10,8 @@ name is imported from the layer that defines it, for example
 first use, so each command compiles only the layers it runs: ``check`` runs
 ``algebra`` and ``reports``; ``cohomology`` adds ``linalg`` and ``cochain``;
 ``massey`` adds ``graded``; and ``infinitesimal``, ``versal`` and
-``pushforward`` add ``deform``.  All of them run ``errors`` and ``values``.
+``pushforward`` add ``poly``, the truncated polynomial bases, and ``deform``.
+All of them run ``errors`` and ``values``.
 """
 
 import sys
@@ -28,5 +29,5 @@ def _lazy(name: str):
     return module
 
 
-for _layer in ("errors", "values", "algebra", "linalg", "cochain", "graded", "deform", "reports"):
+for _layer in ("errors", "values", "algebra", "linalg", "cochain", "graded", "poly", "deform", "reports"):
     globals()[_layer] = _lazy(_layer)

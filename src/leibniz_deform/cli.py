@@ -7,7 +7,7 @@ repeats; ``-h``/``--help`` prints the usage to standard output.  Exit status
 is 0 on success and after help, 1 on malformed input (the command line,
 files, expressions and option values), 2 on precondition faults.  All
 computation is deterministic.  The ``--to`` names and ``--sub`` polynomials
-are read by ``deform``, which owns the polynomial format.
+are read by ``poly``, which owns the polynomial format.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .algebra import LeibnizAlgebra, load_algebra, validate
-from . import cochain, deform, graded
+from . import cochain, deform, graded, poly
 from .errors import FormatError, LeibnizDeformError, PreconditionError
 from .values import vec_is_zero
 from .reports import (
@@ -53,8 +53,8 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[cochain.Cochain]:
             raise FormatError(f"{where} is not an object")
         item = {"arity": 2, "dim": doc.get("dim", alg.dim), **item}
         arity, dim = item["arity"], item["dim"]
-        # before cochain_from_json allocates all dim ** (arity + 1) coordinates;
-        # an arity or dim that is no integer is its error to report
+        # name the expected shape; an arity or dim that is no integer is
+        # cochain_from_json's error to report
         if type(arity) is type(dim) is int and (arity, dim) != (2, alg.dim):
             raise FormatError(f"{where} has arity {arity} and dimension {dim};"
                               f" expected arity 2 and dimension {alg.dim}")
@@ -199,7 +199,7 @@ def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     max_order = _at_least_one("--max-order", args.max_order)
     try:
-        target = deform.LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
+        target = poly.LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
     except PreconditionError as e:
         raise FormatError(f"--to {args.to!r}: {e}") from e
     images, substitution = {}, {}
@@ -210,7 +210,7 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         name = name.strip()
         if name in images:
             raise FormatError(f"--sub gives generator {name!r} a second image")
-        images[name] = deform.parse_poly(expr, target)
+        images[name] = poly.parse_poly(expr, target)
         substitution[name] = expr
     hl2 = _hl2_with_reps(alg, args.reps)
     d, _ = deform.versal_construct(alg, max_order, hl2.class_representatives)

@@ -33,6 +33,11 @@ from .linalg import Matrix, quotient_representatives, rank, solve
 from .values import F0, Record, Vec, _join_terms, as_scalar, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
+# The most coordinates ``Cochain.from_entries`` allocates: far above any
+# cochain the package computes with, far below what exhausts memory.
+MAX_COORDINATES = 10 ** 7
+
+
 class Cochain(Record):
     """A p-linear map L^{tensor p} -> L stored as its flat coordinate vector;
     a 0-cochain is a single vector."""
@@ -54,7 +59,18 @@ class Cochain(Record):
     def from_entries(
         cls, arity: int, dim: int, entries: Mapping[tuple[int, ...], Mapping[int, object]]
     ) -> "Cochain":
-        """Build from the nonzero values only; 0-based indices throughout."""
+        """Build from the nonzero values only; 0-based indices throughout.
+
+        A negative arity or dimension, or a shape of more than
+        ``MAX_COORDINATES`` coordinates, raises DimensionMismatch before
+        anything is allocated.
+        """
+        if arity < 0 or dim < 0:
+            raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim}: both must be nonnegative")
+        # a long arity is refused unpowered: dim >= 2 gives dim ** (arity + 1) >= 2 ** 25
+        if dim > 1 and (arity >= MAX_COORDINATES.bit_length() or dim ** (arity + 1) > MAX_COORDINATES):
+            raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim} has {dim}^{arity + 1}"
+                                    f" coordinates, more than {MAX_COORDINATES}")
         flat = [F0] * dim ** (arity + 1)
         for idx, value in entries.items():
             if len(idx) != arity or not all(0 <= i < dim for i in idx):

@@ -1,12 +1,12 @@
 """Text and JSON rendering of algebras, cochains, cohomology and deformations.
 
 Rationals render as ``p/q`` with positive q, or ``p`` alone when q is 1.
-Base polynomials are written by ``deform``, which owns their format.  This
-module reaches ``cochain`` and ``deform`` as modules (``from . import
-cochain, deform``), so ``check`` loads neither, and the commands that build
-no deformation never load ``deform``.  JSON output is canonical
-(two-space indent, sorted keys) so that parsing a report and re-serializing
-it is byte-identical.
+Base polynomials are written by ``poly``, which owns their format.  This
+module reaches ``cochain``, ``deform`` and ``poly`` as modules (``from .
+import cochain, deform, poly``), so ``check`` loads none of them, and the
+commands that build no deformation never load ``deform`` or ``poly``.  JSON
+output is canonical (two-space indent, sorted keys) so that parsing a report
+and re-serializing it is byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, json_index, vector_from_json, vector_to_json
-from . import cochain, deform
+from . import cochain, deform, poly
 from .errors import DimensionMismatch, FormatError
 from .values import _join_terms
 
@@ -78,7 +78,7 @@ def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str,
     """Text and JSON forms of the bracket table of a deformation."""
     base = d.base
     lines = [f"base: K[{','.join(base.generators)}] truncated at order {base.truncation_order}"]
-    lines.append("relations: " + ("; ".join(deform.render_poly(base, rel) for rel in base.relations) or "none"))
+    lines.append("relations: " + ("; ".join(poly.render_poly(base, rel) for rel in base.relations) or "none"))
     lines.append("brackets:")
     brackets_json = []
     n = alg.dim
@@ -87,12 +87,12 @@ def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str,
             av = d.basis_bracket(i, j)
             if all(p.is_zero() for p in av):
                 continue
-            lines.append(f"  [{alg.label(i)},{alg.label(j)}] = {deform.render_avector(av, alg)}")
+            lines.append(f"  [{alg.label(i)},{alg.label(j)}] = {poly.render_avector(av, alg)}")
             value = [
-                {"basis": k + 1, **term} for k, p in enumerate(av) for term in deform.poly_to_json(base, p.data())
+                {"basis": k + 1, **term} for k, p in enumerate(av) for term in poly.poly_to_json(base, p.data())
             ]
             brackets_json.append({"left": i + 1, "right": j + 1, "value": value})
-    doc = {"base": deform.base_to_json(base), "brackets": brackets_json}
+    doc = {"base": poly.base_to_json(base), "brackets": brackets_json}
     return "\n".join(lines), doc
 
 

@@ -477,6 +477,12 @@ def ideal_member(base, *polys) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def nf3() -> LeibnizAlgebra:
+    """The null-filiform algebra [e_1,e_1] = e_2, [e_2,e_1] = e_3: lambda6
+    with its basis renamed (e_3, e_1, e_2) -> (e_1, e_2, e_3)."""
+    return LeibnizAlgebra.from_brackets(3, {(0, 0): {1: 1}, (1, 0): {2: 1}})
+
+
 def nf4() -> LeibnizAlgebra:
     """The null-filiform algebra [e_i,e_1] = e_{i+1} for i = 1..3."""
     return LeibnizAlgebra.from_brackets(4, {(i, 0): {i + 1: 1} for i in range(3)})
@@ -485,6 +491,13 @@ def nf4() -> LeibnizAlgebra:
 def h3() -> LeibnizAlgebra:
     """The Heisenberg algebra [e_1,e_2] = e_3 = -[e_2,e_1]."""
     return LeibnizAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
+
+
+def sl2() -> LeibnizAlgebra:
+    """The Lie algebra sl(2) on (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
+    return LeibnizAlgebra.from_brackets(
+        3, {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2}, (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}
+    )
 
 
 def misoriented_nf4() -> LeibnizAlgebra:

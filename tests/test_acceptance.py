@@ -37,8 +37,6 @@ from leibniz_deform.cochain import (
 )
 from leibniz_deform.deform import (
     Deformation,
-    LocalBase,
-    TruncatedPolynomial,
     leibniz_defect,
     massey2,
     massey3,
@@ -48,6 +46,7 @@ from leibniz_deform.deform import (
 )
 from leibniz_deform.graded import circle, graded_bracket, shuffles
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial
 from leibniz_deform.reports import deformation_report
 
 F = Fraction

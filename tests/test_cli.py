@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from helpers import h3, misoriented_nf4
 from leibniz_deform import deform, graded
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
-from leibniz_deform.deform import LocalBase, TruncatedPolynomial, parse_poly
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
 from leibniz_deform.errors import FormatError
 from leibniz_deform.reports import dumps_canonical
 
@@ -492,7 +493,8 @@ def test_check_loads_no_argument_parsing_or_typing_modules():
 
 
 # The layers that not every command runs; they load on first use.
-LAZY = ("leibniz_deform.linalg", "leibniz_deform.cochain", "leibniz_deform.graded", "leibniz_deform.deform")
+LAZY = ("leibniz_deform.linalg", "leibniz_deform.cochain", "leibniz_deform.graded", "leibniz_deform.poly",
+        "leibniz_deform.deform")
 # The layers that bench/tracing.py wraps.
 TRACED_LAYERS = ("algebra", "linalg", "cochain", "graded", "deform", "reports")
 # An expression, for a python_s script, of the submodules that have run their source.
@@ -512,18 +514,18 @@ def loaded_after(argv) -> str:
 
 @pytest.mark.parametrize("argv", [("check", "lambda6"), ("cohomology", "lambda6", "--degree", "3")])
 def test_cohomology_commands_never_load_deform_or_graded(argv):
-    # check runs neither linalg nor cochain, cohomology both
+    # check runs neither linalg nor cochain, cohomology both; neither runs poly
     eliminates = argv[0] == "cohomology"
-    assert loaded_after(argv) == f"{[eliminates, eliminates, False, False]}\n"
+    assert loaded_after(argv) == f"{[eliminates, eliminates, False, False, False]}\n"
 
 
 def test_massey_loads_graded_but_not_deform():
-    assert loaded_after(("massey", "lambda6")) == "[True, True, True, False]\n"
+    assert loaded_after(("massey", "lambda6")) == "[True, True, True, False, False]\n"
 
 
 @pytest.mark.parametrize("argv", [("versal", "lambda6", "--max-order", "2"), ("infinitesimal", "lambda6")])
 def test_deformation_commands_load_deform_and_graded(argv):
-    assert loaded_after(argv) == "[True, True, True, True]\n"
+    assert loaded_after(argv) == "[True, True, True, True, True]\n"
 
 
 def test_bare_import_runs_no_layer():
@@ -541,6 +543,34 @@ def test_lazy_modules_are_registered_by_importing_the_cli():
 SRC = Path(__file__).resolve().parent.parent / "src" / "leibniz_deform"
 
 
+# versal's peak over massey's, in KB: 1,450 to 1,740 while deform.py held the
+# polynomial base, 360 to 600 since poly.py holds it (10 runs each, Python 3.11.7).
+COMPILE_PEAK_KB = 900
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kilobytes on Linux")
+def test_compiling_the_deformation_layers_does_not_set_the_peak_rss(tmp_path):
+    """``versal`` compiles ``poly`` and ``deform`` from source, as a checkout
+    without bytecode does, and ``massey`` compiles neither: each compile must
+    be small enough that versal peaks less than ``COMPILE_PEAK_KB`` above
+    massey.  Both run on a copy of the package without ``__pycache__``.  A
+    child's ``ru_maxrss`` counts the memory of the process that started it,
+    so a small launcher starts them and reads their peaks from ``wait4``."""
+    shutil.copytree(SRC, tmp_path / "leibniz_deform", ignore=shutil.ignore_patterns("__pycache__"))
+    launcher = f"""
+import os, sys
+env = dict(os.environ, PYTHONPATH={str(tmp_path)!r}, PYTHONDONTWRITEBYTECODE="1")
+for argv in (["versal", "lambda6", "--max-order", "2"], ["massey", "lambda6"]):
+    out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-S", "-m", "leibniz_deform", *argv], env, file_actions=out)
+    _, status, usage = os.wait4(pid, 0)
+    assert status == 0, argv
+    print(usage.ru_maxrss)
+"""
+    versal, massey = map(int, python_s(launcher).split())
+    assert versal - massey < COMPILE_PEAK_KB
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_inside_a_function(path):
     """Every import of the package is at module level, where laziness is
@@ -554,18 +584,31 @@ def test_no_module_imports_inside_a_function(path):
     assert deferred == []
 
 
-def test_deform_names_neither_reports_nor_cli():
-    """The polynomial format is ``deform``'s own, so it needs no renderer or parser from elsewhere."""
-    tree = ast.parse((SRC / "deform.py").read_text(encoding="utf-8"))
+def _module_names(name: str) -> set[str]:
+    """The modules a source module imports, the names it imports and the names it reads."""
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             names.update([node.module or "", *(a.name for a in node.names)])
         elif isinstance(node, ast.Import):
             names.update(a.name for a in node.names)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert not {n.rpartition(".")[2] for n in names} & {"reports", "cli"}
+    return {n.rpartition(".")[2] for n in names}
+
+
+def test_deform_names_neither_reports_nor_cli():
+    """The polynomial format is ``poly``'s own, so ``deform`` takes its
+    renderer from there and needs nothing from the front end."""
+    names = _module_names("deform")
+    assert not names & {"reports", "cli"}
+    assert {"poly", "render_poly"} <= names
+
+
+def test_poly_imports_no_cochain_graded_deform_reports_or_cli():
+    """The bases are a layer below the deformations: ``poly`` runs without
+    any cochain, graded, deformation or front-end code."""
+    assert not _module_names("poly") & {"cochain", "graded", "deform", "reports", "cli"}
 
 
 BENCH = SRC.parent.parent / "bench"
@@ -624,7 +667,7 @@ def test_looking_up_a_name_runs_its_layer_and_the_layers_that_it_imports():
 import sys, types, leibniz_deform.cochain
 import leibniz_deform as pkg
 print("import", *{RUN_SUBMODULES})
-for layer, name in (("errors", "FormatError"), ("algebra", "validate"), ("linalg", "rref"),
+for layer, name in (("errors", "FormatError"), ("algebra", "validate"), ("linalg", "rref"), ("poly", "LocalBase"),
                     ("cochain", "cohomology"), ("graded", "circle"), ("deform", "versal_construct")):
     assert getattr(getattr(pkg, layer), name).__module__ == f"leibniz_deform.{{layer}}", name
     print(name, *{RUN_SUBMODULES})
@@ -638,9 +681,10 @@ except AttributeError as e:
         "FormatError errors\n"
         "validate algebra errors values\n"
         "rref algebra errors linalg values\n"
-        "cohomology algebra cochain errors linalg values\n"
-        "circle algebra cochain errors graded linalg values\n"
-        "versal_construct algebra cochain deform errors graded linalg values\n"
+        "LocalBase algebra errors linalg poly values\n"
+        "cohomology algebra cochain errors linalg poly values\n"
+        "circle algebra cochain errors graded linalg poly values\n"
+        "versal_construct algebra cochain deform errors graded linalg poly values\n"
         "module 'leibniz_deform' has no attribute 'cohomology'\n"
     )
 

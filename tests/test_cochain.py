@@ -16,8 +16,10 @@ from helpers import (
     from_rows,
     matmul,
     misoriented_nf4,
+    nf3,
     random_cochain,
     random_leibniz_algebra,
+    sl2,
 )
 from leibniz_deform.algebra import abelian, lambda6
 from leibniz_deform.cochain import (
@@ -29,7 +31,7 @@ from leibniz_deform.cochain import (
     lambda6_reference_representatives,
     with_representatives,
 )
-from leibniz_deform.errors import DimensionMismatch, PreconditionError
+from leibniz_deform.errors import DimensionMismatch, FormatError, PreconditionError
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
 from leibniz_deform.reports import cochain_from_json, cochain_to_json
 
@@ -123,6 +125,21 @@ def test_lambda6_zl2_constraints_annihilate_kernel():
 def test_abelian_dim1_degree2():
     space = cohomology(abelian(1), 2)
     assert (space.dim_cocycles, space.dim_coboundaries, space.dim) == (1, 0, 1)
+
+
+# (ZL^p, BL^p) for p = 1, 2, 3.  NF3 is lambda6 with its basis renamed, so it
+# has lambda6's dimensions (in degree 3 as computed, 21 and 19, not the
+# paper's 20 and 18); sl(2) is semisimple, so every HL^p is 0; the coboundary
+# of an abelian algebra is 0, so ZL^p holds all n^(p+1) coordinates.
+@pytest.mark.parametrize("algebra, expected", [
+    (nf3, [(3, 1), (8, 6), (21, 19)]),
+    (sl2, [(3, 3), (6, 6), (21, 21)]),
+    (lambda: abelian(2), [(4, 0), (8, 0), (16, 0)]),
+], ids=["nf3", "sl2", "abelian2"])
+def test_cohomology_dimensions_equal_known_answers(algebra, expected):
+    alg = algebra()
+    spaces = [cohomology(alg, p) for p in (1, 2, 3)]
+    assert [(s.dim_cocycles, s.dim_coboundaries, s.dim) for s in spaces] == [(z, b, z - b) for z, b in expected]
 
 
 def test_representatives_are_cocycles_and_projection_kills_coboundaries():
@@ -228,6 +245,23 @@ def test_from_entries_rejects_output_index_out_of_range(k):
         Cochain.from_entries(2, 3, {(1, 2): {k: -1}})
     ok = Cochain.from_entries(2, 3, {(1, 2): {0: -1, 2: 1}})
     assert ok.eval_basis((1, 2)) == (F(-1), F(0), F(1))
+
+
+@pytest.mark.parametrize("arity, dim", [(40, 3), (20, 6)])
+def test_a_cochain_too_large_to_allocate_is_refused_naming_its_shape(arity, dim):
+    # 3^41 coordinates overflowed the list size and 6^21 ran out of memory
+    shape = rf"arity {arity} and dimension {dim} has {dim}\^{arity + 1} coordinates"
+    with pytest.raises(DimensionMismatch, match=shape):
+        Cochain.from_entries(arity, dim, {})
+    with pytest.raises(FormatError, match=shape):
+        cochain_from_json({"arity": arity, "dim": dim, "entries": []})
+
+
+@pytest.mark.parametrize("arity, dim", [(-2, 3), (1, -1)])
+def test_a_cochain_of_negative_arity_or_dimension_is_refused(arity, dim):
+    # arity -2 used to fail on a float list size, dim -1 made a one-coordinate cochain
+    with pytest.raises(FormatError, match=rf"arity {arity} and dimension {dim}: both must be nonnegative"):
+        cochain_from_json({"arity": arity, "dim": dim, "entries": []})
 
 
 def test_cohomology_requires_positive_degree():

@@ -16,6 +16,7 @@ from helpers import (
     embed_basis,
     h3,
     ideal_member,
+    nf3,
     nf4,
     random_cochain,
     random_leibniz_algebra,
@@ -31,10 +32,8 @@ from leibniz_deform.cochain import (
 )
 from leibniz_deform.deform import (
     Deformation,
-    LocalBase,
     MasseyWitness,
     ObstructionReport,
-    TruncatedPolynomial,
     default_parameter_names,
     extend_to_order,
     leibniz_defect,
@@ -47,6 +46,7 @@ from leibniz_deform.deform import (
 )
 from leibniz_deform.errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from leibniz_deform.graded import graded_bracket
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly, render_poly
 from leibniz_deform.values import vec_is_zero
 
 F = Fraction
@@ -199,8 +199,8 @@ def polynomials(draw):
 
 @given(polynomials())
 def test_parse_poly_reads_back_render_poly(poly):
-    text = deform.render_poly(poly.base, poly.data())
-    assert deform.parse_poly(text, poly.base) == poly
+    text = render_poly(poly.base, poly.data())
+    assert parse_poly(text, poly.base) == poly
     assert repr(poly) == f"TruncatedPolynomial({text!r})"
 
 
@@ -909,6 +909,14 @@ def test_versal_obstructed_abelian_line_records_relation():
     (poly,) = relations[2]
     assert poly.coeffs == {(2,): F(1)}
     assert d.base.relations != ()
+    assert all(c.is_zero() for c in leibniz_defect(d).values())
+
+
+def test_versal_nf3_records_no_relation():
+    # NF3 is lambda6 with its basis renamed, and lambda6's base is smooth
+    d, relations = versal_construct(nf3(), 4)
+    assert relations == {}
+    assert d.base.relations == ()
     assert all(c.is_zero() for c in leibniz_defect(d).values())
 
 

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_deform import deform
+from leibniz_deform import poly
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6
 from leibniz_deform.cochain import Cochain, CohomologySpace, cohomology
-from leibniz_deform.deform import Deformation, LocalBase, MasseyWitness, ObstructionReport, TruncatedPolynomial
+from leibniz_deform.deform import Deformation, MasseyWitness, ObstructionReport
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import SubspaceBasis
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial
 from leibniz_deform.values import F0, F1
 
 F = Fraction
@@ -186,12 +187,12 @@ def test_immutable_record_fields_cannot_be_assigned_or_deleted(record, field):
 def test_local_base_echelon_is_built_once_per_instance(monkeypatch):
     built = []
 
-    class CountingReducer(deform.Reducer):
+    class CountingReducer(poly.Reducer):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(deform, "Reducer", CountingReducer)
+    monkeypatch.setattr(poly, "Reducer", CountingReducer)
     base = LocalBase(("t",), 4).with_relations([TruncatedPolynomial(LocalBase(("t",), 4), {(2,): 1})])
     first = base._echelon
     assert base._echelon is first
