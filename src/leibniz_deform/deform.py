@@ -27,6 +27,8 @@ instead yields the versal construction.  These order-by-order steps group the
 products by the degree of m m', which is where they land when the relations
 are homogeneous, as the versal construction's are.  A step computes degree
 k+1 only, and checks degrees 0..k too unless the last step proved them flat.
+After an obstructed order its entries are not recomputed but landed again, at
+the new normal forms of their monomials, and solved there.
 
 Base elements, their normal form and their text and JSON format are
 ``poly``'s.  ``massey3`` is kept only for the tests: the ``massey`` command
@@ -45,8 +47,8 @@ from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
 from .linalg import Reducer
 from .poly import (AVector, LocalBase, Monomial, TruncatedPolynomial, _degree, _mono_mul, _monomials_of_degree,
-                   _render_key, _sparse_poly, _unit, render_monomial, render_poly)
-from .values import F0, F1, Record, Vec, vec_is_zero, zero_vec
+                   _render_key, _unit, render_monomial, render_poly)
+from .values import F0, F1, Record, Vec, _exact, vec_is_zero, zero_vec
 
 _DEFAULT_NAMES = ("t", "s", "u", "v", "w")
 
@@ -221,7 +223,7 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
         if nonzero:
             mono = min(nonzero, key=_render_key)
             raise PreconditionError(
-                f"defect does not vanish at degree {_degree(mono)} (monomial {mono})"
+                f"defect does not vanish at degree {_degree(mono)} (monomial {render_monomial(d.base, mono)})"
             )
     zero_class = zero_vec(hl3.dim)
     classes: dict[Monomial, Vec] = {}
@@ -265,22 +267,20 @@ def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport"
 
     On success the new degree-(k+1) terms are the deterministic particular
     solutions of (coboundary) psi = -defect entry; otherwise the obstruction
-    report is returned.  The new psi_u is in only the degree-(k+1) pairs
-    (psi_0, psi_u) and (psi_u, psi_0), which land on u: the post-check updates
-    the obstruction pass by them and marks the result flat through k+1.
-    """
+    report is returned."""
     report = obstruction_classes(d, k)
-    if not report.all_zero():
-        return report
+    return _solve_order(d, k, report.defect) if report.all_zero() else report
+
+
+def _solve_order(d: Deformation, k: int, defect: Mapping[Monomial, Cochain]) -> Deformation:
+    """d to order k plus the solutions psi_u of (coboundary) psi_u = -D_u of its
+    degree-(k+1) entries D_u, whose classes vanish; the post-check adds the only
+    new pairs, (psi_0, psi_u) and (psi_u, psi_0), which land on u."""
     alg = d.algebra
-    added: dict[Monomial, Cochain] = {}
-    for mono in report.classes:
-        entry = report.defect.get(mono)
-        if entry is None or entry.is_zero():
-            continue
-        added[mono] = massey_witness(alg, entry)  # the class vanished: the entry is a coboundary
+    added = {m: massey_witness(alg, defect[m])  # the class vanished: the entry is a coboundary
+             for m in sorted(defect, key=_render_key) if _degree(m) == k + 1 and not defect[m].is_zero()}
     mu = _bracket_cochain(alg)
-    for mono, entry in report.defect.items():
+    for mono, entry in defect.items():
         if mono in added:
             entry = entry - circle(alg, mu, added[mono]) - circle(alg, added[mono], mu)
         if not entry.is_zero():
@@ -384,10 +384,10 @@ def versal_construct(
     Starts from the universal first-order deformation on the given (or
     computed) degree-2 representatives.  At each order the obstruction
     classes either vanish, yielding correction terms, or their class
-    polynomials are adjoined to the base relation ideal, after which the
-    extension goes through in the quotient.  Returns the deformation and the
-    relations recorded per order (an empty record means the base is smooth up
-    to max_order).
+    polynomials are adjoined to the base relation ideal and the report's
+    entries, landed again at the new normal forms of their monomials, are
+    solved there.  Returns the deformation and the relations recorded per
+    order (an empty record means the base is smooth up to max_order).
     """
     if max_order < 1:
         raise PreconditionError("max_order must be at least 1")
@@ -399,22 +399,22 @@ def versal_construct(
     for k in range(1, max_order):
         result = extend_to_order(d, k)
         if isinstance(result, ObstructionReport):
-            # the class polynomials are normal: keep those that raise the rank
-            _, index, _ = d.base._echelon
-            span = Reducer()
-            polys = tuple(
-                p for _, p in result.relation_polynomials if span.insert(_sparse_poly(index, p.coeffs.items()))
-            )
+            index, span = {}, Reducer()  # the class polynomials are normal: keep those that raise the rank
+            polys = tuple(p for _, p in result.relation_polynomials
+                          if span.insert({index.setdefault(m, len(index)): _exact(c) for m, c in p.coeffs.items()}))
             relations_log[k + 1] = polys
             d = d.with_base(d.base.with_relations(polys))
-            # the first try proved d flat through k, and relations homogeneous
-            # of degree k+1 change no term or normal form of degree 0..k
-            d._flat_through = k
-            result = extend_to_order(d, k)
-            if isinstance(result, ObstructionReport):
+            if not all(TruncatedPolynomial(d.base, p.coeffs).is_zero() for _, p in result.relation_polynomials):
                 raise LeibnizDeformError(
                     f"the order-{k + 1} obstruction survived its own relations"
                     f" {', '.join(render_poly(d.base, p.data()) for p in polys)}; internal error"
                 )
+            # relations of degree k+1 change no term of degree 0..k; the new normal form is linear and
+            # zero on the old ideal, which lies in the new one, so NF_new(NF_old(m m')) = NF_new(m m')
+            defect: dict[Monomial, Cochain] = {}
+            for mono, entry in result.defect.items():
+                for m, c in TruncatedPolynomial(d.base, {mono: F1}).coeffs.items():
+                    defect[m] = defect[m] + entry.scale(c) if m in defect else entry.scale(c)
+            result = _solve_order(d, k, defect)
         d = result
     return d, relations_log

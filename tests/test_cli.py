@@ -627,6 +627,13 @@ def _src_names(tree) -> set[str]:
     return names
 
 
+def test_deform_reads_no_private_name_of_the_base():
+    """``deform`` reaches normal forms through ``TruncatedPolynomial`` alone:
+    it reads neither a base's Macaulay echelon nor the sparse rows of it."""
+    names = _src_names(ast.parse((SRC / "deform.py").read_text(encoding="utf-8")))
+    assert not names & {"_echelon", "_sparse_poly"}
+
+
 def _bench_names(tree) -> set[str]:
     """The package names a benchmark module reaches: each part of a ``TRACED``
     path, each name imported from ``leibniz_deform`` and each attribute read."""

@@ -518,12 +518,15 @@ def test_obstructed_example_reports_nonzero_class():
     assert not vec_is_zero(expected)
 
 
-def test_obstruction_requires_flat_defect():
+@pytest.mark.parametrize("generators, mono, name", [(("t",), (1,), "t"), (("t", "s"), (0, 1), "s")])
+def test_obstruction_requires_flat_defect(generators, mono, name):
     alg = lambda6()
     psi = Cochain.from_entries(2, 3, {(0, 0): {0: 1}})  # not a cocycle
-    d = Deformation(alg, LocalBase(("t",), 2), {(1,): psi})
-    with pytest.raises(PreconditionError):
+    d = Deformation(alg, LocalBase(generators, 2), {mono: psi})
+    with pytest.raises(PreconditionError) as info:
         obstruction_classes(d, 1)
+    # the monomial is written as the base writes it, not as an exponent tuple
+    assert str(info.value) == f"defect does not vanish at degree 1 (monomial {name})"
 
 
 CORPUS = {
@@ -536,12 +539,17 @@ CORPUS = {
 }
 
 
+def _nonzero(defect):
+    return {m: entry for m, entry in defect.items() if not entry.is_zero()}
+
+
 @pytest.mark.parametrize(
-    "algebra, max_order", [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 3)]
+    "algebra, max_order",
+    [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 4), ("abelian3", 2)],
 )
 def test_obstructions_of_a_proven_extension_equal_the_full_check(monkeypatch, algebra, max_order):
-    real = deform.obstruction_classes
-    marked = []
+    real, solve = deform.obstruction_classes, deform._solve_order
+    marked, reports, relanded = [], [], []
 
     def against_full_check(d, k):
         report = real(d, k)
@@ -551,14 +559,37 @@ def test_obstructions_of_a_proven_extension_equal_the_full_check(monkeypatch, al
         assert report.relation_polynomials == full.relation_polynomials
         assert report.defect == full.defect
         marked.append(d._flat_through >= k)
+        reports.append(report)
         return report
 
+    def against_recomputed(d, k, defect):
+        if defect is not reports[-1].defect:
+            # an obstructed order's entries landed again in the enlarged base
+            # are what an unmarked copy recomputes there
+            assert _nonzero(defect) == _nonzero(real(Deformation(d.algebra, d.base, d.terms), k).defect)
+            relanded.append(k + 1)
+        return solve(d, k, defect)
+
     monkeypatch.setattr(deform, "obstruction_classes", against_full_check)
+    monkeypatch.setattr(deform, "_solve_order", against_recomputed)
     _, relations = versal_construct(CORPUS[algebra](), max_order)
-    # each order from 2 on is first tried on the previous extension, and a
-    # retry after adjoining relations keeps the flatness its first try proved
-    assert marked.count(True) == max_order - 2 + len(relations)
+    # one obstruction pass per order, from order 2 on over the previous
+    # extension; an obstructed order lands its pass again in the new base
+    assert len(marked) == max_order - 1
+    assert marked.count(True) == max_order - 2
     assert not marked[0]
+    assert relanded == list(relations)
+
+
+# an obstructed order's products are computed in its one pass; a second pass
+# over the enlarged base would make 1513, 517 and 145 of them
+@pytest.mark.parametrize("algebra, max_order, budget", [("abelian3", 2, 784), ("h3", 4, 325), ("abelian2", 6, 81)])
+def test_an_obstructed_order_computes_its_circle_products_once(monkeypatch, algebra, max_order, budget):
+    circles = []
+    circle = deform.circle
+    monkeypatch.setattr(deform, "circle", lambda *a: circles.append(a) or circle(*a))
+    versal_construct(CORPUS[algebra](), max_order)
+    assert len(circles) <= budget
 
 
 def test_only_an_extension_skips_the_lower_degrees(monkeypatch):
@@ -612,16 +643,8 @@ def test_obstruction_check_names_the_order_and_monomial_of_an_unclosed_entry(mon
 
 
 def test_versal_error_names_the_relations_the_obstruction_survived(monkeypatch):
-    # every retry sees the first obstruction again, as if the relations did nothing
-    real, first = deform.extend_to_order, []
-
-    def stuck(d, k):
-        result = first[0] if first else real(d, k)
-        if isinstance(result, ObstructionReport):
-            first.append(result)
-        return result
-
-    monkeypatch.setattr(deform, "extend_to_order", stuck)
+    # adjoining the relations leaves the ideal as it was
+    monkeypatch.setattr(LocalBase, "with_relations", lambda base, extra: base)
     with pytest.raises(LeibnizDeformError) as info:
         versal_construct(abelian(1), 3)
     assert str(info.value) == "the order-2 obstruction survived its own relations t^2; internal error"
