@@ -8,8 +8,9 @@ truncated polynomial bases.  The package only registers its layers; each
 name is imported from the layer that defines it, for example
 ``from leibniz_deform.cochain import cohomology``.  Every layer loads on
 first use, so each command compiles only the layers it runs: ``check`` runs
-``algebra`` and ``reports``; ``cohomology`` adds ``linalg`` and ``cochain``;
-``massey`` adds ``graded``; and ``infinitesimal``, ``versal`` and
+``cli``, ``algebra`` and ``reports``; ``cohomology`` adds ``linalg`` and
+``cochain``; ``massey`` adds ``graded`` and ``cli_hl2``, the front end of the
+commands built on the degree-2 classes; and ``infinitesimal``, ``versal`` and
 ``pushforward`` add ``poly``, the truncated polynomial bases, and ``deform``.
 All of them run ``errors`` and ``values``.
 """
@@ -29,5 +30,5 @@ def _lazy(name: str):
     return module
 
 
-for _layer in ("errors", "values", "algebra", "linalg", "cochain", "graded", "poly", "deform", "reports"):
+for _layer in ("errors", "values", "algebra", "linalg", "cochain", "graded", "poly", "deform", "reports", "cli_hl2"):
     globals()[_layer] = _lazy(_layer)

@@ -187,13 +187,22 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
     return LeibnizAlgebra.from_brackets(dim, brackets)
 
 
+def read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 file ``path``.  A file that cannot be read, or
+    holds a byte that is not UTF-8, raises FormatError naming ``what``, the
+    path and the byte's offset."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {what} {path!r}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise FormatError(f"cannot read {what} {path!r}: byte 0x{e.object[e.start]:02x}"
+                          f" at offset {e.start} is not UTF-8") from e
+
+
 def load_algebra(path_or_name: str) -> LeibnizAlgebra:
     """Load an algebra file, or resolve the builtin name ``lambda6``."""
     if path_or_name == "lambda6":
         return lambda6()
-    try:
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise FormatError(f"cannot read algebra file {path_or_name!r}: {e}") from e
-    return algebra_from_json(text)
+    return algebra_from_json(read_text(path_or_name, "algebra file"))

@@ -6,63 +6,22 @@ path or the builtin name ``lambda6``.  Options go before or after ALGEBRA, as
 repeats; ``-h``/``--help`` prints the usage to standard output.  Exit status
 is 0 on success and after help, 1 on malformed input (the command line,
 files, expressions and option values), 2 on precondition faults.  All
-computation is deterministic.  The ``--to`` names and ``--sub`` polynomials
-are read by ``poly``, which owns the polynomial format.
+computation is deterministic.  This module holds the two handlers that need
+no degree-2 classes, ``check`` and ``cohomology``; the other four and the
+``--reps`` reader are in ``cli_hl2``.  The ``--to`` names and ``--sub``
+polynomials are read by ``poly``, which owns the polynomial format.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .algebra import LeibnizAlgebra, load_algebra, validate
-from . import cochain, deform, graded, poly
-from .errors import FormatError, LeibnizDeformError, PreconditionError
-from .values import vec_is_zero
-from .reports import (
-    cochain_from_json,
-    cochain_to_json,
-    cohomology_report,
-    deformation_report,
-    dumps_canonical,
-    render_vector,
-)
-
-
-def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[cochain.Cochain]:
-    if spec == "paper":
-        if alg.dim != 3 or alg != load_algebra("lambda6"):
-            raise FormatError("--reps paper is only defined for the builtin algebra lambda6")
-        return list(cochain.lambda6_reference_representatives())
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise FormatError(f"cannot read representatives file {spec!r}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
-    if not isinstance(doc, dict) or not isinstance(doc.get("cochains"), list):
-        raise FormatError("representatives file must be an object with a 'cochains' list")
-    reps = []
-    for index, item in enumerate(doc["cochains"]):
-        where = f"entry {index} of 'cochains'"
-        if not isinstance(item, dict):
-            raise FormatError(f"{where} is not an object")
-        item = {"arity": 2, "dim": doc.get("dim", alg.dim), **item}
-        arity, dim = item["arity"], item["dim"]
-        # name the expected shape; an arity or dim that is no integer is
-        # cochain_from_json's error to report
-        if type(arity) is type(dim) is int and (arity, dim) != (2, alg.dim):
-            raise FormatError(f"{where} has arity {arity} and dimension {dim};"
-                              f" expected arity 2 and dimension {alg.dim}")
-        try:
-            reps.append(cochain_from_json(item))
-        except FormatError as e:
-            raise FormatError(f"{where}: {e}") from e
-    return reps
+from . import cli_hl2, cochain
+from .errors import FormatError, LeibnizDeformError
+from .reports import cohomology_report, dumps_canonical, render_vector
 
 
 def _at_least_one(option: str, value: int) -> int:
@@ -105,122 +64,6 @@ def cmd_cohomology(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     return text, doc
 
 
-def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None):
-    hl2 = cochain.cohomology(alg, 2)
-    if reps_spec is not None:
-        hl2 = cochain.with_representatives(hl2, _load_reps(reps_spec, alg), alg)
-    return hl2
-
-
-def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    hl2 = _hl2_with_reps(alg, args.reps)
-    hl3 = cochain.cohomology(alg, 3)
-    h = hl2.dim
-    lines = [f"dim HL^2 = {h}, dim HL^3 = {hl3.dim}"]
-    pair_docs = []
-    pair_reps = {}
-    all_zero = True
-    lines.append("second-order brackets:")
-    units = [tuple(int(k == i) for k in range(h)) for i in range(h)]
-    for i, j in itertools.combinations_with_replacement(range(h), 2):
-        coords, rep = graded.massey2(alg, hl2, units[i], units[j])
-        pair_reps[(i, j)] = rep
-        zero = vec_is_zero(coords)
-        all_zero = all_zero and zero
-        cls = "0" if zero else "(" + ", ".join(str(c) for c in coords) + ")"
-        lines.append(f"  <[{i + 1}],[{j + 1}]> = {cls}")
-        pair_docs.append(
-            {
-                "left": i + 1,
-                "right": j + 1,
-                "class": [str(c) for c in coords],
-                "representative": cochain_to_json(rep),
-            }
-        )
-    triple_docs = []
-    witness_docs = []
-    if all_zero:
-        lines.append("third-order brackets:")
-        # one witness per pair, solved once here for every triple
-        pair_wits = {pair: graded.massey_witness(alg, rep) for pair, rep in pair_reps.items()}
-        for i, j, k in itertools.combinations_with_replacement(range(h), 3):
-            wits = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
-            coords, rep = graded._triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
-            cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
-            lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
-            triple_docs.append(
-                {
-                    "indices": [i + 1, j + 1, k + 1],
-                    "class": [str(c) for c in coords],
-                    "representative": cochain_to_json(rep),
-                }
-            )
-            for pair, w in wits.items():
-                witness_docs.append(
-                    {
-                        "triple": [i + 1, j + 1, k + 1],
-                        "pair": [pair[0] + 1, pair[1] + 1],
-                        "witness": cochain_to_json(w),
-                    }
-                )
-    else:
-        lines.append("third-order brackets: undefined (a second-order bracket is nonzero)")
-    doc = {
-        "command": "massey",
-        "dim_hl2": h,
-        "dim_hl3": hl3.dim,
-        "pairwise": pair_docs,
-        "triples": triple_docs,
-        "witnesses": witness_docs,
-    }
-    return "\n".join(lines), doc
-
-
-def cmd_infinitesimal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    hl2 = _hl2_with_reps(alg, args.reps)
-    d = deform.universal_infinitesimal(alg, hl2.class_representatives)
-    text, doc = deformation_report(d, alg)
-    doc["command"] = "infinitesimal"
-    return text, doc
-
-
-def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    max_order = _at_least_one("--max-order", args.max_order)
-    hl2 = _hl2_with_reps(alg, args.reps)
-    d, relations = deform.versal_construct(alg, max_order, hl2.class_representatives)
-    text, doc = deformation_report(d, alg)
-    doc["command"] = "versal"
-    doc["relations_by_order"] = {
-        str(order): [str(p) for p in polys] for order, polys in relations.items()
-    }
-    return text, doc
-
-
-def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    max_order = _at_least_one("--max-order", args.max_order)
-    try:
-        target = poly.LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
-    except PreconditionError as e:
-        raise FormatError(f"--to {args.to!r}: {e}") from e
-    images, substitution = {}, {}
-    for sub in args.sub:
-        if "=" not in sub:
-            raise FormatError(f"--sub expects NAME=POLY, got {sub!r}")
-        name, expr = sub.split("=", 1)
-        name = name.strip()
-        if name in images:
-            raise FormatError(f"--sub gives generator {name!r} a second image")
-        images[name] = poly.parse_poly(expr, target)
-        substitution[name] = expr
-    hl2 = _hl2_with_reps(alg, args.reps)
-    d, _ = deform.versal_construct(alg, max_order, hl2.class_representatives)
-    out = deform.push_forward(d, target, images)
-    text, doc = deformation_report(out, alg)
-    doc["command"] = "pushforward"
-    doc["substitution"] = substitution
-    return text, doc
-
-
 REQUIRED = object()  # the default of an option that must be given
 _OUTPUT = {"--output": (("text", "json"), "text", "text or json")}
 _REPS = {**_OUTPUT, "--reps": (str, None, "2-cocycle representatives: a JSON file, or 'paper' (lambda6 only)")}
@@ -228,15 +71,21 @@ _MAX_ORDER = {"--max-order": (int, 3, "truncation order")}
 
 # subcommand: (handler, help, options).  An option is (type, default, help), the
 # type int, str, list (a string that may repeat, kept in order) or a tuple of
-# the allowed strings; a default of REQUIRED makes the option required.
+# the allowed strings; a default of REQUIRED makes the option required.  The
+# handlers of the degree-2 commands are cli_hl2's, read only at dispatch, so
+# that check and cohomology never load that module.
 COMMANDS = {
     "check": (cmd_check, "verify the Leibniz identity on all basis triples", _OUTPUT),
     "cohomology": (cmd_cohomology, "cocycles, coboundaries and cohomology in one degree",
                    {**_OUTPUT, "--degree": (int, REQUIRED, "cochain degree")}),
-    "massey": (cmd_massey, "all second- and third-order Massey brackets of the degree-2 classes", _REPS),
-    "infinitesimal": (cmd_infinitesimal, "the universal first-order deformation", _REPS),
-    "versal": (cmd_versal, "order-by-order versal deformation", {**_REPS, **_MAX_ORDER}),
-    "pushforward": (cmd_pushforward, "substitute base parameters in the versal deformation", {
+    "massey": (lambda alg, args: cli_hl2.cmd_massey(alg, args),
+               "all second- and third-order Massey brackets of the degree-2 classes", _REPS),
+    "infinitesimal": (lambda alg, args: cli_hl2.cmd_infinitesimal(alg, args),
+                      "the universal first-order deformation", _REPS),
+    "versal": (lambda alg, args: cli_hl2.cmd_versal(alg, args),
+               "order-by-order versal deformation", {**_REPS, **_MAX_ORDER}),
+    "pushforward": (lambda alg, args: cli_hl2.cmd_pushforward(alg, args),
+                    "substitute base parameters in the versal deformation", {
         **_REPS, **_MAX_ORDER,
         "--sub": (list, REQUIRED, "NAME=POLY, the image of one source generator; repeat per generator"),
         "--to": (str, REQUIRED, "comma-separated target generator names"),

@@ -33,9 +33,20 @@ from .linalg import Matrix, quotient_representatives, rank, solve
 from .values import F0, Record, Vec, _join_terms, as_scalar, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
-# The most coordinates ``Cochain.from_entries`` allocates: far above any
-# cochain the package computes with, far below what exhausts memory.
+# The most coordinates of a cochain shape that ``check_shape`` passes: far
+# above any cochain the package computes with, far below what exhausts memory.
 MAX_COORDINATES = 10 ** 7
+
+
+def check_shape(arity: int, dim: int) -> None:
+    """Raise DimensionMismatch for a negative arity or dimension, or a shape of
+    more than ``MAX_COORDINATES`` coordinates, without computing the power."""
+    if arity < 0 or dim < 0:
+        raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim}: both must be nonnegative")
+    # a long arity is refused unpowered: dim >= 2 gives dim ** (arity + 1) >= 2 ** 25
+    if dim > 1 and (arity >= MAX_COORDINATES.bit_length() or dim ** (arity + 1) > MAX_COORDINATES):
+        raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim} has {dim}^{arity + 1}"
+                                f" coordinates, more than {MAX_COORDINATES}")
 
 
 class Cochain(Record):
@@ -61,16 +72,10 @@ class Cochain(Record):
     ) -> "Cochain":
         """Build from the nonzero values only; 0-based indices throughout.
 
-        A negative arity or dimension, or a shape of more than
-        ``MAX_COORDINATES`` coordinates, raises DimensionMismatch before
+        A shape that ``check_shape`` refuses raises DimensionMismatch before
         anything is allocated.
         """
-        if arity < 0 or dim < 0:
-            raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim}: both must be nonnegative")
-        # a long arity is refused unpowered: dim >= 2 gives dim ** (arity + 1) >= 2 ** 25
-        if dim > 1 and (arity >= MAX_COORDINATES.bit_length() or dim ** (arity + 1) > MAX_COORDINATES):
-            raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim} has {dim}^{arity + 1}"
-                                    f" coordinates, more than {MAX_COORDINATES}")
+        check_shape(arity, dim)
         flat = [F0] * dim ** (arity + 1)
         for idx, value in entries.items():
             if len(idx) != arity or not all(0 <= i < dim for i in idx):
@@ -139,11 +144,13 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     assembled as sparse rows, term by term from the defining formula, visiting
     only the nonzero structure constants: the dense table is never built.
     The tests pin agreement with the direct evaluation ``direct_coboundary``
-    in ``tests/helpers.py``.
+    in ``tests/helpers.py``.  A (p+1)-cochain shape that ``check_shape``
+    refuses raises DimensionMismatch before any row is built.
     """
     if p < 0:
         raise PreconditionError("degree must be nonnegative")
     n = alg.dim
+    check_shape(p + 1, n)
     # [e_a, e_b] = sum_k v e_k, nonzero terms only, by the left argument a, by
     # the right argument b, and by the pair (a, b); integral v are ints
     nonzero, by_left, by_right = nonzero_constants(alg)

@@ -4,8 +4,10 @@ Rationals render as ``p/q`` with positive q, or ``p`` alone when q is 1.
 Base polynomials are written by ``poly``, which owns their format.  This
 module reaches ``cochain``, ``deform`` and ``poly`` as modules (``from .
 import cochain, deform, poly``), so ``check`` loads none of them, and the
-commands that build no deformation never load ``deform`` or ``poly``.  JSON
-output is canonical (two-space indent, sorted keys) so that parsing a report
+commands that build no deformation never load ``deform`` or ``poly``.  It
+only writes: the ``--reps`` reader and its ``cochain_from_json`` are in
+``cli_hl2``, which ``check`` and ``cohomology`` never load.  JSON output is
+canonical (two-space indent, sorted keys) so that parsing a report
 and re-serializing it is byte-identical.
 """
 
@@ -15,9 +17,8 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import LeibnizAlgebra, json_index, vector_from_json, vector_to_json
+from .algebra import LeibnizAlgebra, vector_to_json
 from . import cochain, deform, poly
-from .errors import DimensionMismatch, FormatError
 from .values import _join_terms
 
 
@@ -43,35 +44,6 @@ def cochain_to_json(c: cochain.Cochain) -> dict:
     for idx, val in c.nonzero_entries():
         entries.append({"args": [i + 1 for i in idx], "value": vector_to_json(val)})
     return {"arity": c.arity, "dim": c.dim, "entries": entries}
-
-
-def cochain_from_json(doc: dict) -> cochain.Cochain:
-    """The cochain of a ``cochain_to_json`` document; 1-based indices.
-
-    Raises FormatError for a malformed document, naming the entry whose
-    ``args`` are not indices in 1..dim or repeat an earlier entry's, and
-    reading each value list with ``algebra.vector_from_json``.
-    """
-    try:
-        arity, dim = json_index(doc["arity"], "'arity'"), json_index(doc["dim"], "'dim'")
-        items = doc.get("entries", [])
-        if not isinstance(items, list):
-            raise FormatError("'entries' must be a list")
-        entries = {}
-        for pos, item in enumerate(items):
-            where = f"entry {pos} of 'entries'"
-            if not isinstance(item, dict):
-                raise FormatError(f"{where} is not an object")
-            args = item.get("args")
-            if type(args) is not list or len(args) != arity or not all(type(a) is int and 1 <= a <= dim for a in args):
-                raise FormatError(f"{where} has args {json.dumps(args)}; expected {arity} indices in 1..{dim}")
-            key = tuple(a - 1 for a in args)
-            if key in entries:
-                raise FormatError(f"{where} repeats args {json.dumps(args)}")
-            entries[key] = vector_from_json(item.get("value", []), dim, where)
-        return cochain.Cochain.from_entries(arity, dim, entries)
-    except (KeyError, TypeError, DimensionMismatch) as e:
-        raise FormatError(f"bad cochain document: {e}") from e
 
 
 def deformation_report(d: deform.Deformation, alg: LeibnizAlgebra) -> tuple[str, dict]:

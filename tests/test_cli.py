@@ -151,6 +151,32 @@ def test_missing_file_exits_one(capsys):
     assert "error" in err
 
 
+def test_algebra_file_that_is_not_utf8_exits_one(capsys, tmp_path):
+    # the read used to end in a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1,\r\n "brackets": [\xff]}')
+    code, out, err = invoke(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read algebra file {str(path)!r}: byte 0xff at offset 26 is not UTF-8\n"
+
+
+def test_reps_file_that_is_not_utf8_exits_one(capsys, tmp_path):
+    path = tmp_path / "reps.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = invoke(capsys, "massey", "lambda6", "--reps", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read representatives file {str(path)!r}: byte 0xff at offset 0 is not UTF-8\n"
+
+
+@pytest.mark.parametrize("degree", [13, 14, 10 ** 9])
+def test_a_degree_too_large_to_allocate_exits_two_at_once(capsys, degree):
+    # degree 8 took 19 s and 89 MB on lambda6, each degree more about 3 times the memory
+    code, out, err = invoke(capsys, "cohomology", "lambda6", "--degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err == (f"fault: a cochain of arity {degree + 1} and dimension 3 has 3^{degree + 2}"
+                   f" coordinates, more than 10000000\n")
+
+
 def test_precondition_fault_exits_two(capsys, tmp_path):
     reps = {
         "dim": 3,
@@ -494,7 +520,7 @@ def test_check_loads_no_argument_parsing_or_typing_modules():
 
 # The layers that not every command runs; they load on first use.
 LAZY = ("leibniz_deform.linalg", "leibniz_deform.cochain", "leibniz_deform.graded", "leibniz_deform.poly",
-        "leibniz_deform.deform")
+        "leibniz_deform.deform", "leibniz_deform.cli_hl2")
 # The layers that bench/tracing.py wraps.
 TRACED_LAYERS = ("algebra", "linalg", "cochain", "graded", "deform", "reports")
 # An expression, for a python_s script, of the submodules that have run their source.
@@ -514,18 +540,38 @@ def loaded_after(argv) -> str:
 
 @pytest.mark.parametrize("argv", [("check", "lambda6"), ("cohomology", "lambda6", "--degree", "3")])
 def test_cohomology_commands_never_load_deform_or_graded(argv):
-    # check runs neither linalg nor cochain, cohomology both; neither runs poly
+    # check runs neither linalg nor cochain, cohomology both; neither runs
+    # poly or the degree-2 commands' front end
     eliminates = argv[0] == "cohomology"
-    assert loaded_after(argv) == f"{[eliminates, eliminates, False, False, False]}\n"
+    assert loaded_after(argv) == f"{[eliminates, eliminates, False, False, False, False]}\n"
 
 
 def test_massey_loads_graded_but_not_deform():
-    assert loaded_after(("massey", "lambda6")) == "[True, True, True, False, False]\n"
+    assert loaded_after(("massey", "lambda6")) == "[True, True, True, False, False, True]\n"
 
 
 @pytest.mark.parametrize("argv", [("versal", "lambda6", "--max-order", "2"), ("infinitesimal", "lambda6")])
 def test_deformation_commands_load_deform_and_graded(argv):
-    assert loaded_after(argv) == "[True, True, True, True, True]\n"
+    assert loaded_after(argv) == "[True, True, True, True, True, True]\n"
+
+
+# The most AST nodes of package source that a command may compile: 6,261 and
+# 10,603 while cli.py held every handler and the --reps reader.
+NODE_BUDGET = {("check", "lambda6"): 4700, ("cohomology", "lambda6", "--degree", "2"): 9000}
+
+
+@pytest.mark.parametrize("argv", sorted(NODE_BUDGET), ids=lambda argv: argv[0])
+def test_a_command_compiles_no_other_commands_code(argv):
+    """The package modules that ``run(argv)`` leaves loaded hold at most
+    ``NODE_BUDGET[argv]`` AST nodes: the cost of compiling them from source."""
+    nodes = python_s(
+        "import ast, io, sys, types, contextlib; from leibniz_deform.cli import run\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert run({list(argv)!r}) == 0\n"
+        "loaded = [m for n, m in list(sys.modules.items()) if n.split('.')[0] == 'leibniz_deform'"
+        " and type(m) is types.ModuleType]\n"
+        "print(sum(len(list(ast.walk(ast.parse(open(m.__file__, encoding='utf-8').read())))) for m in loaded))"
+    )
+    assert int(nodes) <= NODE_BUDGET[argv]
 
 
 def test_bare_import_runs_no_layer():

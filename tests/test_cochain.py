@@ -33,7 +33,8 @@ from leibniz_deform.cochain import (
 )
 from leibniz_deform.errors import DimensionMismatch, FormatError, PreconditionError
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
-from leibniz_deform.reports import cochain_from_json, cochain_to_json
+from leibniz_deform.cli_hl2 import cochain_from_json
+from leibniz_deform.reports import cochain_to_json
 
 F = Fraction
 
