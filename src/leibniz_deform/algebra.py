@@ -23,6 +23,10 @@ from fractions import Fraction
 from .errors import DimensionMismatch, FormatError
 from .values import F0, Record, Vec, as_scalar
 
+# The most coordinates of a cochain, or structure constants of an algebra file,
+# that the package allocates: far above its needs, far below what exhausts memory.
+MAX_COORDINATES = 10_000_000
+
 
 class LeibnizAlgebra(Record):
     _fields = ("dim", "structure_constants")
@@ -139,7 +143,8 @@ def vector_from_json(terms, dim: int, where: str) -> dict[int, Fraction]:
 
     Raises FormatError naming ``where`` and the basis when a term's basis is
     not an index in 1..dim or repeats an earlier one, or its coeff is not a
-    rational.
+    rational or has an exponent beyond 4300, whose power of 10 ``Fraction``
+    would compute.
     """
     if not isinstance(terms, list):
         raise FormatError(f"{where} has value {json.dumps(terms)}; expected a list")
@@ -151,22 +156,46 @@ def vector_from_json(terms, dim: int, where: str) -> dict[int, Fraction]:
         if k - 1 in value:
             raise FormatError(f"{where} repeats basis {k}")
         try:
-            value[k - 1] = Fraction(str(term["coeff"]))
+            coeff = str(term["coeff"])
+            if abs(int(coeff.lower().partition("e")[2] or 0)) > 4300:
+                raise FormatError(f"{where} has a 'coeff' with an exponent beyond 4300 at basis {k}")
+            value[k - 1] = Fraction(coeff)
         except (KeyError, ValueError, ZeroDivisionError) as e:
             raise FormatError(f"{where} has no rational 'coeff' at basis {k}") from e
     return value
 
 
-def algebra_from_json(text: str) -> LeibnizAlgebra:
+class _ExactNumber(float):
+    """A JSON number with a fraction or an exponent: a float whose ``str`` is its
+    source text, which ``Fraction`` reads exactly."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+
+def parse_json(text: str):
+    """The document of JSON ``text``, its numbers with a fraction or an exponent
+    ``_ExactNumber``s.  Malformed JSON or a number too long raises FormatError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text, parse_float=_ExactNumber)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+    except ValueError as e:
+        raise FormatError(f"invalid JSON: {e}") from e
+
+
+def algebra_from_json(text: str) -> LeibnizAlgebra:
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise FormatError("algebra document must be a JSON object")
     dim = doc.get("dim")
     if type(dim) is not int or dim < 1:  # a bool or float is no dimension
         raise FormatError("'dim' must be a positive integer")
+    if dim ** 3 > MAX_COORDINATES:
+        raise FormatError(f"'dim' is {dim}: more than {MAX_COORDINATES} structure constants")
     items = doc.get("brackets", [])
     if not isinstance(items, list):
         raise FormatError("'brackets' must be a list")
@@ -177,7 +206,7 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
             raise FormatError(f"{where} must be an object")
         try:
             i, j = json_index(item["left"], "'left'"), json_index(item["right"], "'right'")
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise FormatError(f"{where} needs integer 'left' and 'right'") from e
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise FormatError(f"{where}: index out of range for dim {dim}")
@@ -192,7 +221,7 @@ def read_text(path: str, what: str) -> str:
     holds a byte that is not UTF-8, raises FormatError naming ``what``, the
     path and the byte's offset."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {what} {path!r}: {e}") from e

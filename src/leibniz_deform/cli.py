@@ -32,28 +32,12 @@ def _at_least_one(option: str, value: int) -> int:
 
 def cmd_check(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     violations = validate(alg)
-    if not violations:
-        text = f"Leibniz identity: OK ({len(violations)} violations)"
-    else:
-        lines = [f"Leibniz identity: FAILED ({len(violations)} violations)"]
-        for (i, j, k), defect in violations:
-            lines.append(
-                f"  ({alg.label(i)},{alg.label(j)},{alg.label(k)}): defect {render_vector(defect, alg)}"
-            )
-        text = "\n".join(lines)
-    doc = {
-        "command": "check",
-        "dim": alg.dim,
-        "ok": not violations,
-        "violations": [
-            {
-                "triple": [i + 1, j + 1, k + 1],
-                "defect": [str(x) for x in defect],
-            }
-            for (i, j, k), defect in violations
-        ],
-    }
-    return text, doc
+    lines = [f"Leibniz identity: {'FAILED' if violations else 'OK'} ({len(violations)} violations)"]
+    lines += [f"  ({alg.label(i)},{alg.label(j)},{alg.label(k)}): defect {render_vector(defect, alg)}"
+              for (i, j, k), defect in violations]
+    doc = {"command": "check", "dim": alg.dim, "ok": not violations, "violations": [
+        {"triple": [i + 1, j + 1, k + 1], "defect": [str(x) for x in defect]} for (i, j, k), defect in violations]}
+    return "\n".join(lines), doc
 
 
 def cmd_cohomology(alg: LeibnizAlgebra, args) -> tuple[str, dict]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .algebra import LeibnizAlgebra, json_index, load_algebra, read_text, vector_from_json
+from .algebra import LeibnizAlgebra, json_index, load_algebra, parse_json, read_text, vector_from_json
 from . import cli, cochain, deform, graded, poly
 from .errors import DimensionMismatch, FormatError, PreconditionError
 from .reports import cochain_to_json, deformation_report
@@ -50,10 +50,7 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[cochain.Cochain]:
         if alg.dim != 3 or alg != load_algebra("lambda6"):
             raise FormatError("--reps paper is only defined for the builtin algebra lambda6")
         return list(cochain.lambda6_reference_representatives())
-    try:
-        doc = json.loads(read_text(spec, "representatives file"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+    doc = parse_json(read_text(spec, "representatives file"))
     if not isinstance(doc, dict) or not isinstance(doc.get("cochains"), list):
         raise FormatError("representatives file must be an object with a 'cochains' list")
     reps = []
@@ -78,7 +75,7 @@ def _load_reps(spec: str, alg: LeibnizAlgebra) -> list[cochain.Cochain]:
 def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None):
     hl2 = cochain.cohomology(alg, 2)
     if reps_spec is not None:
-        hl2 = cochain.with_representatives(hl2, _load_reps(reps_spec, alg), alg)
+        hl2 = graded.with_representatives(hl2, _load_reps(reps_spec, alg), alg)
     return hl2
 
 

@@ -27,15 +27,14 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import LeibnizAlgebra, nonzero_constants, validate
+from .algebra import MAX_COORDINATES, LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import Matrix, quotient_representatives, rank, solve
+from .linalg import Matrix, quotient_representatives, rank
 from .values import F0, Record, Vec, _join_terms, as_scalar, vec_add, vec_is_zero, vec_scale, zero_vec
 
-
-# The most coordinates of a cochain shape that ``check_shape`` passes: far
-# above any cochain the package computes with, far below what exhausts memory.
-MAX_COORDINATES = 10 ** 7
+# The most rows of a coboundary matrix that are built: a sparse row costs far
+# more than a coordinate.  lambda6 has 59,049 rows in degree 8, 177,147 in 9.
+MAX_ROWS = 100_000
 
 
 def check_shape(arity: int, dim: int) -> None:
@@ -145,12 +144,16 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     only the nonzero structure constants: the dense table is never built.
     The tests pin agreement with the direct evaluation ``direct_coboundary``
     in ``tests/helpers.py``.  A (p+1)-cochain shape that ``check_shape``
-    refuses raises DimensionMismatch before any row is built.
+    refuses, or more than ``MAX_ROWS`` rows, raises DimensionMismatch before
+    any row is built.
     """
     if p < 0:
         raise PreconditionError("degree must be nonnegative")
     n = alg.dim
     check_shape(p + 1, n)
+    if n ** (p + 2) > MAX_ROWS:
+        raise DimensionMismatch(f"the coboundary of degree {p} on dimension {n} has {n}^{p + 2} = {n ** (p + 2)}"
+                                f" rows, more than {MAX_ROWS}")
     # [e_a, e_b] = sum_k v e_k, nonzero terms only, by the left argument a, by
     # the right argument b, and by the pair (a, b); integral v are ints
     nonzero, by_left, by_right = nonzero_constants(alg)
@@ -235,32 +238,6 @@ def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
     reps, project, dim_bl = quotient_representatives(delta, coboundary_matrix(alg, p - 1))
     classes = tuple(Cochain(p, alg.dim, v) for v in reps.vectors)
     return CohomologySpace(p, delta.cols - rank(delta), dim_bl, classes, project)
-
-
-def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> CohomologySpace:
-    """The same cohomology space presented on user-chosen representative cocycles.
-
-    Each representative must be a cocycle and the family must be independent
-    modulo coboundaries and of the right size.
-    """
-    if len(reps) != space.dim:
-        raise PreconditionError(
-            f"need exactly {space.dim} representatives, got {len(reps)}"
-        )
-    for r in reps:
-        if not coboundary(alg, r).is_zero():
-            raise PreconditionError("representative is not a cocycle")
-    change = Matrix(space.dim, space.dim, tuple(zip(*(space.project_to_classes(r) for r in reps))))
-    if rank(change) != space.dim:
-        raise PreconditionError("representatives are dependent modulo coboundaries")
-    old_project = space._project
-
-    def project(v: Sequence) -> Vec:
-        sol = solve(change, old_project(v))
-        assert sol is not None  # change of basis is invertible
-        return sol
-
-    return CohomologySpace(space.degree, space.dim_cocycles, space.dim_coboundaries, tuple(reps), project)
 
 
 def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:

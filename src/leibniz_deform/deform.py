@@ -11,9 +11,9 @@ The failure of the Leibniz identity for the deformed bracket,
 
 is a sum of circle products.  With psi_0 the bracket of the algebra as a
 2-cochain, D = - sum t^m t^m' (psi_m o psi_m') over the ordered pairs of
-monomials carrying a term, psi_0 included.  Each product is summed into the
-normal form of m m' in the base, which a relation that is not homogeneous can
-move to another degree, and pairs above the truncation order are skipped.
+monomials carrying a term, psi_0 included.  Each product lands at the normal
+form of -m m' in the base, which a relation that is not homogeneous can move
+to another degree; a pair above the truncation order computes no product.
 Collecting the pairs that contain psi_0 gives the degree-u entry
 
     D_u = (coboundary of psi_u) - (1/2) sum_{m m' = u} [psi_m, psi_m']
@@ -27,8 +27,11 @@ instead yields the versal construction.  These order-by-order steps group the
 products by the degree of m m', which is where they land when the relations
 are homogeneous, as the versal construction's are.  A step computes degree
 k+1 only, and checks degrees 0..k too unless the last step proved them flat.
-After an obstructed order its entries are not recomputed but landed again, at
-the new normal forms of their monomials, and solved there.
+One rule, ``_land``, puts cochains into a base: a cochain paired with a base
+polynomial is added, times each coefficient, at that coefficient's monomial.
+Products land as above, terms moved by ``with_base`` or ``push_forward`` at
+their monomials' images, and an obstructed order's entries, not recomputed, at
+their monomials' normal forms in the enlarged base, where they are solved.
 
 Base elements, their normal form and their text and JSON format are
 ``poly``'s.  ``massey3`` is kept only for the tests: the ``massey`` command
@@ -38,7 +41,7 @@ takes its brackets from ``graded``.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra
@@ -48,7 +51,7 @@ from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
 from .linalg import Reducer
 from .poly import (AVector, LocalBase, Monomial, TruncatedPolynomial, _degree, _mono_mul, _monomials_of_degree,
                    _render_key, _unit, render_monomial, render_poly)
-from .values import F0, F1, Record, Vec, _exact, vec_is_zero, zero_vec
+from .values import F0, F1, Vec, _exact, vec_is_zero, zero_vec
 
 _DEFAULT_NAMES = ("t", "s", "u", "v", "w")
 
@@ -121,12 +124,12 @@ class Deformation:
     def with_base(self, base: LocalBase) -> "Deformation":
         """Transport the terms onto another base over the same generators.
 
-        Term monomials are re-normalized there, so adding relations
-        redistributes the affected coefficients.
+        Each term lands at its monomial's normal form there (adding relations
+        redistributes coefficients); every old relation must vanish there.
         """
         if base.generators != self.base.generators:
             raise DimensionMismatch("bases have different generators")
-        return push_forward(self, base, {g: base.generator(g) for g in base.generators})
+        return _transport(self, base, lambda coeffs: TruncatedPolynomial(base, coeffs))
 
 
 def default_parameter_names(count: int) -> tuple[str, ...]:
@@ -156,35 +159,34 @@ def _bracket_cochain(alg: LeibnizAlgebra) -> Cochain:
     return Cochain(2, alg.dim, tuple(x for plane in alg.structure_constants for v in plane for x in v))
 
 
+def _land(pairs: Iterable[tuple[TruncatedPolynomial, Cochain]]) -> dict[Monomial, Cochain]:
+    """Each cochain times each coefficient of its polynomial, summed at that coefficient's monomial."""
+    sums: dict[Monomial, tuple[Cochain, list[Fraction]]] = {}
+    for poly, psi in pairs:
+        for m, c in poly.coeffs.items():
+            _, acc = sums.setdefault(m, (psi, [F0] * len(psi.flat)))
+            for i, x in enumerate(psi.flat):
+                if x:
+                    acc[i] += c * x
+    return {m: Cochain(psi.arity, psi.dim, tuple(acc)) for m, (psi, acc) in sums.items()}
+
+
 def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict[Monomial, Cochain]]:
     """Per degree j of ``degrees``, the defect summed over the ordered pairs of
-    terms of total degree j.
-
-    Each entry is keyed by the monomials the products land on; a monomial that
-    no product reaches is left out.
-    """
+    terms of total degree j, keyed by the monomials the products land on."""
     alg = d.algebra
     by_degree = {0: [(d.base.zero_monomial(), _bracket_cochain(alg))]}
     for mono, psi in d.terms.items():
         by_degree.setdefault(_degree(mono), []).append((mono, psi))
-    out = {}
-    for j in degrees:
-        sums: dict[Monomial, list[Fraction]] = {}
+
+    def products(j: int):
         for a in range(j + 1):
             for m1, psi1 in by_degree.get(a, ()):
                 for m2, psi2 in by_degree.get(j - a, ()):
-                    # empty above the truncation order
-                    landing = TruncatedPolynomial(d.base, {_mono_mul(m1, m2): F1}).coeffs
-                    if not landing:
-                        continue
-                    product = circle(alg, psi1, psi2).flat
-                    for m, c in landing.items():
-                        acc = sums.setdefault(m, [F0] * len(product))
-                        for i, x in enumerate(product):
-                            if x:
-                                acc[i] -= c * x
-        out[j] = {m: Cochain(3, alg.dim, tuple(acc)) for m, acc in sums.items()}
-    return out
+                    landing = TruncatedPolynomial(d.base, {_mono_mul(m1, m2): -F1})  # 0 above the truncation order
+                    if landing.coeffs:
+                        yield landing, circle(alg, psi1, psi2)
+    return {j: _land(products(j)) for j in degrees}
 
 
 def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
@@ -194,11 +196,9 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     included); the deformation satisfies the identity over its truncated base
     iff every entry is zero.
     """
-    zero = Cochain.zeros(3, d.algebra.dim)
-    defect = dict.fromkeys(d.base.monomials(), zero)
-    for entries in _defect_in_degrees(d, range(d.base.truncation_order + 1)).values():
-        for mono, entry in entries.items():
-            defect[mono] = defect[mono] + entry
+    by_degree = _defect_in_degrees(d, range(d.base.truncation_order + 1)).values()
+    defect = dict.fromkeys(d.base.monomials(), Cochain.zeros(3, d.algebra.dim))
+    defect.update(_land((TruncatedPolynomial(d.base, {m: F1}), e) for entries in by_degree for m, e in entries.items()))
     return defect
 
 
@@ -293,24 +293,17 @@ def _solve_order(d: Deformation, k: int, defect: Mapping[Monomial, Cochain]) -> 
     return extended
 
 
-class MasseyWitness(Record):
-    """A 2-cochain x_ij with d x_ij = [x_i, x_j] in the graded sense."""
-
-    __slots__ = _fields = ("pair", "witness")
-
-    def __init__(self, pair: tuple[int, int], witness: Cochain):
-        super().__init__(pair, witness)
-
-
 def massey3(
     alg: LeibnizAlgebra, hl2: CohomologySpace, classes: Sequence[Sequence],
     witnesses: Mapping[tuple[int, int], Cochain] | None = None,
-) -> tuple[Vec, Cochain, tuple[MasseyWitness, ...]]:
+) -> tuple[Vec, Cochain, tuple[tuple[tuple[int, int], Cochain], ...]]:
     """Third-order bracket [x12,x3] + [x1,x23] + [x13,x2] as a class.
 
     Defined only when all pairwise second-order brackets vanish; witnesses
     x_ij satisfying d x_ij = [x_i, x_j] are found by the deterministic solver
-    when not supplied, and verified exactly when they are.
+    when not supplied, and verified exactly when they are.  Returns the class
+    coordinates, the representative and the (pair, witness) tuples in pair
+    order.
     """
     if len(classes) != 3:
         raise PreconditionError("need exactly three classes")
@@ -329,8 +322,7 @@ def massey3(
         elif -coboundary(alg, w) != rep:  # d w = -(coboundary of w) in degree 1
             raise PreconditionError(f"supplied witness for pair {key} fails its equation")
         chosen[key] = w
-    witness_objs = tuple(MasseyWitness(k, chosen[k]) for k in sorted(chosen))
-    return (*_triple_bracket(alg, xs, chosen), witness_objs)
+    return (*_triple_bracket(alg, xs, chosen), tuple(sorted(chosen.items())))
 
 
 def push_forward(
@@ -343,8 +335,8 @@ def push_forward(
     The homomorphism is given by the images of the generators, one for each
     source generator and no other, which must be polynomials over the target
     base with zero constant term, and must send every source relation to 0.
+    Each term lands at the image of its monomial.
     """
-    n = d.algebra.dim
     for gen in images:
         if gen not in d.base.generators:
             raise PreconditionError(f"image supplied for {gen!r}, which is not a source generator")
@@ -357,21 +349,19 @@ def push_forward(
         if img.constant_term():
             raise PreconditionError(f"image of {gen!r} has a nonzero constant term")
     source_proxy = LocalBase(d.base.generators, d.base.truncation_order)
+    return _transport(d, target_base, lambda c: TruncatedPolynomial(source_proxy, c).substitute(target_base, images))
+
+
+def _transport(d: Deformation, base: LocalBase, image: Callable[[dict], TruncatedPolynomial]) -> Deformation:
+    """d over ``base``, each term landed at the image of its monomial under a
+    linear map that must send every relation of d's base to 0."""
     for rel in d.base.relations:
-        image = TruncatedPolynomial(source_proxy, dict(rel)).substitute(target_base, images)
-        if not image.is_zero():
+        rel_image = image(dict(rel))
+        if not rel_image.is_zero():
             raise PreconditionError(
-                f"relation {render_poly(d.base, rel)} maps to {render_poly(target_base, image.data())}, not 0"
+                f"relation {render_poly(d.base, rel)} maps to {render_poly(base, rel_image.data())}, not 0"
             )
-    new_terms: dict[Monomial, Cochain] = {}
-    for mono, psi in d.terms.items():
-        poly = TruncatedPolynomial(source_proxy, {mono: F1}).substitute(target_base, images)
-        for m2, c2 in poly.coeffs.items():
-            if _degree(m2) == 0:
-                raise PreconditionError("relations reduce a term to a constant")
-            cur = new_terms.get(m2, Cochain.zeros(2, n))
-            new_terms[m2] = cur + psi.scale(c2)
-    return Deformation(d.algebra, target_base, new_terms)
+    return Deformation(d.algebra, base, _land((image({mono: F1}), psi) for mono, psi in d.terms.items()))
 
 
 def versal_construct(
@@ -411,10 +401,7 @@ def versal_construct(
                 )
             # relations of degree k+1 change no term of degree 0..k; the new normal form is linear and
             # zero on the old ideal, which lies in the new one, so NF_new(NF_old(m m')) = NF_new(m m')
-            defect: dict[Monomial, Cochain] = {}
-            for mono, entry in result.defect.items():
-                for m, c in TruncatedPolynomial(d.base, {mono: F1}).coeffs.items():
-                    defect[m] = defect[m] + entry.scale(c) if m in defect else entry.scale(c)
+            defect = _land((TruncatedPolynomial(d.base, {mono: F1}), entry) for mono, entry in result.defect.items())
             result = _solve_order(d, k, defect)
         d = result
     return d, relations_log

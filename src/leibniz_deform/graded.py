@@ -21,6 +21,8 @@ representatives with a class's coordinates, and <a, b> is the class of
 [x_a, x_b].  When it vanishes, the witness x_ab solves d x_ab = [x_a, x_b],
 and <a, b, c> is the class of [x_ab, x_c] + [x_a, x_bc] + [x_ac, x_b].  A
 witness is also the correction term of a defect entry with zero class.
+``with_representatives`` presents the classes on the ``--reps`` of the
+degree-2 commands; ``cohomology`` never needs it, so it is not ``cochain``'s.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
-from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
+from .cochain import Cochain, CohomologySpace, coboundary, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import solve
+from .linalg import Matrix, rank, solve
 from .values import F0, Vec, as_scalar
 
 
@@ -113,6 +115,30 @@ def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """[a, b] = a o b + (-1)^{pq+1} b o a."""
     sign = Fraction(1) if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else Fraction(-1)
     return circle(alg, a, b) + circle(alg, b, a).scale(sign)
+
+
+def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> CohomologySpace:
+    """The same cohomology space presented on user-chosen representative cocycles.
+
+    Each representative must be a cocycle and the family must be independent
+    modulo coboundaries and of the right size.
+    """
+    if len(reps) != space.dim:
+        raise PreconditionError(f"need exactly {space.dim} representatives, got {len(reps)}")
+    for r in reps:
+        if not coboundary(alg, r).is_zero():
+            raise PreconditionError("representative is not a cocycle")
+    change = Matrix(space.dim, space.dim, tuple(zip(*(space.project_to_classes(r) for r in reps))))
+    if rank(change) != space.dim:
+        raise PreconditionError("representatives are dependent modulo coboundaries")
+    old_project = space._project
+
+    def project(v: Sequence) -> Vec:
+        sol = solve(change, old_project(v))
+        assert sol is not None  # change of basis is invertible
+        return sol
+
+    return CohomologySpace(space.degree, space.dim_cocycles, space.dim_coboundaries, tuple(reps), project)
 
 
 def _combine(reps: Sequence[Cochain], coords: Sequence) -> Cochain:

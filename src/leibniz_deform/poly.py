@@ -115,9 +115,6 @@ class LocalBase(Record):
     def constant(self, c) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {self.zero_monomial(): as_scalar(c)})
 
-    def generator(self, name: str) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self, {_unit(self.num_generators, self.generators.index(name)): F1})
-
     def with_truncation(self, order: int) -> "LocalBase":
         return LocalBase(self.generators, order, self.relations)
 

@@ -215,6 +215,50 @@ def test_json_parse_error_carries_position():
         pytest.fail("expected FormatError")
 
 
+def _one_bracket(coeff: str) -> str:
+    return '{"dim": 1, "brackets": [{"left": 1, "right": 1, "value": [{"basis": 1, "coeff": %s}]}]}' % coeff
+
+
+# a JSON number with a fraction or an exponent used to pass through a float
+@pytest.mark.parametrize(
+    "coeff, value", [("1.5", F(3, 2)), ("1.00000000000000001", 1 + F(1, 10 ** 17)), ("1e-400", F(1, 10 ** 400))]
+)
+def test_json_reads_a_decimal_coefficient_exactly(coeff, value):
+    assert algebra_from_json(_one_bracket(coeff)).structure_constants[0][0][0] == value
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"dim": 1%s, "brackets": []}' % ("0" * 4300), "Exceeds the limit (4300 digits)"),
+        (_one_bracket("1" * 4301), "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["long-dim", "long-coeff"],
+)
+def test_json_refuses_a_number_too_long_to_read(doc, message):
+    # a long integer used to escape as a ValueError
+    with pytest.raises(FormatError) as info:
+        algebra_from_json(doc)
+    assert str(info.value).startswith(f"invalid JSON: {message}")
+
+
+@pytest.mark.parametrize("coeff", ["1e-4301", "2E+99999999999", '"1e-99999"'])
+def test_json_refuses_a_coefficient_exponent_before_computing_its_power(coeff):
+    # Fraction computes 10 ** exponent, for a string coeff too
+    with pytest.raises(FormatError, match=r"^brackets\[0\] has a 'coeff' with an exponent beyond 4300 at basis 1$"):
+        algebra_from_json(_one_bracket(coeff))
+    assert algebra_from_json(_one_bracket("1e-4300")).structure_constants[0][0][0] == F(1, 10 ** 4300)
+
+
+@pytest.mark.parametrize("dim", [216, 100000, 10 ** 40], ids=["216", "100000", "10^40"])
+def test_json_refuses_a_dimension_whose_table_is_too_large_before_allocating_it(monkeypatch, dim):
+    # 215^3 is under the cap; checking 100,000 used to be killed allocating its table
+    monkeypatch.setattr(LeibnizAlgebra, "from_brackets", lambda *a: pytest.fail("began allocating the table"))
+    with pytest.raises(FormatError) as info:
+        algebra_from_json('{"dim": %d, "brackets": []}' % dim)
+    assert str(info.value) == f"'dim' is {dim}: more than 10000000 structure constants"
+
+
 def test_load_algebra_builtin_and_file(tmp_path):
     path = tmp_path / "alg.json"
     path.write_text(algebra_to_json(lambda6()), encoding="utf-8")

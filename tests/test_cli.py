@@ -4,12 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from helpers import h3, misoriented_nf4
-from leibniz_deform import deform, graded
+from leibniz_deform import cli_hl2, cochain, deform, graded
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
 from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
@@ -175,6 +176,62 @@ def test_a_degree_too_large_to_allocate_exits_two_at_once(capsys, degree):
     assert (code, out) == (2, "")
     assert err == (f"fault: a cochain of arity {degree + 1} and dimension 3 has 3^{degree + 2}"
                    f" coordinates, more than 10000000\n")
+
+
+# degree 8 (59,049 rows) still computes; degree 9 used to start building its 177,147 rows
+@pytest.mark.parametrize("degree, rows", [(9, 177147), (12, 4782969)])
+def test_a_coboundary_with_too_many_rows_exits_two_before_building_one(capsys, monkeypatch, degree, rows):
+    monkeypatch.setattr(cochain, "nonzero_constants", lambda alg: pytest.fail("began building rows"))
+    code, out, err = invoke(capsys, "cohomology", "lambda6", "--degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err == (f"fault: the coboundary of degree {degree} on dimension 3 has 3^{degree + 2} = {rows} rows,"
+                   f" more than 100000\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_a_dimension_too_large_to_allocate_exits_one_before_allocating(tmp_path):
+    """Run in a child whose address space is capped at 1 GB, so that
+    allocating the 10^15-entry table fails there instead of here."""
+    import resource
+
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 100000, "brackets": []}', encoding="utf-8")
+    cap = 2 ** 30
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "leibniz_deform", "check", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: 'dim' is 100000: more than 10000000 structure constants\n"
+
+
+@pytest.mark.parametrize("reader", ["algebra", "reps"])
+def test_a_number_too_long_to_read_exits_one(capsys, tmp_path, reader):
+    long = "1" * 4301
+    if reader == "algebra":
+        doc, argv = '{"dim": %s, "brackets": []}' % long, ("check",)
+    else:
+        doc = '{"cochains": [{"entries": [{"args": [1, 3], "value": [{"basis": 1, "coeff": %s}]}]}]}' % long
+        argv = ("massey", "lambda6", "--reps")
+    path = tmp_path / "doc.json"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion")
+
+
+def test_reps_file_reads_decimal_coefficients_exactly(tmp_path):
+    # they used to pass through a float: 1.00000000000000001 read as 1 and 1e-400 as 0
+    coeffs = {"1.5": F(3, 2), "1.00000000000000001": 1 + F(1, 10 ** 17), "1e-400": F(1, 10 ** 400)}
+    entries = ", ".join('{"args": [1, %d], "value": [{"basis": 1, "coeff": %s}]}' % (k + 1, c)
+                        for k, c in enumerate(coeffs))
+    path = tmp_path / "reps.json"
+    path.write_text('{"cochains": [{"entries": [%s]}]}' % entries, encoding="utf-8")
+    (rep,) = cli_hl2._load_reps(str(path), lambda6())
+    assert [rep.eval_basis((0, k))[0] for k in range(3)] == list(coeffs.values())
 
 
 def test_precondition_fault_exits_two(capsys, tmp_path):
@@ -754,7 +811,7 @@ def test_parse_poly_expressions():
 
     base = LocalBase(("t", "s"), 3)
     assert parse_poly("0", base).is_zero()
-    assert parse_poly("t", base) == base.generator("t")
+    assert parse_poly("t", base) == TruncatedPolynomial(base, {(1, 0): 1})
     assert parse_poly("2*t^2*s", base) == TruncatedPolynomial(base, {(2, 1): 2})
     assert parse_poly("t - 1/2*s", base) == TruncatedPolynomial(base, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
     combo = parse_poly("t - 1/2*s + t", base)

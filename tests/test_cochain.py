@@ -29,9 +29,9 @@ from leibniz_deform.cochain import (
     coboundary_matrix,
     cohomology,
     lambda6_reference_representatives,
-    with_representatives,
 )
 from leibniz_deform.errors import DimensionMismatch, FormatError, PreconditionError
+from leibniz_deform.graded import with_representatives
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
 from leibniz_deform.cli_hl2 import cochain_from_json
 from leibniz_deform.reports import cochain_to_json
@@ -256,6 +256,14 @@ def test_a_cochain_too_large_to_allocate_is_refused_naming_its_shape(arity, dim)
         Cochain.from_entries(arity, dim, {})
     with pytest.raises(FormatError, match=shape):
         cochain_from_json({"arity": arity, "dim": dim, "entries": []})
+
+
+def test_a_coboundary_matrix_of_more_than_max_rows_is_refused_before_any_row():
+    # abelian(10) has 10^5 rows in degree 3, the most that are built, and 10^6 in degree 4
+    assert coboundary_matrix.__wrapped__(abelian(10), 3).rows == 10 ** 5
+    with pytest.raises(DimensionMismatch, match=r"^the coboundary of degree 4 on dimension 10 has 10\^6 = 1000000 rows,"
+                                                r" more than 100000$"):
+        coboundary_matrix(abelian(10), 4)
 
 
 @pytest.mark.parametrize("arity, dim", [(-2, 3), (1, -1)])

@@ -28,11 +28,9 @@ from leibniz_deform.cochain import (
     coboundary,
     cohomology,
     lambda6_reference_representatives,
-    with_representatives,
 )
 from leibniz_deform.deform import (
     Deformation,
-    MasseyWitness,
     ObstructionReport,
     default_parameter_names,
     extend_to_order,
@@ -45,7 +43,7 @@ from leibniz_deform.deform import (
     versal_construct,
 )
 from leibniz_deform.errors import DimensionMismatch, LeibnizDeformError, PreconditionError
-from leibniz_deform.graded import graded_bracket
+from leibniz_deform.graded import graded_bracket, with_representatives
 from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly, render_poly
 from leibniz_deform.values import vec_is_zero
 
@@ -76,7 +74,7 @@ def test_monomials_in_render_order(parts):
 
 def test_poly_truncation_drops_high_degrees():
     base = LocalBase(("t", "s"), 2)
-    t, s = base.generator("t"), base.generator("s")
+    t, s = parse_poly("t", base), parse_poly("s", base)
     p = (t + s) * (t + s) * t
     assert p.is_zero()
     q = (t + s) * (t - s)
@@ -87,11 +85,11 @@ def test_poly_relation_reduction():
     plain = LocalBase(("t",), 3)
     t2 = TruncatedPolynomial(plain, {(2,): 1})
     base = plain.with_relations([t2])
-    t = base.generator("t")
+    t = parse_poly("t", base)
     assert (t * t).is_zero()
     assert (t * t * t).is_zero()
     p = TruncatedPolynomial(base, {(0,): 1, (1,): 2, (2,): 5})
-    assert p == base.constant(1) + 2 * base.generator("t")
+    assert p == base.constant(1) + 2 * parse_poly("t", base)
 
 
 def test_poly_relation_with_tail_substitutes():
@@ -99,15 +97,15 @@ def test_poly_relation_with_tail_substitutes():
     # t^2 = s^2 in the quotient: t^2, the lex-larger monomial, is eliminated
     rel = TruncatedPolynomial(plain, {(2, 0): 1, (0, 2): -1})
     base = plain.with_relations([rel])
-    t, s = base.generator("t"), base.generator("s")
+    t, s = parse_poly("t", base), parse_poly("s", base)
     assert t * t == s * s
 
 
 def test_poly_substitution():
     src = LocalBase(("t", "s"), 2)
     dst = LocalBase(("u",), 2)
-    u = dst.generator("u")
-    p = src.generator("t") * src.generator("s") + 3 * src.generator("t")
+    u = parse_poly("u", dst)
+    p = parse_poly("t", src) * parse_poly("s", src) + 3 * parse_poly("t", src)
     image = p.substitute(dst, {"t": u, "s": 2 * u})
     assert image == 2 * (u * u) + 3 * u
 
@@ -222,7 +220,7 @@ def test_universal_infinitesimal_reference_brackets():
     d = universal_infinitesimal(alg, [mu1, mu2])
     assert d.base.generators == ("t", "s")
     assert d.base.truncation_order == 1
-    t, s, zero = d.base.generator("t"), d.base.generator("s"), d.base.zero()
+    t, s, zero = parse_poly("t", d.base), parse_poly("s", d.base), d.base.zero()
     one = d.base.constant(1)
     assert d.basis_bracket(0, 2) == (s, one, zero)        # [e1,e3] = e2 + s e1
     assert d.basis_bracket(1, 2) == (-1 * t, zero, zero)  # [e2,e3] = -t e1
@@ -264,7 +262,7 @@ def test_bracket_e1_e3_under_versal():
     alg = lambda6()
     d, _ = versal_construct(alg, 3, lambda6_reference_representatives())
     out = d.bracket(embed_basis(d, 0), embed_basis(d, 2))
-    s = d.base.generator("s")
+    s = parse_poly("s", d.base)
     assert out == (s, d.base.constant(1), d.base.zero())
 
 
@@ -287,7 +285,7 @@ def test_bracket_bilinearity_over_base_with_truncation():
     mu1, mu2 = lambda6_reference_representatives()
     d = universal_infinitesimal(alg, [mu1, mu2])
     d = d.with_base(d.base.with_truncation(2))
-    t = d.base.generator("t")
+    t = parse_poly("t", d.base)
     zero = d.base.zero()
     x = (zero, zero, t)  # t (x) e3
     out = d.bracket(x, x)
@@ -592,6 +590,18 @@ def test_an_obstructed_order_computes_its_circle_products_once(monkeypatch, alge
     assert len(circles) <= budget
 
 
+# terms move into an enlarged base by their monomials' normal forms, never by
+# substituting the generators into themselves (52 and 16 calls when they were)
+@pytest.mark.parametrize("algebra", ["h3", "abelian2"])
+def test_versal_construct_substitutes_nothing(monkeypatch, algebra):
+    calls = []
+    substitute = TruncatedPolynomial.substitute
+    monkeypatch.setattr(TruncatedPolynomial, "substitute", lambda *a: calls.append(a) or substitute(*a))
+    _, relations = versal_construct(CORPUS[algebra](), 4)
+    assert relations
+    assert calls == []
+
+
 def test_only_an_extension_skips_the_lower_degrees(monkeypatch):
     alg = lambda6()
     d = universal_infinitesimal(alg, lambda6_reference_representatives())
@@ -599,7 +609,7 @@ def test_only_an_extension_skips_the_lower_degrees(monkeypatch):
     passes = []
     core = deform._defect_in_degrees
     monkeypatch.setattr(deform, "_defect_in_degrees", lambda d, js: passes.append(list(js)) or core(d, js))
-    identity = {g: d.base.generator(g) for g in d.base.generators}
+    identity = {g: parse_poly(g, d.base) for g in d.base.generators}
     for copy in (
         d.with_base(d.base),
         d.truncate_terms(2),
@@ -706,7 +716,8 @@ def test_massey3_reference_triples_vanish_with_zero_witnesses():
         coords, rep, wits = massey3(alg, hl2, tuple(unit(2, i) for i in t))
         assert vec_is_zero(coords)
         assert rep.is_zero()
-        assert all(w.witness.is_zero() for w in wits)
+        assert [pair for pair, _ in wits] == [(0, 1), (0, 2), (1, 2)]
+        assert all(w.is_zero() for _, w in wits)
 
 
 def test_massey3_triple_with_zero_class():
@@ -726,7 +737,7 @@ def test_massey3_independent_of_witness_choice():
         witnesses={(0, 1): mu1, (1, 2): mu2, (0, 2): Cochain.zeros(2, 3)},
     )
     assert baseline == shifted
-    assert {w.pair: w.witness for w in wits}[(0, 1)] == mu1
+    assert dict(wits)[(0, 1)] == mu1
 
 
 def test_massey3_rejects_bad_witness():
@@ -750,7 +761,7 @@ def _versal():
 def test_pushforward_kill_s():
     alg, d = _versal()
     target = LocalBase(("t",), 3)
-    out = push_forward(d, target, {"t": target.generator("t"), "s": target.zero()})
+    out = push_forward(d, target, {"t": parse_poly("t", target), "s": target.zero()})
     mu1, _ = lambda6_reference_representatives()
     assert out.terms == {(1,): mu1}
 
@@ -758,19 +769,21 @@ def test_pushforward_kill_s():
 def test_pushforward_kill_t():
     alg, d = _versal()
     target = LocalBase(("s",), 3)
-    out = push_forward(d, target, {"t": target.zero(), "s": target.generator("s")})
+    out = push_forward(d, target, {"t": target.zero(), "s": parse_poly("s", target)})
     _, mu2 = lambda6_reference_representatives()
     assert out.terms == {(1,): mu2}
 
 
 def test_pushforward_identity_map():
     alg, d = _versal()
-    images = {g: d.base.generator(g) for g in d.base.generators}
+    images = {g: parse_poly(g, d.base) for g in d.base.generators}
     out = push_forward(d, d.base, images)
     assert out.terms == d.terms
 
 
-def test_with_base_is_the_identity_push_forward():
+def _abelian2_terms_over_a_free_base():
+    """A deformation of abelian(2) with a term at every monomial of degree 1
+    and 2, and abelian(2)'s versal base to order 2, which has relations."""
     alg = abelian(2)
     d, relations = versal_construct(alg, 2)
     related = d.base
@@ -778,13 +791,34 @@ def test_with_base_is_the_identity_push_forward():
     free = LocalBase(related.generators, 2)
     reps = cohomology(alg, 2).class_representatives
     terms = {m: reps[i % len(reps)].scale(i) for i, m in enumerate(free.monomials()) if i}
-    raw = Deformation(alg, free, terms)
+    return Deformation(alg, free, terms), related
+
+
+def test_with_base_is_the_identity_push_forward():
+    raw, related = _abelian2_terms_over_a_free_base()
     moved = raw.with_base(related)
     # the relations redistribute the degree-2 terms
     assert moved.terms != raw.terms
-    assert moved.terms == push_forward(raw, related, {g: related.generator(g) for g in related.generators}).terms
+    assert moved.terms == push_forward(raw, related, {g: parse_poly(g, related) for g in related.generators}).terms
     with pytest.raises(DimensionMismatch):
         raw.with_base(LocalBase(related.generators[::-1], 2))
+
+
+def test_with_base_lands_terms_without_push_forward_or_substitute(monkeypatch):
+    raw, related = _abelian2_terms_over_a_free_base()
+    calls = []
+    monkeypatch.setattr(deform, "push_forward", lambda *a: calls.append("push_forward"))
+    monkeypatch.setattr(TruncatedPolynomial, "substitute", lambda *a: calls.append("substitute"))
+    assert raw.with_base(related).terms != raw.terms
+    assert calls == []
+
+
+def test_with_base_refuses_a_base_where_an_old_relation_survives():
+    d, relations = versal_construct(abelian(1), 2)
+    assert [render_poly(d.base, p.data()) for p in relations[2]] == ["t^2"]
+    with pytest.raises(PreconditionError) as info:
+        d.with_base(LocalBase(("t",), 2))
+    assert str(info.value) == "relation t^2 maps to t^2, not 0"
 
 
 def test_pushforward_rejects_nonzero_constant_term():
@@ -797,7 +831,7 @@ def test_pushforward_rejects_nonzero_constant_term():
 def test_pushforward_rejects_image_of_unknown_generator():
     alg, d = _versal()
     target = LocalBase(("x",), 3)
-    x = target.generator("x")
+    x = parse_poly("x", target)
     with pytest.raises(PreconditionError, match="'q', which is not a source generator"):
         push_forward(d, target, {"t": x, "s": target.zero(), "q": target.constant(1)})
 
@@ -807,10 +841,10 @@ def test_pushforward_sends_every_source_relation_to_zero():
     assert [p.data() for p in relations[2]] == [(((2,), F(1)),)]  # t^2
     free = LocalBase(("x",), 2)
     with pytest.raises(PreconditionError, match=r"relation t\^2 maps to x\^2, not 0"):
-        push_forward(d, free, {"t": free.generator("x")})
+        push_forward(d, free, {"t": parse_poly("x", free)})
     assert push_forward(d, free, {"t": free.zero()}).terms == {}
     related = free.with_relations([TruncatedPolynomial(free, {(2,): 1})])
-    assert push_forward(d, related, {"t": related.generator("x")}).terms == d.terms
+    assert push_forward(d, related, {"t": parse_poly("x", related)}).terms == d.terms
 
 
 def test_pushforward_functoriality():
@@ -857,7 +891,7 @@ def test_equivalence_identity_on_itself():
 def test_equivalence_detects_different_brackets():
     alg, d = _versal()
     collapsed = push_forward(
-        d, d.base, {"t": d.base.generator("t"), "s": d.base.zero()}
+        d, d.base, {"t": parse_poly("t", d.base), "s": d.base.zero()}
     )
     ok, detail = check_equivalence(_identity_phi(d.base, 3), d, collapsed)
     assert not ok
@@ -870,7 +904,7 @@ def test_equivalence_of_representative_change():
     g = Cochain.from_entries(1, 3, {(0,): {0: 1, 1: -2}, (1,): {2: 3}, (2,): {0: 5}})
     d1 = universal_infinitesimal(alg, [mu2 + coboundary(alg, g)])
     d2 = universal_infinitesimal(alg, [mu2])
-    t = d1.base.generator("t")
+    t = parse_poly("t", d1.base)
     phi = tuple(
         tuple(
             (d1.base.constant(1) if i == j else d1.base.zero()) + t * g.eval_basis((j,))[i]

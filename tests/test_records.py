@@ -1,7 +1,7 @@
 """Value semantics of the package's record classes.
 
-Immutable records (algebras, cochains, bases, subspace bases and Massey
-witnesses) compare and hash by their fields and refuse assignment;
+Immutable records (algebras, cochains, bases and subspace bases) compare
+and hash by their fields and refuse assignment;
 the mutable ones (cohomology spaces, deformations, obstruction reports) are
 plain attribute holders.  All of them take their fields by position or by
 keyword and validate them on construction.
@@ -14,10 +14,10 @@ import pytest
 from leibniz_deform import poly
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6
 from leibniz_deform.cochain import Cochain, CohomologySpace, cohomology
-from leibniz_deform.deform import Deformation, MasseyWitness, ObstructionReport
+from leibniz_deform.deform import Deformation, ObstructionReport
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import SubspaceBasis
-from leibniz_deform.poly import LocalBase, TruncatedPolynomial
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
 from leibniz_deform.values import F0, F1
 
 F = Fraction
@@ -68,11 +68,6 @@ EQUAL_AND_DIFFERENT = {
         SubspaceBasis(2, ((F(1), F(0)),)),
         SubspaceBasis(2, ((F0, F1),)),
     ),
-    "MasseyWitness": lambda: (
-        MasseyWitness((0, 1), Cochain.zeros(2, 2)),
-        MasseyWitness((0, 1), Cochain(2, 2, (F0,) * 8)),
-        MasseyWitness((0, 2), Cochain.zeros(2, 2)),
-    ),
 }
 
 
@@ -91,7 +86,6 @@ def test_records_differ_from_other_classes_and_from_tuples():
     zero = Cochain.zeros(0, 2)
     assert zero != SubspaceBasis(2, (zero.flat,))
     assert zero != (0, 2, (F0, F0))
-    assert MasseyWitness((0, 1), Cochain.zeros(2, 1)) != ((0, 1), Cochain.zeros(2, 1))
 
 
 def test_lru_cache_keys_hit_on_equal_algebras():
@@ -113,8 +107,6 @@ def test_keyword_and_positional_construction_agree():
     assert base == LocalBase(("t",), 2) and base.relations == ()
 
     assert SubspaceBasis(ambient_dim=2, vectors=((F1, F0),)) == SubspaceBasis(2, ((F1, F0),))
-    w = Cochain.zeros(2, 2)
-    assert MasseyWitness(pair=(0, 0), witness=w) == MasseyWitness((0, 0), w)
 
     hl2 = cohomology(lambda6(), 2)
     space = CohomologySpace(
@@ -131,7 +123,7 @@ def test_keyword_and_positional_construction_agree():
         assert (s.degree, s.dim, s.dim_cocycles, s.dim_coboundaries) == (2, 2, 8, 6)
         assert s.project_to_classes(hl2.class_representatives[1]) == (F0, F1)
 
-    poly = base.generator("t")
+    poly = parse_poly("t", base)
     report = ObstructionReport(order=2, classes={(2,): (F1,)}, relation_polynomials=((0, poly),), defect={})
     same = ObstructionReport(2, {(2,): (F1,)}, ((0, poly),), {})
     for r in (report, same):
@@ -169,7 +161,6 @@ def test_deformation_keeps_its_own_copy_of_the_nonzero_terms():
         (LocalBase(("t",), 2), "truncation_order"),
         (LocalBase(("t",), 2), "relations"),
         (SubspaceBasis(1, ()), "vectors"),
-        (MasseyWitness((0, 0), Cochain.zeros(2, 1)), "witness"),
     ],
     ids=lambda x: x if isinstance(x, str) else type(x).__name__,
 )
@@ -196,7 +187,7 @@ def test_local_base_echelon_is_built_once_per_instance(monkeypatch):
     base = LocalBase(("t",), 4).with_relations([TruncatedPolynomial(LocalBase(("t",), 4), {(2,): 1})])
     first = base._echelon
     assert base._echelon is first
-    assert base.generator("t") * base.generator("t") == base.zero()  # normalizes through it
+    assert parse_poly("t", base) * parse_poly("t", base) == base.zero()  # normalizes through it
     assert len(built) == 1
     # an equal instance builds its own, and equality ignores the cache
     twin = LocalBase(base.generators, base.truncation_order, base.relations)
