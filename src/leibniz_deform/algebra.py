@@ -178,12 +178,13 @@ class _ExactNumber(float):
 
 def parse_json(text: str):
     """The document of JSON ``text``, its numbers with a fraction or an exponent
-    ``_ExactNumber``s.  Malformed JSON or a number too long raises FormatError."""
+    ``_ExactNumber``s.  Malformed JSON, a number too long or nesting too deep
+    raises FormatError."""
     try:
         return json.loads(text, parse_float=_ExactNumber)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"invalid JSON: {e}") from e
 
 

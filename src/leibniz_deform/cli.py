@@ -5,7 +5,9 @@ path or the builtin name ``lambda6``.  Options go before or after ALGEBRA, as
 ``--opt value``, ``--opt=value`` or a unique prefix of ``--opt``; ``--sub``
 repeats; ``-h``/``--help`` prints the usage to standard output.  Exit status
 is 0 on success and after help, 1 on malformed input (the command line,
-files, expressions and option values), 2 on precondition faults.  All
+files, expressions and option values), 2 on precondition faults, and 141,
+with nothing on standard error, when standard output closes before the
+report is written (as a shell reports a process ended by SIGPIPE).  All
 computation is deterministic.  This module holds the two handlers that need
 no degree-2 classes, ``check`` and ``cohomology``; the other four and the
 ``--reps`` reader are in ``cli_hl2``.  The ``--to`` names and ``--sub``
@@ -14,6 +16,7 @@ polynomials are read by ``poly``, which owns the polynomial format.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
@@ -22,12 +25,6 @@ from .algebra import LeibnizAlgebra, load_algebra, validate
 from . import cli_hl2, cochain
 from .errors import FormatError, LeibnizDeformError
 from .reports import cohomology_report, dumps_canonical, render_vector
-
-
-def _at_least_one(option: str, value: int) -> int:
-    if value < 1:
-        raise FormatError(f"{option} must be at least 1, got {value}")
-    return value
 
 
 def cmd_check(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
@@ -41,7 +38,7 @@ def cmd_check(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_cohomology(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    space = cochain.cohomology(alg, _at_least_one("--degree", args.degree))
+    space = cochain.cohomology(alg, args.degree)
     relations = cochain.cocycle_relations(alg, args.degree)
     text, doc = cohomology_report(alg, space, relations)
     doc["command"] = "cohomology"
@@ -121,6 +118,8 @@ def parse_args(argv: Sequence[str]) -> tuple[Callable, SimpleNamespace]:
                 value = int(value)
             except ValueError:
                 raise FormatError(f"{name} expects an integer, got {value!r}") from None
+            if value < 1:  # every int option counts from 1
+                raise FormatError(f"{name} must be at least 1, got {value}")
         elif isinstance(kind, tuple) and value not in kind:
             raise FormatError(f"{name} expects one of {', '.join(kind)}, got {value!r}")
         values[name] = values.get(name, []) + [value] if kind is list else value
@@ -149,7 +148,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     except LeibnizDeformError as e:
         print(f"fault: {e}", file=sys.stderr)
         return 2
-    print(text if args.output == "text" else dumps_canonical(doc))
+    try:
+        print(text if args.output == "text" else dumps_canonical(doc), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered is flushed at exit, to nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

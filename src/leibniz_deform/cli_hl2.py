@@ -10,7 +10,7 @@ import itertools
 import json
 
 from .algebra import LeibnizAlgebra, json_index, load_algebra, parse_json, read_text, vector_from_json
-from . import cli, cochain, deform, graded, poly
+from . import cochain, deform, graded, poly
 from .errors import DimensionMismatch, FormatError, PreconditionError
 from .reports import cochain_to_json, deformation_report
 from .values import vec_is_zero
@@ -130,9 +130,8 @@ def cmd_infinitesimal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    max_order = cli._at_least_one("--max-order", args.max_order)
     hl2 = _hl2_with_reps(alg, args.reps)
-    d, relations = deform.versal_construct(alg, max_order, hl2.class_representatives)
+    d, relations = deform.versal_construct(alg, args.max_order, hl2.class_representatives)
     text, doc = deformation_report(d, alg)
     doc["command"] = "versal"
     doc["relations_by_order"] = {
@@ -142,9 +141,8 @@ def cmd_versal(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
 
 
 def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    max_order = cli._at_least_one("--max-order", args.max_order)
     try:
-        target = poly.LocalBase(tuple(g for g in args.to.split(",") if g), max_order)
+        target = poly.LocalBase(tuple(g for g in args.to.split(",") if g), args.max_order)
     except PreconditionError as e:
         raise FormatError(f"--to {args.to!r}: {e}") from e
     images, substitution = {}, {}
@@ -158,7 +156,7 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         images[name] = poly.parse_poly(expr, target)
         substitution[name] = expr
     hl2 = _hl2_with_reps(alg, args.reps)
-    d, _ = deform.versal_construct(alg, max_order, hl2.class_representatives)
+    d, _ = deform.versal_construct(alg, args.max_order, hl2.class_representatives)
     out = deform.push_forward(d, target, images)
     text, doc = deformation_report(out, alg)
     doc["command"] = "pushforward"

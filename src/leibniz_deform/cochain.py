@@ -30,7 +30,7 @@ from functools import lru_cache
 from .algebra import MAX_COORDINATES, LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import Matrix, quotient_representatives, rank
-from .values import F0, Record, Vec, _join_terms, as_scalar, vec_add, vec_is_zero, vec_scale, zero_vec
+from .values import F0, Record, Vec, _join_terms, as_scalar, vec_is_zero, zero_vec
 
 # The most rows of a coboundary matrix that are built: a sparse row costs far
 # more than a coordinate.  lambda6 has 59,049 rows in degree 8, 177,147 in 9.
@@ -46,6 +46,15 @@ def check_shape(arity: int, dim: int) -> None:
     if dim > 1 and (arity >= MAX_COORDINATES.bit_length() or dim ** (arity + 1) > MAX_COORDINATES):
         raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim} has {dim}^{arity + 1}"
                                 f" coordinates, more than {MAX_COORDINATES}")
+
+
+def vec_add(a: Vec, b: Vec) -> Vec:
+    # Zero entries are skipped: most cochain entries are zero.
+    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(c: Fraction, a: Vec) -> Vec:
+    return tuple(c * x if x else F0 for x in a)
 
 
 class Cochain(Record):
@@ -191,7 +200,7 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
                         row[col_base + k] = row.get(col_base + k, 0) + sign * v
         rows.extend(out)
 
-    return Matrix.from_sparse(n ** (p + 1) * n, n ** p * n, rows)
+    return Matrix(n ** (p + 1) * n, n ** p * n, rows)
 
 
 class CohomologySpace:

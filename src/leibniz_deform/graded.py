@@ -128,7 +128,7 @@ def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: L
     for r in reps:
         if not coboundary(alg, r).is_zero():
             raise PreconditionError("representative is not a cocycle")
-    change = Matrix(space.dim, space.dim, tuple(zip(*(space.project_to_classes(r) for r in reps))))
+    change = Matrix(space.dim, space.dim, [dict(enumerate(row)) for row in zip(*map(space.project_to_classes, reps))])
     if rank(change) != space.dim:
         raise PreconditionError("representatives are dependent modulo coboundaries")
     old_project = space._project

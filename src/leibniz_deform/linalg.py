@@ -3,8 +3,7 @@
 No floating point is used anywhere.  A ``Matrix`` is stored as sparse rows:
 dicts from column index to the nonzero entries, absent columns being zero.
 A ``Reducer`` grows a fully reduced echelon basis one inserted sparse vector
-at a time, optionally recording each pivot row as a combination of the
-inserted vectors.
+at a time.
 
 Scalar policy: inside this module, in the stored rows and throughout
 elimination, an integral entry is a Python ``int`` and only a non-integral
@@ -20,8 +19,8 @@ and image vectors, and ``solve`` and ``project`` coordinates.
 Factor once: each ``Matrix`` is eliminated at most once per side, and the
 result is cached on the instance.  Its rows, inserted sparsest first, give
 ``rref``, ``echelon_rows``, ``rank``, ``kernel_basis``, ``image_basis`` and
-the quotient of ``quotient_representatives``; its columns, inserted in order
-with combinations tracked, serve ``solve`` only.  Later queries, and the
+the quotient of ``quotient_representatives``; its columns, each extended by
+a unit entry into [m | I], serve ``solve`` only.  Later queries, and the
 ``project`` returned by ``quotient_representatives``, only reduce one vector
 against stored rows.
 
@@ -82,74 +81,47 @@ def _scaled(a: Exact, x: Sparse) -> Sparse:
 class Reducer:
     """Sparse incremental Gauss-Jordan elimination.
 
-    ``rows`` maps each pivot column to its fully reduced pivot row.  With
-    ``track``, ``combos`` maps each pivot column to the coefficients, keyed
-    by insertion index, of the inserted vectors that sum to its row.
-    Inserted vectors hold stored scalars and are not modified.
+    ``rows`` maps each pivot key to its fully reduced pivot row, whose pivot
+    is its smallest key.  Callers choose the keys to choose the pivots:
+    ``quotient_representatives`` keys free column f by -f, so the image
+    pivots on the largest free columns, and ``solve`` appends to column j of
+    an r x c matrix a unit entry at key r + c - 1 - j, after every row key
+    and smaller for later columns, so a dependent column pivots on its own
+    key.  Inserted vectors hold stored scalars and are not modified.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self.rows: dict[int, Sparse] = {}
-        self.combos: dict[int, Sparse] | None = {} if track else None
-        self.inserted = 0
 
-    def _reduce(self, v: Sparse) -> tuple[Sparse, list[tuple[int, Exact]]]:
-        """The residual of v modulo the pivot rows, and the multiples subtracted.
-
-        Pivot rows vanish at each other's pivot columns, so the multiples are
-        just v's own entries at pivot columns.
-        """
+    def _reduce(self, v: Sparse) -> Sparse:
+        """The residual of v modulo the pivot rows.  Pivot rows vanish at each
+        other's pivot keys, so each subtracts v's own entry at its pivot."""
         rows = self.rows
-        hits = [(p, x) for p, x in v.items() if p in rows]
         residual = dict(v)
-        for p, f in hits:
-            _axpy(residual, -f, rows[p])
-        return residual, hits
+        for p, f in v.items():
+            if p in rows:
+                _axpy(residual, -f, rows[p])
+        return residual
 
     def insert(self, v: Sparse) -> bool:
         """Add v to the spanning set; True when it raised the rank."""
-        index = self.inserted
-        self.inserted += 1
-        row, hits = self._reduce(v)
+        row = self._reduce(v)
         if not row:
             return False
         p = min(row)
-        inv = None if row[p] == 1 else _exact(Fraction(1, row[p]))
-        if inv is not None:
-            row = _scaled(inv, row)
-        combos = self.combos
-        if combos is not None:
-            combo = {index: 1}
-            for q, f in hits:
-                _axpy(combo, -f, combos[q])
-            if inv is not None:
-                combo = _scaled(inv, combo)
-        for q, other in self.rows.items():
+        if row[p] != 1:
+            row = _scaled(_exact(Fraction(1, row[p])), row)
+        for other in self.rows.values():
             f = other.get(p)
             if f:
                 _axpy(other, -f, row)
-                if combos is not None:
-                    _axpy(combos[q], -f, combo)
         self.rows[p] = row
-        if combos is not None:
-            combos[p] = combo
         return True
 
-    def coordinates(self, v: Sparse) -> Sparse | None:
-        """Coefficients, keyed by insertion index, of the independent inserted
-        vectors that sum to v; None when v is outside their span.  Needs ``track``."""
-        residual, hits = self._reduce(v)
-        if residual:
-            return None
-        out: Sparse = {}
-        for p, f in hits:
-            _axpy(out, f, self.combos[p])
-        return out
 
-
-def _eliminate(vectors: Iterable[Sparse], track: bool = False) -> Reducer:
+def _eliminate(vectors: Iterable[Sparse]) -> Reducer:
     """Insert sparse vectors, in order, into a fresh reducer."""
-    reducer = Reducer(track)
+    reducer = Reducer()
     for v in vectors:
         reducer.insert(v)
     return reducer
@@ -158,34 +130,19 @@ def _eliminate(vectors: Iterable[Sparse], track: bool = False) -> Reducer:
 class Matrix:
     """Matrix of exact rationals, stored as sparse rows.
 
-    ``Matrix(rows, cols, entries)`` takes dense row-major entries, and
-    ``from_sparse`` takes rows as dicts of column to entry.  ``entries`` is
-    the dense view, all ``Fraction``, built on first use.
+    ``Matrix(rows, cols, row_dicts)`` has entry x at row i and column c for
+    each c: x in ``row_dicts[i]``; absent columns and zero entries are zero.
+    ``entries`` is the dense view, all ``Fraction``, built on first use.
     """
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
-        if len(entries) != rows:
-            raise DimensionMismatch("row count does not match entries")
-        for row in entries:
-            if len(row) != cols:
-                raise DimensionMismatch("ragged matrix rows")
-        self.rows = rows
-        self.cols = cols
-        self._row_dicts = tuple(_sparse(vec(r)) for r in entries)
-
-    @classmethod
-    def from_sparse(cls, rows: int, cols: int, row_dicts: Sequence[Mapping[int, object]]) -> "Matrix":
-        """The matrix whose row i has entry x at column c for each c: x in
-        ``row_dicts[i]``; absent columns and zero entries are zero."""
+    def __init__(self, rows: int, cols: int, row_dicts: Sequence[Mapping[int, object]]):
         if len(row_dicts) != rows:
             raise DimensionMismatch("row count does not match entries")
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._row_dicts = tuple({c: y for c, x in r.items() if (y := _exact(x))} for r in row_dicts)
-        if any(not 0 <= c < cols for r in m._row_dicts for c in r):
+        self.rows = rows
+        self.cols = cols
+        self._row_dicts = tuple({c: y for c, x in r.items() if (y := _exact(x))} for r in row_dicts)
+        if any(not 0 <= c < cols for r in self._row_dicts for c in r):
             raise DimensionMismatch("column index out of range")
-        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -193,7 +150,7 @@ class Matrix:
         return (self.rows, self.cols, self._row_dicts) == (other.rows, other.cols, other._row_dicts)
 
     def __repr__(self) -> str:
-        return f"Matrix({self.rows}, {self.cols}, {self.entries!r})"
+        return f"Matrix({self.rows}, {self.cols}, {self._row_dicts!r})"
 
     @cached_property
     def entries(self) -> tuple[Vec, ...]:
@@ -242,7 +199,9 @@ class Matrix:
 
     @cached_property
     def _column_echelon(self) -> Reducer:
-        return _eliminate(self._columns, track=True)
+        # the columns of [self | I], column j's unit entry keyed as in the Reducer docstring
+        last = self.rows + self.cols - 1
+        return _eliminate({**column, last - j: 1} for j, column in enumerate(self._columns))
 
 
 class SubspaceBasis(Record):
@@ -272,7 +231,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
     reduced = echelon_rows(m)
     rows = [row for _, row in reduced] + [{}] * (m.rows - len(reduced))
-    return Matrix.from_sparse(m.rows, m.cols, rows), tuple(p for p, _ in reduced)
+    return Matrix(m.rows, m.cols, rows), tuple(p for p, _ in reduced)
 
 
 def rank(m: Matrix) -> int:
@@ -298,14 +257,18 @@ def solve(m: Matrix, rhs: Sequence) -> Vec | None:
     """One exact solution of ``m x = rhs``, or None when the system is inconsistent.
 
     The returned solution is the particular one with every free variable set
-    to zero, which makes it deterministic.
+    to zero, which makes it deterministic.  Gauss-Jordan on [m | I] reduces
+    (rhs, 0) to a residual without row keys exactly when m x = rhs has a
+    solution, and the residual is then (0, -x); each dependent column's unit
+    key is a pivot, so its free variable is zero.
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"solve: {m.rows} rows vs right-hand side of length {len(rhs)}")
-    coords = m._column_echelon.coordinates(_sparse(vec(rhs)))
-    if coords is None:
+    residual = m._column_echelon._reduce(_sparse(vec(rhs)))
+    if residual and min(residual) < m.rows:
         return None
-    return _dense(coords, m.cols)
+    last = m.rows + m.cols - 1
+    return _dense({last - k: -x for k, x in residual.items()}, m.cols)
 
 
 def quotient_representatives(
@@ -351,7 +314,7 @@ def quotient_representatives(
         v = _sparse(vec(v))
         if not in_kernel(v):
             raise PreconditionError("vector is not in the kernel of d")
-        residual = image._reduce(restricted(v))[0]
+        residual = image._reduce(restricted(v))
         return tuple(as_scalar(residual[-f]) if -f in residual else F0 for f in reps)
 
     return SubspaceBasis(n, tuple(_dense(kernel[f], n) for f in reps)), project, len(image.rows)

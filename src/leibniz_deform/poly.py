@@ -157,7 +157,7 @@ def _normalize(base: LocalBase, coeffs: dict[Monomial, Fraction]) -> dict[Monomi
     if not base.relations:
         return work
     columns, index, echelon = base._echelon
-    residual, _ = echelon._reduce({index[m]: c for m, c in work.items()})
+    residual = echelon._reduce({index[m]: c for m, c in work.items()})
     return {columns[i]: as_scalar(c) for i, c in residual.items()}
 
 

@@ -71,15 +71,6 @@ def zero_vec(n: int) -> Vec:
     return (F0,) * n
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    # Zero entries are skipped: most cochain entries are zero.
-    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x if x else F0 for x in a)
-
-
 def vec_is_zero(a: Vec) -> bool:
     return not any(a)
 

@@ -24,11 +24,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6, validate
-from leibniz_deform.cochain import Cochain, coboundary
+from leibniz_deform.cochain import Cochain, coboundary, vec_add, vec_scale
 from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import Matrix, rank, solve
-from leibniz_deform.values import F0, F1, Vec, vec, vec_add, vec_is_zero, vec_scale, zero_vec
+from leibniz_deform.values import F0, F1, Vec, vec_is_zero, zero_vec
 
 F = Fraction
 
@@ -84,18 +84,22 @@ def _gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-def from_rows(rows) -> Matrix:
-    """The matrix with the given dense rows."""
-    entries = tuple(vec(r) for r in rows)
-    return Matrix(len(entries), len(entries[0]) if entries else 0, entries)
+def from_rows(rows, cols: int | None = None) -> Matrix:
+    """The matrix with the given dense rows, of ``cols`` columns (by default
+    the first row's length, and 0 when there is no row)."""
+    rows = [tuple(r) for r in rows]
+    cols = (len(rows[0]) if rows else 0) if cols is None else cols
+    if any(len(r) != cols for r in rows):
+        raise DimensionMismatch("ragged matrix rows")
+    return Matrix(len(rows), cols, [dict(enumerate(r)) for r in rows])
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
-    return Matrix.from_sparse(rows, cols, [{}] * rows)
+    return Matrix(rows, cols, [{}] * rows)
 
 
 def identity_matrix(n: int) -> Matrix:
-    return Matrix.from_sparse(n, n, [{i: 1} for i in range(n)])
+    return Matrix(n, n, [{i: 1} for i in range(n)])
 
 
 def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -127,7 +131,7 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                 work[i] = [a - f * b for a, b in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return Matrix(m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots)
+    return from_rows(work, m.cols), tuple(pivots)
 
 
 def dense_kernel(m: Matrix) -> tuple[tuple, ...]:
@@ -151,7 +155,7 @@ def dense_image(m: Matrix) -> tuple[tuple, ...]:
 
 def dense_solve(m: Matrix, rhs) -> tuple | None:
     """Free-variables-zero solution from the reduced augmented matrix, or None."""
-    aug = Matrix(m.rows, m.cols + 1, tuple(row + (F(rhs[i]),) for i, row in enumerate(m.entries)))
+    aug = from_rows((row + (F(rhs[i]),) for i, row in enumerate(m.entries)), m.cols + 1)
     reduced, pivots = dense_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
@@ -202,7 +206,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 sums[i] = sums.get(i, 0) + x * y
         for i, total in sums.items():
             rows[i][j] = F(total, scale_a * scale_b)
-    return Matrix.from_sparse(a.rows, b.cols, rows)
+    return Matrix(a.rows, b.cols, rows)
 
 
 # ---------------------------------------------------------------------------

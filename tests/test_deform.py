@@ -710,6 +710,27 @@ def test_massey2_independent_of_representatives():
         assert c1 == c2
 
 
+# At order 2 the defect of the universal infinitesimal deformation is
+# -(1/2) sum [psi_m, psi_m'] over ordered pairs, and [,] is symmetric in
+# degree 1: -<i,j> at t_i t_j and -(1/2)<i,i> at t_i^2.  This pins the circle
+# products landed by deform against graded's brackets.
+@pytest.mark.parametrize("algebra", ["lambda6", "nf4", "h3", "abelian2", "abelian3"])
+def test_order_two_obstruction_classes_are_minus_the_massey_pair_brackets(algebra):
+    alg = CORPUS[algebra]()
+    hl2 = cohomology(alg, 2)
+    d = universal_infinitesimal(alg, hl2.class_representatives)
+    report = obstruction_classes(d.with_base(d.base.with_truncation(2)), 1)
+    h = hl2.dim
+    expected = {}
+    for i, j in itertools.combinations_with_replacement(range(h), 2):
+        coords, _ = graded.massey2(alg, hl2, unit(h, i), unit(h, j))
+        mono = tuple(int(k == i) + int(k == j) for k in range(h))
+        expected[mono] = tuple(-c / 2 if i == j else -c for c in coords)
+    assert report.classes == expected
+    # lambda6 and NF4 are unobstructed at order 2, the others are not
+    assert any(map(any, expected.values())) == (algebra not in ("lambda6", "nf4"))
+
+
 def test_massey3_reference_triples_vanish_with_zero_witnesses():
     alg, hl2 = _paper_hl2()
     for t in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
