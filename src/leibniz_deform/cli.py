@@ -7,11 +7,15 @@ repeats; ``-h``/``--help`` prints the usage to standard output.  Exit status
 is 0 on success and after help, 1 on malformed input (the command line,
 files, expressions and option values), 2 on precondition faults, and 141,
 with nothing on standard error, when standard output closes before the
-report is written (as a shell reports a process ended by SIGPIPE).  All
-computation is deterministic.  This module holds the two handlers that need
-no degree-2 classes, ``check`` and ``cohomology``; the other four and the
-``--reps`` reader are in ``cli_hl2``.  The ``--to`` names and ``--sub``
-polynomials are read by ``poly``, which owns the polynomial format.
+report or the help is written (as a shell reports a process ended by
+SIGPIPE).  ``main`` ends the process (``os._exit``) once that output is
+flushed, so profile or trace a command through ``run()`` as
+``bench/trace_cli.py`` does; ``python -m cProfile -m leibniz_deform`` prints
+no profile.  All computation is deterministic.  This module holds the two
+handlers that need no degree-2 classes, ``check`` and ``cohomology``; the
+other four and the ``--reps`` reader are in ``cli_hl2``.  The ``--to`` names
+and ``--sub`` polynomials are read by ``poly``, which owns the polynomial
+format.
 """
 
 from __future__ import annotations
@@ -135,13 +139,13 @@ def parse_args(argv: Sequence[str]) -> tuple[Callable, SimpleNamespace]:
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(usage(argv[0] if argv[0] in COMMANDS else None))
-        return 0
     try:
-        handler, args = parse_args(argv)
-        alg = load_algebra(args.algebra)
-        text, doc = handler(alg, args)
+        if "-h" in argv or "--help" in argv:
+            report = usage(argv[0] if argv[0] in COMMANDS else None)
+        else:
+            handler, args = parse_args(argv)
+            text, doc = handler(load_algebra(args.algebra), args)
+            report = text if args.output == "text" else dumps_canonical(doc)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -149,18 +153,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"fault: {e}", file=sys.stderr)
         return 2
     try:
-        print(text if args.output == "text" else dumps_canonical(doc), flush=True)
+        print(report, flush=True)
     except BrokenPipeError:
-        # the reader is gone: what is still buffered is flushed at exit, to nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         return 141
     return 0
 
 
 def main() -> None:
-    sys.exit(run())
+    os._exit(run())
 
 
 if __name__ == "__main__":

@@ -238,12 +238,14 @@ def test_json_nested_too_deep_to_read_exits_one(capsys, tmp_path, reader):
 
 
 @pytest.mark.parametrize("argv", [("cohomology", "lambda6", "--degree", "3"),
-                                  ("cohomology", "abelian3", "--degree", "3", "--output", "json")],
-                         ids=["2KB", "23KB"])
+                                  ("cohomology", "abelian3", "--degree", "3", "--output", "json"),
+                                  ("--help",), ("versal", "lambda6", "-h")],
+                         ids=["2KB", "23KB", "help", "versal-help"])
 def test_a_closed_standard_output_exits_141_and_writes_no_error(tmp_path, argv):
     """The read end of the child's stdout pipe is closed before the child
-    starts, so its first write fails: buffered, the 2 KB report fails at the
-    flush and the 23 KB one inside ``print``; unbuffered, both in ``print``."""
+    starts, so its first write fails: buffered, the 2 KB report and the help
+    texts fail at the flush and the 23 KB report inside ``print``;
+    unbuffered, all of them in ``print``."""
     path = tmp_path / "abelian3.json"
     path.write_text(algebra_to_json(abelian(3)), encoding="utf-8")
     argv = [str(path) if a == "abelian3" else a for a in argv]
@@ -257,6 +259,36 @@ def test_a_closed_standard_output_exits_141_and_writes_no_error(tmp_path, argv):
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_buffered_report_or_error_is_written_in_full_before_the_process_ends(tmp_path):
+    """``main`` ends the process without the interpreter's final flush, so
+    what ``run`` writes must already be out: the 23 KB report, more than the
+    stdout buffer holds, and the error line on stderr."""
+    path = tmp_path / "abelian3.json"
+    path.write_text(algebra_to_json(abelian(3)), encoding="utf-8")
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(SRC.parent)}
+    child = [sys.executable, "-S", "-m", "leibniz_deform"]
+    proc = subprocess.run([*child, "cohomology", str(path), "--degree", "3", "--output", "json"],
+                          capture_output=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "cohomology-abelian3-degree-3.json").read_bytes()
+    proc = subprocess.run([*child, "check", "missing.json"], capture_output=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (b"error: cannot read algebra file 'missing.json': [Errno 2]"
+                           b" No such file or directory: 'missing.json'\n")
+
+
+def test_main_ends_the_process_with_the_exit_status_of_run_and_no_teardown():
+    """Nothing registered to run at interpreter exit runs after ``main``."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import atexit, os, sys; from leibniz_deform.cli import main\n"
+         "atexit.register(os.write, 1, b'atexit ran')\n"
+         "sys.argv = ['leibniz-deform', 'cohomology', 'lambda6', '--degree', '13']\n"
+         "main()"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"fault: a cochain of arity 14 and dimension 3 has 3^15 coordinates, more than 10000000\n"
 
 
 def test_reps_file_reads_decimal_coefficients_exactly(tmp_path):
@@ -656,6 +688,7 @@ NODE_BUDGET = {
     ("check", "lambda6"): 4700,
     ("cohomology", "lambda6", "--degree", "2"): 8700,
     ("massey", "lambda6"): 11700,
+    ("versal", "lambda6"): 17150,
 }
 
 
