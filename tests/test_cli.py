@@ -15,14 +15,17 @@ from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
 from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
 from leibniz_deform.errors import FormatError
-from leibniz_deform.reports import dumps_canonical
+from leibniz_deform.reports import cochain_to_json, dumps_canonical
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 # outputs the benchmark goldens do not cover; a name ending in .json is the
-# command's --output json form, and the algebras of FILE_ALGEBRAS are written to files
+# command's --output json form, the algebras of FILE_ALGEBRAS are written to
+# files, and REPS_FILE stands for a --reps file of the paper's representatives
+# in reverse order
 TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
 FILE_ALGEBRAS = {"abelian2": abelian(2), "h3": h3()}
+REPS_FILE = "REPS_FILE"
 GOLDEN_COMMANDS = {
     "versal-abelian2-max-order-3.txt": ("versal", "abelian2", "--max-order", "3"),
     "versal-abelian2-max-order-3.json": ("versal", "abelian2", "--max-order", "3"),
@@ -35,6 +38,9 @@ GOLDEN_COMMANDS = {
     "cohomology-lambda6-degree-3.txt": ("cohomology", "lambda6", "--degree", "3"),
     # a second-order bracket is nonzero, so no third-order bracket is defined
     "massey-h3.txt": ("massey", "h3"),
+    "massey-lambda6-reps-paper.json": ("massey", "lambda6", "--reps", "paper"),
+    "massey-lambda6-reps-file.txt": ("massey", "lambda6", "--reps", REPS_FILE),
+    "versal-lambda6-max-order-4-reps-file.json": ("versal", "lambda6", "--max-order", "4", "--reps", REPS_FILE),
 }
 
 
@@ -106,7 +112,10 @@ def test_pushforward_specialization(capsys):
 def golden_argv(name, tmp_path):
     for alg_name, alg in FILE_ALGEBRAS.items():
         (tmp_path / f"{alg_name}.json").write_text(algebra_to_json(alg), encoding="utf-8")
-    argv = [str(tmp_path / f"{a}.json") if a in FILE_ALGEBRAS else a for a in GOLDEN_COMMANDS[name]]
+    reversed_paper = [cochain_to_json(mu) for mu in reversed(cochain.lambda6_reference_representatives())]
+    (tmp_path / "reps.json").write_text(json.dumps({"cochains": reversed_paper}), encoding="utf-8")
+    files = {**{a: str(tmp_path / f"{a}.json") for a in FILE_ALGEBRAS}, REPS_FILE: str(tmp_path / "reps.json")}
+    argv = [files.get(a, a) for a in GOLDEN_COMMANDS[name]]
     return argv + ["--output", "json"] if name.endswith(".json") else argv
 
 
