@@ -9,10 +9,11 @@ name is imported from the layer that defines it, for example
 ``from leibniz_deform.cochain import cohomology``.  Every layer loads on
 first use, so each command compiles only the layers it runs: ``check`` runs
 ``cli``, ``algebra`` and ``reports``; ``cohomology`` adds ``linalg`` and
-``cochain``; ``massey`` adds ``graded`` and ``cli_hl2``, the front end of the
-commands built on the degree-2 classes; and ``infinitesimal``, ``versal`` and
-``pushforward`` add ``poly``, the truncated polynomial bases, and ``deform``.
-All of them run ``errors`` and ``values``.
+``cochain``; ``massey`` adds ``graded`` and ``cli_massey``; ``infinitesimal``
+and ``versal`` add ``graded``, ``poly``, ``deform`` and ``cli_hl2``, and
+``pushforward`` the same with ``pushforward`` for ``cli_hl2``.  All of them
+run ``errors`` and ``values``; an algebra file adds ``readers``, and ``--reps``
+adds ``reps``.
 """
 
 import sys
@@ -30,5 +31,6 @@ def _lazy(name: str):
     return module
 
 
-for _layer in ("errors", "values", "algebra", "linalg", "cochain", "graded", "poly", "deform", "reports", "cli_hl2"):
+for _layer in ("errors", "values", "algebra", "readers", "linalg", "cochain", "reps", "graded", "poly", "deform",
+               "reports", "cli_massey", "cli_hl2", "pushforward"):
     globals()[_layer] = _lazy(_layer)

@@ -13,9 +13,9 @@ flushed, so profile or trace a command through ``run()`` as
 ``bench/trace_cli.py`` does; ``python -m cProfile -m leibniz_deform`` prints
 no profile.  All computation is deterministic.  This module holds the two
 handlers that need no degree-2 classes, ``check`` and ``cohomology``; the
-other four and the ``--reps`` reader are in ``cli_hl2``.  The ``--to`` names
-and ``--sub`` polynomials are read by ``poly``, which owns the polynomial
-format.
+others are in ``cli_massey`` (``massey``), ``cli_hl2`` (``infinitesimal`` and
+``versal``) and ``pushforward``, which also reads the ``--to`` names and
+``--sub`` polynomials.  The ``--reps`` reader is ``reps``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .algebra import LeibnizAlgebra, load_algebra, validate
-from . import cli_hl2, cochain
+from . import cli_hl2, cli_massey, cochain, pushforward
 from .errors import FormatError, LeibnizDeformError
 from .reports import cohomology_report, dumps_canonical, render_vector
 
@@ -57,19 +57,19 @@ _MAX_ORDER = {"--max-order": (int, 3, "truncation order")}
 # subcommand: (handler, help, options).  An option is (type, default, help), the
 # type int, str, list (a string that may repeat, kept in order) or a tuple of
 # the allowed strings; a default of REQUIRED makes the option required.  The
-# handlers of the degree-2 commands are cli_hl2's, read only at dispatch, so
-# that check and cohomology never load that module.
+# handlers of the degree-2 commands are read from their modules only at
+# dispatch, so that each command loads no other command's front end.
 COMMANDS = {
     "check": (cmd_check, "verify the Leibniz identity on all basis triples", _OUTPUT),
     "cohomology": (cmd_cohomology, "cocycles, coboundaries and cohomology in one degree",
                    {**_OUTPUT, "--degree": (int, REQUIRED, "cochain degree")}),
-    "massey": (lambda alg, args: cli_hl2.cmd_massey(alg, args),
+    "massey": (lambda alg, args: cli_massey.cmd_massey(alg, args),
                "all second- and third-order Massey brackets of the degree-2 classes", _REPS),
     "infinitesimal": (lambda alg, args: cli_hl2.cmd_infinitesimal(alg, args),
                       "the universal first-order deformation", _REPS),
     "versal": (lambda alg, args: cli_hl2.cmd_versal(alg, args),
                "order-by-order versal deformation", {**_REPS, **_MAX_ORDER}),
-    "pushforward": (lambda alg, args: cli_hl2.cmd_pushforward(alg, args),
+    "pushforward": (lambda alg, args: pushforward.cmd_pushforward(alg, args),
                     "substitute base parameters in the versal deformation", {
         **_REPS, **_MAX_ORDER,
         "--sub": (list, REQUIRED, "NAME=POLY, the image of one source generator; repeat per generator"),

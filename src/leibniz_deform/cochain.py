@@ -249,15 +249,6 @@ def cohomology(alg: LeibnizAlgebra, p: int) -> CohomologySpace:
     return CohomologySpace(p, delta.cols - rank(delta), dim_bl, classes, project)
 
 
-def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
-    """The degree-2 class representatives that give the builtin 3-dimensional
-    algebra its simplest deformed bracket table: mu_1 sends (e_2,e_3) to -e_1
-    and mu_2 sends (e_1,e_3) to e_1, both zero elsewhere."""
-    mu1 = Cochain.from_entries(2, 3, {(1, 2): {0: -1}})
-    mu2 = Cochain.from_entries(2, 3, {(0, 2): {0: 1}})
-    return mu1, mu2
-
-
 def cocycle_relations(alg: LeibnizAlgebra, p: int) -> list[str]:
     """Human-readable linear relations among cochain coordinates defining ZL^p.
 

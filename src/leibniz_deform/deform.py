@@ -29,9 +29,10 @@ are homogeneous, as the versal construction's are.  A step computes degree
 k+1 only, and checks degrees 0..k too unless the last step proved them flat.
 One rule, ``_land``, puts cochains into a base: a cochain paired with a base
 polynomial is added, times each coefficient, at that coefficient's monomial.
-Products land as above, terms moved by ``with_base`` or ``push_forward`` at
-their monomials' images, and an obstructed order's entries, not recomputed, at
-their monomials' normal forms in the enlarged base, where they are solved.
+Products land as above, terms moved by ``with_base`` or
+``pushforward.push_forward`` at their monomials' images, and an obstructed
+order's entries, not recomputed, at their monomials' normal forms in the
+enlarged base, where they are solved.
 
 Base elements, their normal form and their text and JSON format are
 ``poly``'s.  ``massey3`` is kept only for the tests: the ``massey`` command
@@ -323,33 +324,6 @@ def massey3(
             raise PreconditionError(f"supplied witness for pair {key} fails its equation")
         chosen[key] = w
     return (*_triple_bracket(alg, xs, chosen), tuple(sorted(chosen.items())))
-
-
-def push_forward(
-    d: Deformation,
-    target_base: LocalBase,
-    images: Mapping[str, TruncatedPolynomial],
-) -> Deformation:
-    """Transport a deformation along a base homomorphism.
-
-    The homomorphism is given by the images of the generators, one for each
-    source generator and no other, which must be polynomials over the target
-    base with zero constant term, and must send every source relation to 0.
-    Each term lands at the image of its monomial.
-    """
-    for gen in images:
-        if gen not in d.base.generators:
-            raise PreconditionError(f"image supplied for {gen!r}, which is not a source generator")
-    for gen in d.base.generators:
-        if gen not in images:
-            raise PreconditionError(f"no image supplied for generator {gen!r}")
-        img = images[gen]
-        if img.base != target_base:
-            raise DimensionMismatch("image lives over the wrong base")
-        if img.constant_term():
-            raise PreconditionError(f"image of {gen!r} has a nonzero constant term")
-    source_proxy = LocalBase(d.base.generators, d.base.truncation_order)
-    return _transport(d, target_base, lambda c: TruncatedPolynomial(source_proxy, c).substitute(target_base, images))
 
 
 def _transport(d: Deformation, base: LocalBase, image: Callable[[dict], TruncatedPolynomial]) -> Deformation:

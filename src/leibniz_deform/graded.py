@@ -21,8 +21,9 @@ representatives with a class's coordinates, and <a, b> is the class of
 [x_a, x_b].  When it vanishes, the witness x_ab solves d x_ab = [x_a, x_b],
 and <a, b, c> is the class of [x_ab, x_c] + [x_a, x_bc] + [x_ac, x_b].  A
 witness is also the correction term of a defect entry with zero class.
-``with_representatives`` presents the classes on the ``--reps`` of the
-degree-2 commands; ``cohomology`` never needs it, so it is not ``cochain``'s.
+``_hl2_with_reps`` gives the degree-2 classes that the ``massey`` and the
+deformation commands start from; it loads ``reps``, the ``--reps`` reader,
+only when that option is given.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
-from .cochain import Cochain, CohomologySpace, coboundary, coboundary_matrix, cohomology
+from . import reps
+from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import Matrix, rank, solve
+from .linalg import solve
 from .values import F0, Vec, as_scalar
 
 
@@ -117,38 +119,22 @@ def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     return circle(alg, a, b) + circle(alg, b, a).scale(sign)
 
 
-def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> CohomologySpace:
-    """The same cohomology space presented on user-chosen representative cocycles.
-
-    Each representative must be a cocycle and the family must be independent
-    modulo coboundaries and of the right size.
-    """
-    if len(reps) != space.dim:
-        raise PreconditionError(f"need exactly {space.dim} representatives, got {len(reps)}")
-    for r in reps:
-        if not coboundary(alg, r).is_zero():
-            raise PreconditionError("representative is not a cocycle")
-    change = Matrix(space.dim, space.dim, [dict(enumerate(row)) for row in zip(*map(space.project_to_classes, reps))])
-    if rank(change) != space.dim:
-        raise PreconditionError("representatives are dependent modulo coboundaries")
-    old_project = space._project
-
-    def project(v: Sequence) -> Vec:
-        sol = solve(change, old_project(v))
-        assert sol is not None  # change of basis is invertible
-        return sol
-
-    return CohomologySpace(space.degree, space.dim_cocycles, space.dim_coboundaries, tuple(reps), project)
+def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None) -> CohomologySpace:
+    """HL^2, presented on the representatives of ``--reps reps_spec`` when given."""
+    hl2 = cohomology(alg, 2)
+    if reps_spec is not None:
+        hl2 = reps.with_representatives(hl2, reps._load_reps(reps_spec, alg), alg)
+    return hl2
 
 
-def _combine(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
-    """sum c_i reps[i]; unit coordinates give the stored representative itself."""
-    if not reps:
+def _combine(family: Sequence[Cochain], coords: Sequence) -> Cochain:
+    """sum c_i family[i]; unit coordinates give the stored representative itself."""
+    if not family:
         raise PreconditionError("no representatives available")
-    terms = [(c, r) for c, r in zip(map(as_scalar, coords), reps) if c]
+    terms = [(c, r) for c, r in zip(map(as_scalar, coords), family) if c]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    out = Cochain.zeros(2, reps[0].dim)
+    out = Cochain.zeros(2, family[0].dim)
     for c, r in terms:
         out = out + r.scale(c)
     return out

@@ -15,8 +15,9 @@ t^2 - t^3 at order 4, t^2 = (t^2 - t^3)(1 + t + t^2) + t^5 is zero).
 
 Base elements have one text and JSON format, kept here: ``render_poly`` and
 ``poly_to_json`` write terms in render order, ascending total degree and
-earlier generators first within a degree (``1 - 1/2*s + t^2*s``), and
-``parse_poly`` reads the text back.
+earlier generators first within a degree (``1 - 1/2*s + t^2*s``).
+``pushforward.parse_poly``, which only the ``pushforward`` command needs,
+reads the text back.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import LeibnizAlgebra
-from .errors import DimensionMismatch, FormatError, PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 from .linalg import Reducer
-from .values import F0, F1, Record, Sparse, _exact, _join_terms, as_scalar
+from .values import F0, Record, Sparse, _exact, _join_terms, as_scalar
 
 Monomial = tuple[int, ...]
 PolyData = tuple[tuple[Monomial, Fraction], ...]
 
-# compiled on first use by re's own cache, not by every command at import
 _NAME = r"[A-Za-z_]\w*"  # a generator name
-_TERM = rf"^(?:(-?\d+(?:/\d+)?)\*?)?((?:{_NAME}(?:\^\d+)?)(?:\*{_NAME}(?:\^\d+)?)*)?$"
 
 
 def _degree(mono: Monomial) -> int:
@@ -67,8 +66,9 @@ class LocalBase(Record):
 
     The maximal ideal is generated by the parameters; evaluation at 0 is the
     augmentation.  A generator name is a letter or ``_`` followed by letters,
-    digits and ``_`` (``t``, ``t1``, ``x_2``), so that ``parse_poly`` reads
-    back what ``render_poly`` writes; names are checked before duplicates.
+    digits and ``_`` (``t``, ``t1``, ``x_2``), so that
+    ``pushforward.parse_poly`` reads back what ``render_poly`` writes; names
+    are checked before duplicates.
     Relations are stored as canonical coefficient tables (``PolyData``, in
     render order) and must have zero constant term.
 
@@ -272,39 +272,3 @@ def base_to_json(base: LocalBase) -> dict:
         "truncation_order": base.truncation_order,
         "relations": [poly_to_json(base, rel) for rel in base.relations],
     }
-
-
-def parse_poly(expr: str, base: LocalBase) -> TruncatedPolynomial:
-    """The element of ``base`` written as ``expr``, such as ``0``, ``t`` or
-    ``2*t^2*s - 1/2*t``: spaces are ignored, and terms joined by ``+`` or
-    ``-`` are each an optional integer or ``p/q`` coefficient, an optional
-    ``*`` and factors ``NAME`` or ``NAME^k`` joined by ``*``, NAME a generator
-    of ``base``.  Raises FormatError naming the term or generator at fault.
-    """
-    text = expr.replace(" ", "")
-    if not text:
-        raise FormatError("empty polynomial expression")
-    coeffs: dict[Monomial, Fraction] = {}
-    for chunk in re.split(r"(?=[+-])", text):
-        if not chunk:
-            continue
-        sign = -F1 if chunk[0] == "-" else F1
-        if chunk[0] in "+-":
-            chunk = chunk[1:]
-        m = re.match(_TERM, chunk)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise FormatError(f"cannot parse polynomial term {chunk!r} in {expr!r}")
-        try:
-            coeff = sign * Fraction(m.group(1)) if m.group(1) else sign
-        except ZeroDivisionError:
-            raise FormatError(f"zero denominator in polynomial term {chunk!r} in {expr!r}") from None
-        mono = [0] * base.num_generators
-        if m.group(2):
-            for factor in m.group(2).split("*"):
-                name, _, power = factor.partition("^")
-                if name not in base.generators:
-                    raise FormatError(f"unknown generator {name!r} in {expr!r}")
-                mono[base.generators.index(name)] += int(power or 1)
-        key = tuple(mono)
-        coeffs[key] = coeffs.get(key, F0) + coeff
-    return TruncatedPolynomial(base, coeffs)

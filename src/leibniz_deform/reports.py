@@ -6,7 +6,7 @@ module reaches ``cochain``, ``deform`` and ``poly`` as modules (``from .
 import cochain, deform, poly``), so ``check`` loads none of them, and the
 commands that build no deformation never load ``deform`` or ``poly``.  It
 only writes: the ``--reps`` reader and its ``cochain_from_json`` are in
-``cli_hl2``, which ``check`` and ``cohomology`` never load.  JSON output is
+``reps``, which only ``--reps`` loads.  JSON output is
 canonical (two-space indent, sorted keys) so that parsing a report
 and re-serializing it is byte-identical.
 """

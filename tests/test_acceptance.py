@@ -32,21 +32,21 @@ from leibniz_deform.cochain import (
     coboundary,
     coboundary_matrix,
     cohomology,
-    lambda6_reference_representatives,
 )
 from leibniz_deform.deform import (
     Deformation,
     leibniz_defect,
     massey2,
     massey3,
-    push_forward,
     universal_infinitesimal,
     versal_construct,
 )
-from leibniz_deform.graded import circle, graded_bracket, shuffles, with_representatives
+from leibniz_deform.graded import circle, graded_bracket, shuffles
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
-from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial
+from leibniz_deform.pushforward import parse_poly, push_forward
 from leibniz_deform.reports import deformation_report
+from leibniz_deform.reps import lambda6_reference_representatives, with_representatives
 
 F = Fraction
 

@@ -9,13 +9,13 @@ from helpers import bracket_eval, dense_validate, misoriented_nf4, random_leibni
 from leibniz_deform.algebra import (
     LeibnizAlgebra,
     abelian,
-    algebra_from_json,
     algebra_to_json,
     lambda6,
     load_algebra,
     validate,
 )
 from leibniz_deform.errors import DimensionMismatch, FormatError
+from leibniz_deform.readers import algebra_from_json
 
 F = Fraction
 

@@ -9,22 +9,24 @@ from pathlib import Path
 
 import pytest
 
-from helpers import h3, misoriented_nf4
-from leibniz_deform import cli_hl2, cochain, deform, graded
+from helpers import h3, misoriented_nf4, nf4
+from leibniz_deform import cochain, deform, graded, reps
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
-from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial
+from leibniz_deform.pushforward import parse_poly
 from leibniz_deform.errors import FormatError
 from leibniz_deform.reports import cochain_to_json, dumps_canonical
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 # outputs the benchmark goldens do not cover; a name ending in .json is the
-# command's --output json form, the algebras of FILE_ALGEBRAS are written to
+# command's --output json form
+TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
+# in a command line of a test, the algebras of FILE_ALGEBRAS are written to
 # files, and REPS_FILE stands for a --reps file of the paper's representatives
 # in reverse order
-TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
-FILE_ALGEBRAS = {"abelian2": abelian(2), "h3": h3()}
+FILE_ALGEBRAS = {"abelian1": abelian(1), "abelian2": abelian(2), "h3": h3(), "nf4": nf4()}
 REPS_FILE = "REPS_FILE"
 GOLDEN_COMMANDS = {
     "versal-abelian2-max-order-3.txt": ("versal", "abelian2", "--max-order", "3"),
@@ -109,13 +111,19 @@ def test_pushforward_specialization(capsys):
     assert "s" not in out.split("brackets:")[1]
 
 
-def golden_argv(name, tmp_path):
+def file_argv(argv, tmp_path) -> list[str]:
+    """``argv`` with the names of ``FILE_ALGEBRAS`` and ``REPS_FILE`` replaced
+    by files written to ``tmp_path``."""
     for alg_name, alg in FILE_ALGEBRAS.items():
         (tmp_path / f"{alg_name}.json").write_text(algebra_to_json(alg), encoding="utf-8")
-    reversed_paper = [cochain_to_json(mu) for mu in reversed(cochain.lambda6_reference_representatives())]
+    reversed_paper = [cochain_to_json(mu) for mu in reversed(reps.lambda6_reference_representatives())]
     (tmp_path / "reps.json").write_text(json.dumps({"cochains": reversed_paper}), encoding="utf-8")
     files = {**{a: str(tmp_path / f"{a}.json") for a in FILE_ALGEBRAS}, REPS_FILE: str(tmp_path / "reps.json")}
-    argv = [files.get(a, a) for a in GOLDEN_COMMANDS[name]]
+    return [files.get(a, a) for a in argv]
+
+
+def golden_argv(name, tmp_path):
+    argv = file_argv(GOLDEN_COMMANDS[name], tmp_path)
     return argv + ["--output", "json"] if name.endswith(".json") else argv
 
 
@@ -307,7 +315,7 @@ def test_reps_file_reads_decimal_coefficients_exactly(tmp_path):
                         for k, c in enumerate(coeffs))
     path = tmp_path / "reps.json"
     path.write_text('{"cochains": [{"entries": [%s]}]}' % entries, encoding="utf-8")
-    (rep,) = cli_hl2._load_reps(str(path), lambda6())
+    (rep,) = reps._load_reps(str(path), lambda6())
     assert [rep.eval_basis((0, k))[0] for k in range(3)] == list(coeffs.values())
 
 
@@ -653,66 +661,93 @@ def test_check_loads_no_argument_parsing_or_typing_modules():
 
 
 # The layers that not every command runs; they load on first use.
-LAZY = ("leibniz_deform.linalg", "leibniz_deform.cochain", "leibniz_deform.graded", "leibniz_deform.poly",
-        "leibniz_deform.deform", "leibniz_deform.cli_hl2")
+LAZY = ("linalg", "cochain", "graded", "poly", "deform", "readers", "reps", "cli_massey", "cli_hl2", "pushforward")
 # The layers that bench/tracing.py wraps.
 TRACED_LAYERS = ("algebra", "linalg", "cochain", "graded", "deform", "reports")
 # An expression, for a python_s script, of the submodules that have run their source.
 RUN_SUBMODULES = "sorted(m[15:] for m, v in sys.modules.items() if m[:15] == 'leibniz_deform.' and type(v) is types.ModuleType)"
 
 
-def loaded_after(argv) -> str:
+def loaded_after(argv, tmp_path) -> set[str]:
     """Which of ``LAZY`` have run their source after ``run(argv)``: a module
     registered but not yet loaded is not of type ``ModuleType`` (``type()``
     is the one look at it that does not load it)."""
-    return python_s(
+    return set(python_s(
         "import io, sys, types, contextlib; from leibniz_deform.cli import run\n"
-        f"with contextlib.redirect_stdout(io.StringIO()): assert run({list(argv)!r}) == 0\n"
-        f"print([type(sys.modules[m]) is types.ModuleType for m in {LAZY!r}])"
-    )
+        f"with contextlib.redirect_stdout(io.StringIO()): assert run({file_argv(argv, tmp_path)!r}) == 0\n"
+        f"print(*[m for m in {LAZY!r} if type(sys.modules['leibniz_deform.' + m]) is types.ModuleType])"
+    ).split())
+
+
+COHOMOLOGY_LAYERS = {"linalg", "cochain"}
+DEFORMATION_LAYERS = COHOMOLOGY_LAYERS | {"graded", "poly", "deform"}
 
 
 @pytest.mark.parametrize("argv", [("check", "lambda6"), ("cohomology", "lambda6", "--degree", "3")])
-def test_cohomology_commands_never_load_deform_or_graded(argv):
+def test_cohomology_commands_never_load_deform_or_graded(argv, tmp_path):
     # check runs neither linalg nor cochain, cohomology both; neither runs
-    # poly or the degree-2 commands' front end
-    eliminates = argv[0] == "cohomology"
-    assert loaded_after(argv) == f"{[eliminates, eliminates, False, False, False, False]}\n"
+    # poly or a degree-2 command's front end, and the builtin lambda6 needs no reader
+    assert loaded_after(argv, tmp_path) == (COHOMOLOGY_LAYERS if argv[0] == "cohomology" else set())
 
 
-def test_massey_loads_graded_but_not_deform():
-    assert loaded_after(("massey", "lambda6")) == "[True, True, True, False, False, True]\n"
+def test_massey_loads_graded_but_not_deform(tmp_path):
+    # nor poly, cli_hl2 or pushforward
+    assert loaded_after(("massey", "lambda6"), tmp_path) == COHOMOLOGY_LAYERS | {"graded", "cli_massey"}
 
 
 @pytest.mark.parametrize("argv", [("versal", "lambda6", "--max-order", "2"), ("infinitesimal", "lambda6")])
-def test_deformation_commands_load_deform_and_graded(argv):
-    assert loaded_after(argv) == "[True, True, True, True, True, True]\n"
+def test_deformation_commands_load_deform_and_graded(argv, tmp_path):
+    # neither the massey front end nor pushforward
+    assert loaded_after(argv, tmp_path) == DEFORMATION_LAYERS | {"cli_hl2"}
 
 
-# The most AST nodes of package source that a command may compile.  check and
-# cohomology compiled 6,261 and 10,603 while cli.py held every handler and the
-# --reps reader; cohomology and massey 8,938 and 11,988 while linalg's Reducer
-# kept a second, tracking mode for solve.
+def test_pushforward_loads_no_other_commands_front_end(tmp_path):
+    argv = ("pushforward", "lambda6", "--sub", "t=x", "--sub", "s=0", "--to", "x")
+    assert loaded_after(argv, tmp_path) == DEFORMATION_LAYERS | {"pushforward"}
+
+
+@pytest.mark.parametrize(("argv", "readers"), [
+    (("check", "h3"), {"readers"}),
+    (("cohomology", "nf4", "--degree", "3"), {"readers"}),
+    (("massey", "h3"), {"readers"}),
+    (("versal", "abelian1", "--max-order", "2"), {"readers"}),
+    (("massey", "lambda6", "--reps", "paper"), {"reps"}),
+    (("versal", "lambda6", "--max-order", "2", "--reps", REPS_FILE), {"readers", "reps"}),
+], ids=" ".join)
+def test_an_algebra_file_loads_the_readers_and_reps_loads_the_reps_reader(argv, readers, tmp_path):
+    assert loaded_after(argv, tmp_path) & {"readers", "reps"} == readers
+
+
+# The most AST nodes of package source that a command may compile: the
+# count at the last change, rounded up to the next 50.  check, cohomology,
+# massey and versal on lambda6 compiled 4,620, 8,621, 11,655 and 17,109, and
+# every other command of the benchmark 8,621, 11,655 or 17,109, while the
+# file readers, the --reps reader, the massey front end and pushforward were
+# loaded with the modules of every command.
 NODE_BUDGET = {
-    ("check", "lambda6"): 4700,
-    ("cohomology", "lambda6", "--degree", "2"): 8700,
-    ("massey", "lambda6"): 11700,
-    ("versal", "lambda6"): 17150,
+    ("check", "lambda6"): 3850,
+    ("cohomology", "lambda6", "--degree", "2"): 7800,
+    ("cohomology", "nf4", "--degree", "3"): 8600,
+    ("massey", "lambda6"): 9650,
+    ("massey", "h3"): 10450,
+    ("versal", "lambda6"): 14150,
+    ("versal", "abelian1", "--max-order", "12"): 14950,
 }
 
 
-@pytest.mark.parametrize("argv", sorted(NODE_BUDGET), ids=lambda argv: argv[0])
-def test_a_command_compiles_no_other_commands_code(argv):
+@pytest.mark.parametrize("argv", sorted(NODE_BUDGET), ids=" ".join)
+def test_a_command_compiles_no_other_commands_code(argv, tmp_path):
     """The package modules that ``run(argv)`` leaves loaded hold at most
-    ``NODE_BUDGET[argv]`` AST nodes: the cost of compiling them from source."""
-    nodes = python_s(
+    ``NODE_BUDGET[argv]`` AST nodes: the cost of compiling them from source.
+    A failure shows the count of each module."""
+    nodes = ast.literal_eval(python_s(
         "import ast, io, sys, types, contextlib; from leibniz_deform.cli import run\n"
-        f"with contextlib.redirect_stdout(io.StringIO()): assert run({list(argv)!r}) == 0\n"
-        "loaded = [m for n, m in list(sys.modules.items()) if n.split('.')[0] == 'leibniz_deform'"
-        " and type(m) is types.ModuleType]\n"
-        "print(sum(len(list(ast.walk(ast.parse(open(m.__file__, encoding='utf-8').read())))) for m in loaded))"
-    )
-    assert int(nodes) <= NODE_BUDGET[argv]
+        f"with contextlib.redirect_stdout(io.StringIO()): assert run({file_argv(argv, tmp_path)!r}) == 0\n"
+        "print({n: len(list(ast.walk(ast.parse(open(m.__file__, encoding='utf-8').read()))))"
+        " for n, m in sorted(sys.modules.items())"
+        " if n.split('.')[0] == 'leibniz_deform' and type(m) is types.ModuleType})"
+    ))
+    assert sum(nodes.values()) <= NODE_BUDGET[argv], ", ".join(f"{name} {count}" for name, count in nodes.items())
 
 
 def test_bare_import_runs_no_layer():
@@ -769,6 +804,21 @@ def test_no_module_imports_inside_a_function(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert deferred == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    """Every name that a module imports is read in it, so code that moves to
+    another module takes along the imports that only it read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []
 
 
 def _module_names(name: str) -> set[str]:
@@ -862,7 +912,8 @@ import sys, types, leibniz_deform.cochain
 import leibniz_deform as pkg
 print("import", *{RUN_SUBMODULES})
 for layer, name in (("errors", "FormatError"), ("algebra", "validate"), ("linalg", "rref"), ("poly", "LocalBase"),
-                    ("cochain", "cohomology"), ("graded", "circle"), ("deform", "versal_construct")):
+                    ("cochain", "cohomology"), ("graded", "circle"), ("deform", "versal_construct"),
+                    ("reps", "cochain_from_json"), ("readers", "parse_json"), ("pushforward", "parse_poly")):
     assert getattr(getattr(pkg, layer), name).__module__ == f"leibniz_deform.{{layer}}", name
     print(name, *{RUN_SUBMODULES})
 try:
@@ -879,6 +930,9 @@ except AttributeError as e:
         "cohomology algebra cochain errors linalg poly values\n"
         "circle algebra cochain errors graded linalg poly values\n"
         "versal_construct algebra cochain deform errors graded linalg poly values\n"
+        "cochain_from_json algebra cochain deform errors graded linalg poly reps values\n"
+        "parse_json algebra cochain deform errors graded linalg poly readers reps values\n"
+        "parse_poly algebra cochain deform errors graded linalg poly pushforward readers reports reps values\n"
         "module 'leibniz_deform' has no attribute 'cohomology'\n"
     )
 

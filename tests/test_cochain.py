@@ -28,13 +28,11 @@ from leibniz_deform.cochain import (
     coboundary,
     coboundary_matrix,
     cohomology,
-    lambda6_reference_representatives,
 )
 from leibniz_deform.errors import DimensionMismatch, FormatError, PreconditionError
-from leibniz_deform.graded import with_representatives
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
-from leibniz_deform.cli_hl2 import cochain_from_json
 from leibniz_deform.reports import cochain_to_json
+from leibniz_deform.reps import cochain_from_json, lambda6_reference_representatives, with_representatives
 
 F = Fraction
 

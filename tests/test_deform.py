@@ -21,14 +21,9 @@ from helpers import (
     random_cochain,
     random_leibniz_algebra,
 )
-from leibniz_deform import deform, graded
+from leibniz_deform import deform, graded, pushforward
 from leibniz_deform.algebra import abelian, lambda6
-from leibniz_deform.cochain import (
-    Cochain,
-    coboundary,
-    cohomology,
-    lambda6_reference_representatives,
-)
+from leibniz_deform.cochain import Cochain, coboundary, cohomology
 from leibniz_deform.deform import (
     Deformation,
     ObstructionReport,
@@ -38,13 +33,14 @@ from leibniz_deform.deform import (
     massey2,
     massey3,
     obstruction_classes,
-    push_forward,
     universal_infinitesimal,
     versal_construct,
 )
 from leibniz_deform.errors import DimensionMismatch, LeibnizDeformError, PreconditionError
-from leibniz_deform.graded import graded_bracket, with_representatives
-from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly, render_poly
+from leibniz_deform.graded import graded_bracket
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial, render_poly
+from leibniz_deform.pushforward import parse_poly, push_forward
+from leibniz_deform.reps import lambda6_reference_representatives, with_representatives
 from leibniz_deform.values import vec_is_zero
 
 F = Fraction
@@ -828,7 +824,7 @@ def test_with_base_is_the_identity_push_forward():
 def test_with_base_lands_terms_without_push_forward_or_substitute(monkeypatch):
     raw, related = _abelian2_terms_over_a_free_base()
     calls = []
-    monkeypatch.setattr(deform, "push_forward", lambda *a: calls.append("push_forward"))
+    monkeypatch.setattr(pushforward, "push_forward", lambda *a: calls.append("push_forward"))
     monkeypatch.setattr(TruncatedPolynomial, "substitute", lambda *a: calls.append("substitute"))
     assert raw.with_base(related).terms != raw.terms
     assert calls == []

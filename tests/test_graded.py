@@ -17,8 +17,9 @@ from helpers import (
     shuffles_by_filter,
 )
 from leibniz_deform.algebra import abelian, lambda6
-from leibniz_deform.cochain import Cochain, coboundary, cohomology, lambda6_reference_representatives
+from leibniz_deform.cochain import Cochain, coboundary, cohomology
 from leibniz_deform.graded import _combine, circle, graded_bracket, massey2, shuffles
+from leibniz_deform.reps import lambda6_reference_representatives
 
 F = Fraction
 

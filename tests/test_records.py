@@ -17,7 +17,8 @@ from leibniz_deform.cochain import Cochain, CohomologySpace, cohomology
 from leibniz_deform.deform import Deformation, ObstructionReport
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import SubspaceBasis
-from leibniz_deform.poly import LocalBase, TruncatedPolynomial, parse_poly
+from leibniz_deform.poly import LocalBase, TruncatedPolynomial
+from leibniz_deform.pushforward import parse_poly
 from leibniz_deform.values import F0, F1
 
 F = Fraction
