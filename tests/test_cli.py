@@ -707,15 +707,15 @@ def test_pushforward_loads_no_other_commands_front_end(tmp_path):
 
 
 @pytest.mark.parametrize(("argv", "readers"), [
-    (("check", "h3"), {"readers"}),
-    (("cohomology", "nf4", "--degree", "3"), {"readers"}),
-    (("massey", "h3"), {"readers"}),
-    (("versal", "abelian1", "--max-order", "2"), {"readers"}),
-    (("massey", "lambda6", "--reps", "paper"), {"reps"}),
-    (("versal", "lambda6", "--max-order", "2", "--reps", REPS_FILE), {"readers", "reps"}),
-], ids=" ".join)
+    (("check", "h3"), "readers"),
+    (("cohomology", "nf4", "--degree", "3"), "readers"),
+    (("massey", "h3"), "readers"),
+    (("versal", "abelian1", "--max-order", "2"), "readers"),
+    (("massey", "lambda6", "--reps", "paper"), "reps"),
+    (("versal", "lambda6", "--max-order", "2", "--reps", REPS_FILE), "readers reps"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
 def test_an_algebra_file_loads_the_readers_and_reps_loads_the_reps_reader(argv, readers, tmp_path):
-    assert loaded_after(argv, tmp_path) & {"readers", "reps"} == readers
+    assert " ".join(sorted(loaded_after(argv, tmp_path) & {"readers", "reps"})) == readers
 
 
 # The most AST nodes of package source that a command may compile: the
@@ -735,7 +735,7 @@ NODE_BUDGET = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(NODE_BUDGET), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(NODE_BUDGET), ids=lambda argv: "-".join(argv[:2]).removesuffix("-lambda6"))
 def test_a_command_compiles_no_other_commands_code(argv, tmp_path):
     """The package modules that ``run(argv)`` leaves loaded hold at most
     ``NODE_BUDGET[argv]`` AST nodes: the cost of compiling them from source.
