@@ -497,6 +497,12 @@ def h3() -> LeibnizAlgebra:
     return LeibnizAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
 
 
+def q4() -> LeibnizAlgebra:
+    """Q4: [e_1,e_1] = [e_2,e_2] = [e_3,e_3] = e_4, every other bracket zero.
+    All its second-order Massey brackets vanish and some third-order ones do not."""
+    return LeibnizAlgebra.from_brackets(4, {(i, i): {3: 1} for i in range(3)})
+
+
 def sl2() -> LeibnizAlgebra:
     """The Lie algebra sl(2) on (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
     return LeibnizAlgebra.from_brackets(

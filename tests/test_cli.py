@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import h3, misoriented_nf4, nf4
+from helpers import h3, misoriented_nf4, nf4, q4
 from leibniz_deform import cochain, deform, graded, reps
 from leibniz_deform.algebra import abelian, algebra_to_json, lambda6
 from leibniz_deform.cli import run
@@ -26,7 +26,7 @@ TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
 # in a command line of a test, the algebras of FILE_ALGEBRAS are written to
 # files, and REPS_FILE stands for a --reps file of the paper's representatives
 # in reverse order
-FILE_ALGEBRAS = {"abelian1": abelian(1), "abelian2": abelian(2), "h3": h3(), "nf4": nf4()}
+FILE_ALGEBRAS = {"abelian1": abelian(1), "abelian2": abelian(2), "h3": h3(), "nf4": nf4(), "q4": q4()}
 REPS_FILE = "REPS_FILE"
 GOLDEN_COMMANDS = {
     "versal-abelian2-max-order-3.txt": ("versal", "abelian2", "--max-order", "3"),
@@ -40,6 +40,8 @@ GOLDEN_COMMANDS = {
     "cohomology-lambda6-degree-3.txt": ("cohomology", "lambda6", "--degree", "3"),
     # a second-order bracket is nonzero, so no third-order bracket is defined
     "massey-h3.txt": ("massey", "h3"),
+    # every second-order bracket vanishes and 12 third-order brackets do not
+    "massey-q4.txt": ("massey", "q4"),
     "massey-lambda6-reps-paper.json": ("massey", "lambda6", "--reps", "paper"),
     "massey-lambda6-reps-file.txt": ("massey", "lambda6", "--reps", REPS_FILE),
     "versal-lambda6-max-order-4-reps-file.json": ("versal", "lambda6", "--max-order", "4", "--reps", REPS_FILE),

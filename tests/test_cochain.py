@@ -17,6 +17,7 @@ from helpers import (
     matmul,
     misoriented_nf4,
     nf3,
+    q4,
     random_cochain,
     random_leibniz_algebra,
     sl2,
@@ -129,12 +130,14 @@ def test_abelian_dim1_degree2():
 # (ZL^p, BL^p) for p = 1, 2, 3.  NF3 is lambda6 with its basis renamed, so it
 # has lambda6's dimensions (in degree 3 as computed, 21 and 19, not the
 # paper's 20 and 18); sl(2) is semisimple, so every HL^p is 0; the coboundary
-# of an abelian algebra is 0, so ZL^p holds all n^(p+1) coordinates.
+# of an abelian algebra is 0, so ZL^p holds all n^(p+1) coordinates; Q4 has
+# HL^p = 4, 6, 23.
 @pytest.mark.parametrize("algebra, expected", [
     (nf3, [(3, 1), (8, 6), (21, 19)]),
     (sl2, [(3, 3), (6, 6), (21, 21)]),
     (lambda: abelian(2), [(4, 0), (8, 0), (16, 0)]),
-], ids=["nf3", "sl2", "abelian2"])
+    (q4, [(7, 3), (15, 9), (72, 49)]),
+], ids=["nf3", "sl2", "abelian2", "q4"])
 def test_cohomology_dimensions_equal_known_answers(algebra, expected):
     alg = algebra()
     spaces = [cohomology(alg, p) for p in (1, 2, 3)]
