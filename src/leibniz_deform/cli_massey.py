@@ -9,7 +9,6 @@ import itertools
 from .algebra import LeibnizAlgebra
 from . import cochain, graded
 from .reports import cochain_to_json
-from .values import vec_is_zero
 
 
 def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
@@ -23,7 +22,7 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
     for i, j in itertools.combinations_with_replacement(range(h), 2):
         coords, rep = graded.massey2(alg, hl2, units[i], units[j])
         pair_reps[(i, j)] = rep
-        zero = vec_is_zero(coords)
+        zero = not any(coords)
         all_zero = all_zero and zero
         cls = "0" if zero else "(" + ", ".join(str(c) for c in coords) + ")"
         lines.append(f"  <[{i + 1}],[{j + 1}]> = {cls}")
@@ -37,7 +36,7 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         for i, j, k in itertools.combinations_with_replacement(range(h), 3):
             wits = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
             coords, rep = graded._triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
-            cls = "0" if vec_is_zero(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
+            cls = "0" if not any(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append({"indices": [i + 1, j + 1, k + 1], "class": [str(c) for c in coords],
                                 "representative": cochain_to_json(rep)})

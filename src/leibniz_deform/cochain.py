@@ -1,14 +1,13 @@
 """Cochain spaces, the coboundary operator and cohomology with adjoint coefficients.
 
-A p-cochain is a p-linear map L^{tensor p} -> L stored as its flat
-coordinate vector ``flat``, the only storage.  Coordinates are fixed once and
-used by every matrix in the package:
-
-* input tuples (i_1, ..., i_p) are ordered lexicographically, matching the
-  ordered tensor basis e_1 x e_1, e_1 x e_2, ..., e_n x e_n;
-* ``flat`` lists, for each input tuple in that order, the n output
-  coordinates (output index varies fastest), so the value at input tuple t
-  is the slice ``flat[t*n : t*n + n]``.
+A p-cochain is a p-linear map L^{tensor p} -> L.  Its n^(p+1) coordinates
+are numbered once, for every matrix in the package: the input tuples
+(i_1, ..., i_p) are ordered lexicographically, matching the ordered tensor
+basis e_1 x e_1, e_1 x e_2, ..., e_n x e_n, and output k of the value at the
+t-th input tuple is coordinate t*n + k.  A cochain stores its nonzero
+coordinates only, as the ``values.Sparse`` dict ``entries``, which is the
+vector format of ``linalg`` too: the coboundary, the witness solve and the
+class projection hand ``entries`` to it and take its results as they are.
 
 The coboundary of a p-cochain f is the (p+1)-cochain
 
@@ -23,14 +22,13 @@ BL^p and HL^p denote cocycles, coboundaries and their quotient.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 
 from .algebra import MAX_COORDINATES, LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import Matrix, quotient_representatives, rank
-from .values import F0, Record, Vec, _join_terms, as_scalar, vec_is_zero, zero_vec
+from .linalg import Matrix, _axpy, _scaled, quotient_representatives, rank
+from .values import F0, Exact, Record, Sparse, Vec, _exact, _join_terms, as_scalar
 
 # The most rows of a coboundary matrix that are built: a sparse row costs far
 # more than a coordinate.  lambda6 has 59,049 rows in degree 8, 177,147 in 9.
@@ -48,43 +46,29 @@ def check_shape(arity: int, dim: int) -> None:
                                 f" coordinates, more than {MAX_COORDINATES}")
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    # Zero entries are skipped: most cochain entries are zero.
-    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x if x else F0 for x in a)
-
-
 class Cochain(Record):
-    """A p-linear map L^{tensor p} -> L stored as its flat coordinate vector;
-    a 0-cochain is a single vector."""
+    """A p-linear map L^{tensor p} -> L stored as its nonzero coordinates,
+    numbered as in the module docstring; a 0-cochain is a single vector.
+    ``entries`` must hold no zero value and must not be modified."""
 
-    __slots__ = _fields = ("arity", "dim", "flat")
+    __slots__ = _fields = ("arity", "dim", "entries")
 
-    def __init__(self, arity: int, dim: int, flat: Vec):
+    def __init__(self, arity: int, dim: int, entries: Sparse):
         if arity < 0:
             raise DimensionMismatch("arity must be nonnegative")
-        if len(flat) != dim ** (arity + 1):
-            raise DimensionMismatch("flat vector has wrong length")
-        super().__init__(arity, dim, flat)
-
-    @classmethod
-    def zeros(cls, arity: int, dim: int) -> "Cochain":
-        return cls(arity, dim, zero_vec(dim ** (arity + 1)))
+        super().__init__(arity, dim, entries)
 
     @classmethod
     def from_entries(
         cls, arity: int, dim: int, entries: Mapping[tuple[int, ...], Mapping[int, object]]
     ) -> "Cochain":
-        """Build from the nonzero values only; 0-based indices throughout.
+        """Build from values at input tuples; 0-based indices throughout.
 
         A shape that ``check_shape`` refuses raises DimensionMismatch before
-        anything is allocated.
+        anything is built.
         """
         check_shape(arity, dim)
-        flat = [F0] * dim ** (arity + 1)
+        out: Sparse = {}
         for idx, value in entries.items():
             if len(idx) != arity or not all(0 <= i < dim for i in idx):
                 raise DimensionMismatch(f"bad input tuple {idx}")
@@ -92,8 +76,9 @@ class Cochain(Record):
             for k, coeff in value.items():
                 if not 0 <= k < dim:
                     raise DimensionMismatch(f"output index {k} of input tuple {idx} is outside 0..{dim - 1}")
-                flat[t + k] = as_scalar(coeff)
-        return cls(arity, dim, tuple(flat))
+                if x := _exact(coeff):
+                    out[t + k] = x
+        return cls(arity, dim, out)
 
     @staticmethod
     def _flat_input(dim: int, idx: tuple[int, ...]) -> int:
@@ -104,43 +89,49 @@ class Cochain(Record):
 
     def eval_basis(self, idx: tuple[int, ...]) -> Vec:
         t = self._flat_input(self.dim, idx) * self.dim
-        return self.flat[t: t + self.dim]
+        return tuple(as_scalar(self.entries.get(t + k, F0)) for k in range(self.dim))
 
     def is_zero(self) -> bool:
-        return vec_is_zero(self.flat)
+        return not self.entries
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_shape(other)
-        return Cochain(self.arity, self.dim, vec_add(self.flat, other.flat))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(Fraction(-1))
-
-    def scale(self, c) -> "Cochain":
-        return Cochain(self.arity, self.dim, vec_scale(as_scalar(c), self.flat))
-
-    def _check_shape(self, other: "Cochain"):
         if self.arity != other.arity or self.dim != other.dim:
             raise DimensionMismatch("cochain shapes differ")
+        out = dict(self.entries)
+        _axpy(out, 1, other.entries)
+        return Cochain(self.arity, self.dim, out)
+
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return self + -other
+
+    def __neg__(self) -> "Cochain":
+        return self.scale(-1)
+
+    def scale(self, c) -> "Cochain":
+        c = _exact(c)
+        return Cochain(self.arity, self.dim, _scaled(c, self.entries) if c else {})
+
+    def _by_input(self) -> list[tuple[tuple[int, ...], list[tuple[int, Exact]]]]:
+        """(input tuple, [(output index, value)]) for the inputs with a nonzero
+        value, in lexicographic order, outputs in increasing order."""
+        n, by_t = self.dim, {}
+        for key in sorted(self.entries):
+            by_t.setdefault(key // n, []).append((key % n, self.entries[key]))
+        places = [n ** e for e in range(self.arity - 1, -1, -1)]
+        return [(tuple(t // w % n for w in places), values) for t, values in by_t.items()]
 
     def nonzero_entries(self):
         """Yield (input tuple, value vector) for the nonzero values, inputs in
         lexicographic order."""
-        n, flat = self.dim, self.flat
-        for t, idx in enumerate(itertools.product(range(n), repeat=self.arity)):
-            v = flat[t * n: t * n + n]
-            if any(v):
-                yield idx, v
+        for idx, _ in self._by_input():
+            yield idx, self.eval_basis(idx)
 
 
 def coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
     """The coboundary of f; raises on dimension mismatch."""
     if f.dim != alg.dim:
         raise DimensionMismatch("cochain dimension differs from algebra dimension")
-    return Cochain(f.arity + 1, alg.dim, coboundary_matrix(alg, f.arity).matvec(f.flat))
+    return Cochain(f.arity + 1, alg.dim, coboundary_matrix(alg, f.arity).matvec(f.entries))
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +199,7 @@ class CohomologySpace:
     chosen class representatives with the projection onto them."""
 
     def __init__(self, degree: int, dim_cocycles: int, dim_coboundaries: int,
-                 class_representatives: tuple[Cochain, ...], _project: Callable[[Sequence], Vec]):
+                 class_representatives: tuple[Cochain, ...], _project: Callable[[Sparse], Vec]):
         self.degree = degree
         self.dim_cocycles = dim_cocycles
         self.dim_coboundaries = dim_coboundaries
@@ -219,11 +210,9 @@ class CohomologySpace:
     def dim(self) -> int:
         return len(self.class_representatives)
 
-    def project_to_classes(self, cocycle) -> Vec:
+    def project_to_classes(self, cocycle: Cochain) -> Vec:
         """Coordinates of a cocycle on the class representatives modulo coboundaries."""
-        if isinstance(cocycle, Cochain):
-            cocycle = cocycle.flat
-        return self._project(cocycle)
+        return self._project(cocycle.entries)
 
 
 @lru_cache(maxsize=None)

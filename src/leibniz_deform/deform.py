@@ -49,10 +49,10 @@ from .algebra import LeibnizAlgebra
 from .cochain import Cochain, CohomologySpace, coboundary, cohomology
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
-from .linalg import Reducer
+from .linalg import Reducer, _axpy
 from .poly import (AVector, LocalBase, Monomial, TruncatedPolynomial, _degree, _mono_mul, _monomials_of_degree,
                    _render_key, _unit, render_monomial, render_poly)
-from .values import F0, F1, Vec, _exact, vec_is_zero, zero_vec
+from .values import F0, F1, Sparse, Vec, _exact
 
 _DEFAULT_NAMES = ("t", "s", "u", "v", "w")
 
@@ -157,19 +157,19 @@ def universal_infinitesimal(alg: LeibnizAlgebra, reps: Sequence[Cochain]) -> Def
 
 
 def _bracket_cochain(alg: LeibnizAlgebra) -> Cochain:
-    return Cochain(2, alg.dim, tuple(x for plane in alg.structure_constants for v in plane for x in v))
+    flat = (x for plane in alg.structure_constants for v in plane for x in v)
+    return Cochain(2, alg.dim, {i: _exact(x) for i, x in enumerate(flat) if x})
 
 
 def _land(pairs: Iterable[tuple[TruncatedPolynomial, Cochain]]) -> dict[Monomial, Cochain]:
-    """Each cochain times each coefficient of its polynomial, summed at that coefficient's monomial."""
-    sums: dict[Monomial, tuple[Cochain, list[Fraction]]] = {}
+    """Each cochain times each coefficient of its polynomial, summed at that
+    coefficient's monomial: one sparse ``_axpy`` per landed term, so a sum
+    that cancels holds no entry and lands as the zero cochain."""
+    sums: dict[Monomial, tuple[Cochain, Sparse]] = {}
     for poly, psi in pairs:
         for m, c in poly.coeffs.items():
-            _, acc = sums.setdefault(m, (psi, [F0] * len(psi.flat)))
-            for i, x in enumerate(psi.flat):
-                if x:
-                    acc[i] += c * x
-    return {m: Cochain(psi.arity, psi.dim, tuple(acc)) for m, (psi, acc) in sums.items()}
+            _axpy(sums.setdefault(m, (psi, {}))[1], _exact(c), psi.entries)
+    return {m: Cochain(psi.arity, psi.dim, acc) for m, (psi, acc) in sums.items()}
 
 
 def _defect_in_degrees(d: Deformation, degrees: Sequence[int]) -> dict[int, dict[Monomial, Cochain]]:
@@ -198,7 +198,7 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     iff every entry is zero.
     """
     by_degree = _defect_in_degrees(d, range(d.base.truncation_order + 1)).values()
-    defect = dict.fromkeys(d.base.monomials(), Cochain.zeros(3, d.algebra.dim))
+    defect = dict.fromkeys(d.base.monomials(), Cochain(3, d.algebra.dim, {}))
     defect.update(_land((TruncatedPolynomial(d.base, {m: F1}), e) for entries in by_degree for m, e in entries.items()))
     return defect
 
@@ -226,7 +226,7 @@ def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
             raise PreconditionError(
                 f"defect does not vanish at degree {_degree(mono)} (monomial {render_monomial(d.base, mono)})"
             )
-    zero_class = zero_vec(hl3.dim)
+    zero_class = (F0,) * hl3.dim
     classes: dict[Monomial, Vec] = {}
     tops = _monomials_of_degree(k + 1, d.base.num_generators) if k < d.base.truncation_order else ()
     for mono in tops:
@@ -260,7 +260,7 @@ class ObstructionReport:
         self.defect = defect
 
     def all_zero(self) -> bool:
-        return all(vec_is_zero(c) for c in self.classes.values())
+        return all(not any(c) for c in self.classes.values())
 
 
 def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport":
@@ -312,7 +312,7 @@ def massey3(
     brackets = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         coords, rep = massey2(alg, hl2, classes[i], classes[j])
-        if not vec_is_zero(coords):
+        if any(coords):
             raise PreconditionError(f"second-order bracket of classes {i} and {j} does not vanish")
         brackets[(i, j)] = rep
     chosen: dict[tuple[int, int], Cochain] = {}

@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
 from . import reps
 from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import solve
-from .values import F0, Vec, as_scalar
+from .linalg import _axpy, _scaled, solve
+from .values import Exact, Sparse, Vec, _exact
 
 
 def _parity_sign(perm: tuple[int, ...]) -> int:
@@ -73,50 +72,49 @@ def circle(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """The circle product; the result has degree deg(a) + deg(b).
 
     Only the nonzero entries of the operands are visited: for each slot k,
-    every nonzero value b(y_0..y_q) whose c-th coordinate is nonzero meets
-    every nonzero value of a with c in slot k, once per shuffle, and their
-    product lands on the one output tuple that shuffle builds from a's prefix,
-    y_0 and the shuffled window, written straight into the flat output.
-    ``circle_by_filter`` in ``tests/helpers.py``, which evaluates the formula
-    above on every output tuple, is the test oracle.
+    every nonzero coordinate c of a value b(y_0..y_q) meets every nonzero
+    value of a with c in slot k, once per shuffle, and their product lands on
+    the one output tuple that shuffle builds from a's prefix, y_0 and the
+    shuffled window.  The output is summed into a sparse dict, and the
+    coordinates whose terms cancel are dropped.  ``circle_by_filter`` in
+    ``tests/helpers.py``, which evaluates the formula above on every output
+    tuple, is the test oracle.
     """
     if a.dim != alg.dim or b.dim != alg.dim:
         raise DimensionMismatch("cochain dimension differs from algebra dimension")
     n = alg.dim
     p, q = a.arity - 1, b.arity - 1
     arity = p + q + 1
-    a_entries = list(a.nonzero_entries())
-    b_entries = list(b.nonzero_entries())
-    out = [F0] * n ** (arity + 1)
+    a_entries, b_entries = a._by_input(), b._by_input()
+    out: dict[int, Exact] = {}
     for k in range(1, p + 2):
         k_sign = -1 if (q * (k - 1)) % 2 else 1
         by_slot: dict[int, list] = {}
-        for args, value in a_entries:
-            by_slot.setdefault(args[k - 1], []).append((args[: k - 1], args[k:], value))
+        for args, values in a_entries:
+            by_slot.setdefault(args[k - 1], []).append((args[: k - 1], args[k:], values))
         for perm, sign in shuffles(q, p - k + 1):
             s = k_sign * sign
-            for b_args, b_value in b_entries:
-                for c, coeff in enumerate(b_value):
-                    if not coeff or c not in by_slot:
+            for b_args, b_values in b_entries:
+                for c, coeff in b_values:
+                    if c not in by_slot:
                         continue
                     w = coeff if s == 1 else -coeff
-                    for prefix, rest, a_value in by_slot[c]:
+                    for prefix, rest, a_values in by_slot[c]:
                         # window position perm[j] holds b's (j+1)-th argument
                         # for j < q, then a's arguments after slot k
                         window = [0] * (arity - k)
                         for pos, arg in zip(perm, b_args[1:] + rest):
                             window[pos - 1] = arg
                         t = Cochain._flat_input(n, prefix + (b_args[0],) + tuple(window)) * n
-                        for r, y in enumerate(a_value):
-                            if y:
-                                out[t + r] += w * y
-    return Cochain(arity, n, tuple(out))
+                        for r, y in a_values:
+                            out[t + r] = out.get(t + r, 0) + w * y
+    return Cochain(arity, n, {key: _exact(x) for key, x in out.items() if x})
 
 
 def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """[a, b] = a o b + (-1)^{pq+1} b o a."""
-    sign = Fraction(1) if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else Fraction(-1)
-    return circle(alg, a, b) + circle(alg, b, a).scale(sign)
+    ab, ba = circle(alg, a, b), circle(alg, b, a)
+    return ab + ba if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else ab - ba
 
 
 def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None) -> CohomologySpace:
@@ -131,13 +129,13 @@ def _combine(family: Sequence[Cochain], coords: Sequence) -> Cochain:
     """sum c_i family[i]; unit coordinates give the stored representative itself."""
     if not family:
         raise PreconditionError("no representatives available")
-    terms = [(c, r) for c, r in zip(map(as_scalar, coords), family) if c]
+    terms = [(c, r) for c, r in zip(map(_exact, coords), family) if c]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    out = Cochain.zeros(2, family[0].dim)
+    out: Sparse = {}
     for c, r in terms:
-        out = out + r.scale(c)
-    return out
+        _axpy(out, c, r.entries)
+    return Cochain(2, family[0].dim, out)
 
 
 def massey2(alg: LeibnizAlgebra, hl2: CohomologySpace, class_a: Sequence, class_b: Sequence) -> tuple[Vec, Cochain]:
@@ -152,7 +150,7 @@ def massey_witness(alg: LeibnizAlgebra, bracket: Cochain) -> Cochain:
     """The deterministic 2-cochain x with d x = ``bracket``, a superbracket of
     degree-2 classes whose second-order Massey bracket vanishes; also the
     correction term of a defect entry whose obstruction class vanishes."""
-    sol = solve(coboundary_matrix(alg, 2), tuple(-x for x in bracket.flat))
+    sol = solve(coboundary_matrix(alg, 2), _scaled(-1, bracket.entries))
     if sol is None:
         raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")
     return Cochain(2, alg.dim, sol)

@@ -5,16 +5,17 @@ dicts from column index to the nonzero entries, absent columns being zero.
 A ``Reducer`` grows a fully reduced echelon basis one inserted sparse vector
 at a time.
 
-Scalar policy: inside this module, in the stored rows and throughout
-elimination, an integral entry is a Python ``int`` and only a non-integral
-one is a ``fractions.Fraction``: the stored form of ``values._exact``.  Both
-are exact; integer structure constants keep most entries integral, and
-``int`` arithmetic skips the ``Fraction`` overhead.  A pivot is inverted as
-``Fraction(1, p)``, never ``1 / p``, and a ``Fraction`` result that turns out
-integral is demoted back to ``int``.
-Everything that leaves the module is a ``Fraction`` in lowest terms: the
-dense ``Matrix.entries`` view, ``matvec``, ``rref``, ``echelon_rows``, kernel
-and image vectors, and ``solve`` and ``project`` coordinates.
+Scalar policy: in the stored rows, throughout elimination and in every
+vector, an integral entry is a Python ``int`` and only a non-integral one is
+a ``fractions.Fraction``: the stored form of ``values._exact``.  Integer
+structure constants keep most entries integral, and ``int`` arithmetic skips
+the ``Fraction`` overhead.  A pivot is inverted as ``Fraction(1, p)``, never
+``1 / p``, and an integral ``Fraction`` result is demoted back to ``int``.
+Vectors go in and out as ``values.Sparse`` dicts of nonzero stored scalars
+(``matvec``, ``solve``, kernel and image vectors, quotient representatives
+and ``project``'s argument); none is modified, and one handed out may be
+shared with the matrix's caches.  Dense views leave as ``Fraction``s:
+``Matrix.entries``, ``rref``, ``echelon_rows`` and ``project``'s coordinates.
 
 Factor once: each ``Matrix`` is eliminated at most once per side, and the
 result is cached on the instance.  Its rows, inserted sparsest first, give
@@ -37,21 +38,18 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, PreconditionError
-from .values import F0, Exact, Record, Sparse, Vec, _exact, as_scalar, vec
+from .values import F0, Exact, Record, Sparse, Vec, _exact, as_scalar
 
 
-def _sparse(v: Sequence[Fraction]) -> Sparse:
-    # Dense zeros are mostly the shared F0; the identity test skips the
-    # comparatively slow Fraction.__bool__ for them.
-    return {j: _exact(x) for j, x in enumerate(v) if x is not F0 and x}
+def _check_keys(v: Sparse, n: int, what: str) -> None:
+    """Raise DimensionMismatch unless every key of v is in 0..n-1."""
+    if v and (min(v) < 0 or max(v) >= n):
+        raise DimensionMismatch(f"{what}: a key outside 0..{n - 1}")
 
 
 def _dense(v: Sparse, n: int) -> Vec:
     """The length-n Fraction vector with v's entries."""
-    out = [F0] * n
-    for j, x in v.items():
-        out[j] = as_scalar(x)
-    return tuple(out)
+    return tuple(as_scalar(v.get(j, F0)) for j in range(n))
 
 
 def _axpy(y: Sparse, a: Exact, x: Sparse) -> None:
@@ -164,17 +162,13 @@ class Matrix:
                 columns[c][i] = x
         return tuple(columns)
 
-    def column(self, j: int) -> Vec:
-        return _dense(self._columns[j], self.rows)
-
-    def matvec(self, v: Sequence) -> Vec:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
+    def matvec(self, v: Sparse) -> Sparse:
+        _check_keys(v, self.cols, "matvec")
         out: Sparse = {}
         columns = self._columns
-        for j, x in _sparse(vec(v)).items():
+        for j, x in v.items():
             _axpy(out, x, columns[j])
-        return _dense(out, self.rows)
+        return out
 
     def is_zero(self) -> bool:
         return not any(self._row_dicts)
@@ -205,14 +199,13 @@ class Matrix:
 
 
 class SubspaceBasis(Record):
-    """A list of linearly independent coordinate vectors in a fixed ambient space."""
+    """A list of linearly independent sparse vectors in a fixed ambient space."""
 
     __slots__ = _fields = ("ambient_dim", "vectors")
 
-    def __init__(self, ambient_dim: int, vectors: tuple[Vec, ...]):
+    def __init__(self, ambient_dim: int, vectors: tuple[Sparse, ...]):
         for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("basis vector length differs from ambient dimension")
+            _check_keys(v, ambient_dim, f"a basis vector of ambient dimension {ambient_dim}")
         super().__init__(ambient_dim, vectors)
 
     @property
@@ -244,36 +237,36 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     The basis is the standard free-variable one read off the reduced echelon
     form, with free variables taken in increasing column order.
     """
-    return SubspaceBasis(m.cols, tuple(_dense(v, m.cols) for v in m._kernel.values()))
+    return SubspaceBasis(m.cols, tuple(m._kernel.values()))
 
 
 def image_basis(m: Matrix) -> SubspaceBasis:
     """Basis of the column space: the original columns at the pivots of the
     reduced row echelon form, which are the greedily independent columns."""
-    return SubspaceBasis(m.rows, tuple(m.column(j) for j in sorted(m._row_echelon.rows)))
+    return SubspaceBasis(m.rows, tuple(m._columns[j] for j in sorted(m._row_echelon.rows)))
 
 
-def solve(m: Matrix, rhs: Sequence) -> Vec | None:
+def solve(m: Matrix, rhs: Sparse) -> Sparse | None:
     """One exact solution of ``m x = rhs``, or None when the system is inconsistent.
 
     The returned solution is the particular one with every free variable set
     to zero, which makes it deterministic.  Gauss-Jordan on [m | I] reduces
     (rhs, 0) to a residual without row keys exactly when m x = rhs has a
     solution, and the residual is then (0, -x); each dependent column's unit
-    key is a pivot, so its free variable is zero.
+    key is a pivot, so its free variable is zero.  A key of rhs outside
+    0..rows-1 would meet a unit key, and raises DimensionMismatch.
     """
-    if len(rhs) != m.rows:
-        raise DimensionMismatch(f"solve: {m.rows} rows vs right-hand side of length {len(rhs)}")
-    residual = m._column_echelon._reduce(_sparse(vec(rhs)))
+    _check_keys(rhs, m.rows, "solve")
+    residual = m._column_echelon._reduce(rhs)
     if residual and min(residual) < m.rows:
         return None
     last = m.rows + m.cols - 1
-    return _dense({last - k: -x for k, x in residual.items()}, m.cols)
+    return {last - k: -x for k, x in residual.items()}
 
 
 def quotient_representatives(
     d: Matrix, d_prev: Matrix
-) -> tuple[SubspaceBasis, Callable[[Sequence], Vec], int]:
+) -> tuple[SubspaceBasis, Callable[[Sparse], Vec], int]:
     """Representatives of ker d modulo im d_prev, the ``project`` to their
     coordinates, and the dimension of im d_prev.
 
@@ -308,13 +301,11 @@ def quotient_representatives(
     image = _eliminate(map(restricted, columns))
     reps = [f for f in kernel if -f not in image.rows]
 
-    def project(v: Sequence) -> Vec:
-        if len(v) != n:
-            raise DimensionMismatch(f"project: ambient dimension {n} vs vector of length {len(v)}")
-        v = _sparse(vec(v))
+    def project(v: Sparse) -> Vec:
+        _check_keys(v, n, "project")
         if not in_kernel(v):
             raise PreconditionError("vector is not in the kernel of d")
         residual = image._reduce(restricted(v))
         return tuple(as_scalar(residual[-f]) if -f in residual else F0 for f in reps)
 
-    return SubspaceBasis(n, tuple(_dense(kernel[f], n) for f in reps)), project, len(image.rows)
+    return SubspaceBasis(n, tuple(kernel[f] for f in reps)), project, len(image.rows)

@@ -12,8 +12,8 @@ from .algebra import LeibnizAlgebra, load_algebra
 from . import readers
 from .cochain import Cochain, CohomologySpace, coboundary
 from .errors import DimensionMismatch, FormatError, PreconditionError
-from .linalg import Matrix, rank, solve
-from .values import Vec
+from .linalg import Matrix, _dense, rank, solve
+from .values import Sparse, Vec
 
 
 def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
@@ -41,10 +41,10 @@ def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: L
         raise PreconditionError("representatives are dependent modulo coboundaries")
     old_project = space._project
 
-    def project(v: Sequence) -> Vec:
-        sol = solve(change, old_project(v))
+    def project(v: Sparse) -> Vec:
+        sol = solve(change, {j: x for j, x in enumerate(old_project(v)) if x})
         assert sol is not None  # change of basis is invertible
-        return sol
+        return _dense(sol, space.dim)
 
     return CohomologySpace(space.degree, space.dim_cocycles, space.dim_coboundaries, tuple(reps), project)
 

@@ -1,18 +1,20 @@
-"""Exact values that every layer shares: rational scalars, dense vectors and records.
+"""Exact values that every layer shares: rational scalars, vectors and records.
 
 A scalar is a ``fractions.Fraction``; ``as_scalar`` coerces an int, a
 string like ``"3/4"`` or a Fraction to one, and ``_exact`` gives the stored
-form of the sparse layers, an ``int`` when integral.  A dense vector ``Vec``
-is a tuple of Fractions, with ``F0`` for its zeros.  ``Record`` is the base of
-the package's immutable values, and ``_join_terms`` writes a signed sum as
-text for every renderer.  Only what needs nothing but ``fractions`` belongs
-here: this module imports no other module of the package, so loading it
-compiles no elimination or cochain code.
+form, an ``int`` when integral.  ``Sparse``, a dict from coordinate index to
+a nonzero stored scalar, is the vector that cochains and ``linalg`` compute
+with and pass between them.  ``Vec``, a tuple of Fractions with ``F0`` for
+its zeros, is a dense view for output: structure constants, the values of a
+cochain and class coordinates.  ``Record`` is the base of the package's
+immutable values, and ``_join_terms`` writes a signed sum as text for every
+renderer.  Only what needs nothing but ``fractions`` belongs here: this
+module imports no other module of the package, so loading it compiles no
+elimination or cochain code.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 
 F0 = Fraction(0)
@@ -52,27 +54,22 @@ class Record:
         return self is other or self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(_frozen(self._values()))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
+def _frozen(x):
+    """x with each dict in it, at any depth of tuples, replaced by the frozen set of its items."""
+    if type(x) is dict:
+        return frozenset(x.items())
+    return tuple(map(_frozen, x)) if type(x) is tuple else x
+
+
 def as_scalar(x) -> Fraction:
     """Coerce an int, string like ``"3/4"`` or Fraction to an exact scalar."""
     return x if type(x) is Fraction else Fraction(x)
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(as_scalar(x) for x in entries)
-
-
-def zero_vec(n: int) -> Vec:
-    return (F0,) * n
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
 
 
 def _exact(x) -> Exact:

@@ -13,6 +13,13 @@ families certify the computed degree-2 and degree-3 kernels of the builtin
 algebra.  ``matmul`` composes two matrices for the d∘d = 0 tests,
 ``from_rows`` builds a matrix from dense rows, and ``dgla_differential`` is
 the differential d of the graded Lie structure, for the DGLA axiom tests.
+
+The package computes with sparse vectors only: dicts from coordinate index
+to nonzero value.  The dense formats the oracles use live here: ``sparse``
+and ``dense`` convert between the two, ``flat`` is the dense view of a
+cochain's coordinates and ``from_flat`` builds a cochain from it, ``column``
+reads a matrix column densely, and ``vec_add`` and ``vec_scale`` are dense
+vector arithmetic.
 """
 
 from __future__ import annotations
@@ -24,13 +31,57 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6, validate
-from leibniz_deform.cochain import Cochain, coboundary, vec_add, vec_scale
+from leibniz_deform.cochain import Cochain, coboundary
 from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import Matrix, rank, solve
-from leibniz_deform.values import F0, F1, Vec, vec_is_zero, zero_vec
+from leibniz_deform.values import F0, F1, Vec
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Dense vectors and their conversion to and from the package's sparse ones
+# ---------------------------------------------------------------------------
+
+
+def sparse(v: Sequence) -> dict:
+    """The nonzero coordinates of a dense vector, integral ones as int."""
+    return {j: F(x).numerator if F(x).denominator == 1 else F(x) for j, x in enumerate(v) if x}
+
+
+def dense(v: dict, n: int) -> Vec:
+    """The length-n Fraction vector with the coordinates of a sparse one."""
+    return tuple(F(v.get(j, 0)) for j in range(n))
+
+
+def flat(c: Cochain) -> Vec:
+    """All n^(p+1) coordinates of a p-cochain as Fractions, numbered as in ``cochain``."""
+    return dense(c.entries, c.dim ** (c.arity + 1))
+
+
+def from_flat(arity: int, dim: int, values) -> Cochain:
+    """The cochain whose ``flat`` view is ``values``."""
+    values = tuple(values)
+    if len(values) != dim ** (arity + 1):
+        raise DimensionMismatch("flat vector has wrong length")
+    return Cochain(arity, dim, sparse(values))
+
+
+def column(m: Matrix, j: int) -> Vec:
+    return tuple(row[j] for row in m.entries)
+
+
+def zero_vec(n: int) -> Vec:
+    return (F0,) * n
+
+
+def vec_add(a: Vec, b: Vec) -> Vec:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(c, a: Vec) -> Vec:
+    return tuple(c * x for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +201,7 @@ def dense_kernel(m: Matrix) -> tuple[tuple, ...]:
 
 
 def dense_image(m: Matrix) -> tuple[tuple, ...]:
-    return tuple(m.column(p) for p in dense_rref(m)[1])
+    return tuple(column(m, p) for p in dense_rref(m)[1])
 
 
 def dense_solve(m: Matrix, rhs) -> tuple | None:
@@ -192,7 +243,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("matmul: inner dimensions differ")
 
     def integral_columns(m: Matrix):
-        columns = [m.column(j) for j in range(m.cols)]
+        columns = [column(m, j) for j in range(m.cols)]
         scale = math.lcm(1, *(x.denominator for c in columns for x in c if x))
         return scale, [{i: x.numerator * (scale // x.denominator) for i, x in enumerate(c) if x} for c in columns]
 
@@ -264,7 +315,7 @@ def direct_coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
         for i1 in range(1, p + 1):
             for j1 in range(i1 + 1, p + 2):
                 bracket = alg.bracket_basis(x[i1 - 1], x[j1 - 1])
-                if vec_is_zero(bracket):
+                if not any(bracket):
                     continue
                 prefix = x[: i1 - 1]
                 suffix = x[i1: j1 - 1] + x[j1:]
@@ -272,7 +323,7 @@ def direct_coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
                 add(sign, eval_with_vector_slot(f, prefix, bracket, suffix))
 
         values.extend(acc)
-    return Cochain(p + 1, n, tuple(values))
+    return from_flat(p + 1, n, values)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +365,7 @@ def dense_validate(alg: LeibnizAlgebra) -> list:
         r1 = bracket_eval(alg, alg.bracket_basis(i, j), basis[k])
         r2 = bracket_eval(alg, alg.bracket_basis(i, k), basis[j])
         defect = tuple(a - b + c for a, b, c in zip(lhs, r1, r2))
-        if not vec_is_zero(defect):
+        if any(defect):
             violations.append(((i, j, k), defect))
     return violations
 
@@ -358,16 +409,16 @@ def circle_by_filter(alg: LeibnizAlgebra, fa: Cochain, fb: Cochain) -> Cochain:
                 term = eval_with_vector_slot(fa, x[: k - 1], inner, suffix)
                 acc = vec_add(acc, vec_scale(F(k_sign * sgn), term))
         values.extend(acc)
-    return Cochain(arity, n, tuple(values))
+    return from_flat(arity, n, values)
 
 
 def dense_combination(reps: Sequence[Cochain], coords: Sequence) -> Cochain:
     """sum c_i reps[i], summed entry by entry over the whole table."""
-    flat = [F0] * len(reps[0].flat)
+    total = [F0] * len(flat(reps[0]))
     for c, rep in zip(coords, reps):
-        for k, x in enumerate(rep.flat):
-            flat[k] += F(c) * x
-    return Cochain(reps[0].arity, reps[0].dim, tuple(flat))
+        for k, x in enumerate(flat(rep)):
+            total[k] += F(c) * x
+    return from_flat(reps[0].arity, reps[0].dim, total)
 
 
 def dgla_differential(alg: LeibnizAlgebra, a: Cochain) -> Cochain:
@@ -402,7 +453,7 @@ def bracket_defect(d: Deformation) -> dict:
         jet = tuple(t1[k] - t2[k] + t3[k] for k in range(n))
         for m in monos:
             tables[m].extend(p.coeff(m) for p in jet)
-    return {m: Cochain(3, n, tuple(tables[m])) for m in monos}
+    return {m: from_flat(3, n, tables[m]) for m in monos}
 
 
 def check_equivalence(phi, d1: Deformation, d2: Deformation):
@@ -523,16 +574,14 @@ def square_algebra(dim: int) -> LeibnizAlgebra:
 def conjugate(alg: LeibnizAlgebra, p_matrix: Matrix) -> LeibnizAlgebra:
     """Transport the bracket along the invertible change of basis P."""
     n = alg.dim
-    cols = [p_matrix.column(j) for j in range(n)]
+    cols = [column(p_matrix, j) for j in range(n)]
     brackets = {}
     for i in range(n):
         for j in range(n):
-            w = bracket_eval(alg, cols[i], cols[j])
-            x = solve(p_matrix, w)
+            x = solve(p_matrix, sparse(bracket_eval(alg, cols[i], cols[j])))
             assert x is not None
-            nz = {k: x[k] for k in range(n) if x[k]}
-            if nz:
-                brackets[(i, j)] = nz
+            if x:
+                brackets[(i, j)] = x
     return LeibnizAlgebra.from_brackets(n, brackets)
 
 

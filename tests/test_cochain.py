@@ -11,8 +11,10 @@ from helpers import (
     ZL2_COCYCLES,
     ZL2_CONSTRAINTS,
     constraint_vector,
+    dense,
     direct_coboundary,
     expected_delta_g,
+    flat,
     from_rows,
     matmul,
     misoriented_nf4,
@@ -31,6 +33,7 @@ from leibniz_deform.cochain import (
     cohomology,
 )
 from leibniz_deform.errors import DimensionMismatch, FormatError, PreconditionError
+from leibniz_deform.graded import circle
 from leibniz_deform.linalg import image_basis, kernel_basis, rank
 from leibniz_deform.reports import cochain_to_json
 from leibniz_deform.reps import cochain_from_json, lambda6_reference_representatives, with_representatives
@@ -40,7 +43,7 @@ F = Fraction
 
 def test_coboundary_of_zero_is_zero():
     alg = lambda6()
-    assert coboundary(alg, Cochain.zeros(2, 3)).is_zero()
+    assert coboundary(alg, Cochain(2, 3, {})).is_zero()
 
 
 def test_coboundary_over_abelian_is_zero():
@@ -95,10 +98,11 @@ def test_lambda6_degree3_dimensions_consistent():
 
 def test_lambda6_zl2_span_matches_reference_family():
     alg = lambda6()
-    refs = [Cochain.from_entries(2, 3, e).flat for e in ZL2_COCYCLES]
+    refs = [Cochain.from_entries(2, 3, e) for e in ZL2_COCYCLES]
     for r in refs:
-        assert all(x == 0 for x in coboundary_matrix(alg, 2).matvec(r))
-    kernel = list(kernel_basis(coboundary_matrix(alg, 2)).vectors)
+        assert not coboundary_matrix(alg, 2).matvec(r.entries)
+    refs = [flat(r) for r in refs]
+    kernel = [dense(v, 27) for v in kernel_basis(coboundary_matrix(alg, 2)).vectors]
     assert rank(from_rows(refs)) == 8
     assert rank(from_rows(kernel)) == 8
     assert rank(from_rows(refs + kernel)) == 8
@@ -106,8 +110,8 @@ def test_lambda6_zl2_span_matches_reference_family():
 
 def test_lambda6_bl2_span_matches_reference_family():
     alg = lambda6()
-    refs = [Cochain.from_entries(2, 3, e).flat for e in BL2_COBOUNDARIES]
-    image = list(image_basis(coboundary_matrix(alg, 1)).vectors)
+    refs = [flat(Cochain.from_entries(2, 3, e)) for e in BL2_COBOUNDARIES]
+    image = [dense(v, 27) for v in image_basis(coboundary_matrix(alg, 1)).vectors]
     assert rank(from_rows(refs)) == 6
     assert rank(from_rows(refs + image)) == 6
 
@@ -117,7 +121,7 @@ def test_lambda6_zl2_constraints_annihilate_kernel():
     vectors = [constraint_vector(c) for c in ZL2_CONSTRAINTS]
     for v in vectors:
         for kv in kernel:
-            assert sum(a * b for a, b in zip(v, kv)) == 0
+            assert sum(v[j] * x for j, x in kv.items()) == 0
     # 19 independent constraints cut the 27-dimensional space down to the kernel
     assert rank(from_rows(vectors)) == 19
 
@@ -237,7 +241,7 @@ def test_matrix_agrees_with_coboundary_on_random_cochains():
         for p in range(4):
             f = random_cochain(rng, p, alg.dim)
             expected = direct_coboundary(alg, f)
-            assert tuple(coboundary_matrix(alg, p).matvec(f.flat)) == expected.flat
+            assert coboundary_matrix(alg, p).matvec(f.entries) == expected.entries
             assert coboundary(alg, f) == expected
 
 
@@ -286,7 +290,7 @@ def test_cohomology_rejects_non_leibniz_input_naming_the_triple(degree):
 
 
 # ---------------------------------------------------------------------------
-# The flat coordinate vector is the storage of a cochain
+# A cochain stores its nonzero coordinates only
 # ---------------------------------------------------------------------------
 
 
@@ -308,5 +312,49 @@ def test_flat_storage_agrees_with_sparse_entries(case):
     # exactly the nonzero entries, in lexicographic order of the input tuples
     assert list(c.nonzero_entries()) == sorted((idx, v) for idx, v in dense.items() if any(v))
     for t, idx in enumerate(itertools.product(range(dim), repeat=arity)):
-        assert c.eval_basis(idx) == c.flat[t * dim: (t + 1) * dim] == dense.get(idx, (F(0),) * dim)
+        assert c.eval_basis(idx) == flat(c)[t * dim: (t + 1) * dim] == dense.get(idx, (F(0),) * dim)
     assert cochain_from_json(cochain_to_json(c)) == c
+
+
+def _canonical(c: Cochain) -> bool:
+    """No stored value is zero, and an integral one is an int."""
+    return all(type(x) is int and x or type(x) is F and x.denominator != 1 for x in c.entries.values())
+
+
+def test_equal_cochains_built_by_different_routes_are_stored_alike():
+    alg = lambda6()
+    mu1, mu2 = lambda6_reference_representatives()
+    bracket = Cochain.from_entries(2, 3, {(0, 2): {1: 1}, (2, 2): {0: 1}})  # lambda6's own bracket
+    zeros = [
+        Cochain.from_entries(2, 3, {(0, 0): {0: 0, 1: F(0)}, (1, 2): {2: "0/5"}}),
+        mu1 + mu1.scale(-1),
+        mu2 - mu2,
+        mu1.scale(0),
+        mu1.scale(F(0)),
+        # bracket o bracket is minus the Leibniz identity, whose nonzero terms cancel
+        circle(alg, bracket, bracket).scale(-1),
+        coboundary(alg, mu1),  # mu1 is a cocycle
+    ]
+    for z in zeros:
+        assert z.entries == {} and z.is_zero()
+        assert z == Cochain(z.arity, 3, {}) and hash(z) == hash(Cochain(z.arity, 3, {}))
+    copies = [
+        Cochain.from_entries(2, 3, {(1, 2): {0: F(-2, 2), 1: 0}}),
+        mu1 + mu2 - mu2,
+        mu1.scale(F(1, 2)) + mu1.scale(F(1, 2)),
+        -(-mu1),
+        mu1 + Cochain.from_entries(2, 3, {}),
+    ]
+    for c in copies:
+        assert _canonical(c)
+        assert c == mu1 and hash(c) == hash(mu1)
+        assert c.entries == {15: -1} and type(c.entries[15]) is int
+    assert len({*copies, mu1, mu2, *zeros[:5]}) == 3
+
+
+def test_nonzero_entries_come_in_lexicographic_order_whatever_the_insertion_order():
+    c = Cochain.from_entries(2, 3, {(2, 2): {1: 1}, (0, 1): {2: F(1, 2)}, (1, 0): {0: 1, 2: 3}})
+    c = c + Cochain.from_entries(2, 3, {(0, 0): {0: 7}})
+    assert [idx for idx, _ in c.nonzero_entries()] == [(0, 0), (0, 1), (1, 0), (2, 2)]
+    assert dict(c.nonzero_entries())[(1, 0)] == (F(1), F(0), F(3))
+    assert all(type(x) is F for _, v in c.nonzero_entries() for x in v)
