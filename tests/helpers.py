@@ -18,8 +18,8 @@ The package computes with sparse vectors only: dicts from coordinate index
 to nonzero value.  The dense formats the oracles use live here: ``sparse``
 and ``dense`` convert between the two, ``flat`` is the dense view of a
 cochain's coordinates and ``from_flat`` builds a cochain from it, ``column``
-reads a matrix column densely, and ``vec_add`` and ``vec_scale`` are dense
-vector arithmetic.
+reads a matrix column densely, and ``zero_vec``, ``vec_add`` and
+``vec_scale`` are dense vector arithmetic.
 """
 
 from __future__ import annotations
