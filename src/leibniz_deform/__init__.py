@@ -3,8 +3,8 @@ Leibniz algebras.
 
 Everything is computed over the rationals with no rounding: cochain
 complexes and their cohomology, the graded Lie structure on cochains, Massey
-brackets, obstruction classes and order-by-order versal deformations over
-truncated polynomial bases.  The package only registers its layers; each
+brackets and versal deformations over truncated polynomial bases, built
+order by order by the Kuranishi recursion.  The package only registers its layers; each
 name is imported from the layer that defines it, for example
 ``from leibniz_deform.cochain import cohomology``.  Every layer loads on
 first use, so each command compiles only the layers it runs: ``check`` runs

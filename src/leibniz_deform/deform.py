@@ -18,21 +18,22 @@ Collecting the pairs that contain psi_0 gives the degree-u entry
 
     D_u = (coboundary of psi_u) - (1/2) sum_{m m' = u} [psi_m, psi_m']
 
-over ordered pairs of nonconstant monomials, with [,] the superbracket.  When
-D vanishes through degree k, the degree-(k+1) entries are closed 3-cochains
-whose classes obstruct extension: the deformation extends to order k+1 iff
-they all vanish, and the new terms are particular solutions of (coboundary)
-psi_u = -D_u.  Accumulating the nonzero class polynomials as base relations
-instead yields the versal construction.  These order-by-order steps group the
-products by the degree of m m', which is where they land when the relations
-are homogeneous, as the versal construction's are.  A step computes degree
-k+1 only, and checks degrees 0..k too unless the last step proved them flat.
-One rule, ``_land``, puts cochains into a base: a cochain paired with a base
-polynomial is added, times each coefficient, at that coefficient's monomial.
-Products land as above, terms moved by ``with_base`` or
-``pushforward.push_forward`` at their monomials' images, and an obstructed
-order's entries, not recomputed, at their monomials' normal forms in the
-enlarged base, where they are solved.
+over ordered pairs of nonconstant monomials, with [,] the superbracket.
+
+The versal construction is the Kuranishi recursion (W. Goldman and J.
+Millson, in M. Manetti's DGLA form), one step per order over the truncated
+base without relations.  ``obstruction_classes`` splits each degree-(k+1)
+entry as X_u = b_u + sum_j c_j rho_j + w_u: b_u a coboundary, rho_j the HL^3
+representatives and w_u zero at the free columns of the degree-3 coboundary.
+``extend_to_order`` solves (coboundary) psi_u = -b_u, and c_j t^u joins
+kappa_j, one relation per HL^3 direction.  The splitting gives 1 - ip =
+dh + hd on 3-cochains, so the defect lies in (kappa) + m^(N+1) order by
+order, and the terms land once on the base modulo the nonzero kappa_j.  An
+unobstructed entry is a coboundary: it is its own b_u.  One rule, ``_land``,
+puts cochains into a base: a cochain paired with a base polynomial is added,
+times each coefficient, at that coefficient's monomial.  Products land as
+above, and terms moved by ``with_base`` or ``pushforward.push_forward`` at
+their monomials' images.
 
 Base elements, their normal form and their text and JSON format are
 ``poly``'s.  ``massey3`` is kept only for the tests: the ``massey`` command
@@ -46,11 +47,11 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra
-from .cochain import Cochain, CohomologySpace, coboundary, cohomology
+from .cochain import Cochain, CohomologySpace, coboundary, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
-from .linalg import Reducer, _axpy
-from .poly import (AVector, LocalBase, Monomial, TruncatedPolynomial, _degree, _mono_mul, _monomials_of_degree,
+from .linalg import _axpy, kernel_basis
+from .poly import (AVector, LocalBase, Monomial, TruncatedPolynomial, _degree, _mono_mul,
                    _render_key, _unit, render_monomial, render_poly)
 from .values import F0, F1, Sparse, Vec, _exact
 
@@ -63,8 +64,6 @@ class Deformation:
     The zero-monomial coefficient is implicitly the bracket of ``algebra``;
     ``terms`` keeps the nonzero terms in a dict of its own.
     """
-
-    _flat_through = -1  # the degree through which extend_to_order proved it flat
 
     def __init__(self, algebra: LeibnizAlgebra, base: LocalBase, terms: Mapping[Monomial, Cochain] | None = None):
         self.algebra = algebra
@@ -117,10 +116,6 @@ class Deformation:
                     if not bb[k].is_zero():
                         out[k] = out[k] + c * bb[k]
         return tuple(out)
-
-    def truncate_terms(self, max_degree: int) -> "Deformation":
-        kept = {m: psi for m, psi in self.terms.items() if _degree(m) <= max_degree}
-        return Deformation(self.algebra, self.base, kept)
 
     def with_base(self, base: LocalBase) -> "Deformation":
         """Transport the terms onto another base over the same generators.
@@ -203,95 +198,54 @@ def leibniz_defect(d: Deformation) -> dict[Monomial, Cochain]:
     return defect
 
 
-def obstruction_classes(d: Deformation, k: int) -> "ObstructionReport":
-    """Classes of the degree-(k+1) defect entries of a deformation flat to order k.
+def obstruction_classes(d: Deformation, k: int) -> dict[Monomial, tuple[Vec, Cochain]]:
+    """The split (c_u, b_u) of each nonzero degree-(k+1) defect entry X_u of d.
 
-    Requires the defect to vanish in degrees up to k: checked in the pass of
-    degree k+1, and skipped when ``extend_to_order`` proved d flat through k.
-    Each nonzero degree-(k+1) entry is checked to be closed (anything else
-    signals a sign error) and projected to degree-3 cohomology, and a zero
-    entry has the zero class; the per-class-direction polynomials that must
-    vanish on the base are assembled from the projections.
+    X_u = b_u + sum_j c_j rho_j + w_u, with rho_j the HL^3 representatives.
+    z_u, the sum of X_u[max(v)] v over the kernel basis of the degree-3
+    coboundary, is the cocycle with X_u's free coordinates: a reduced row
+    pivots on its smallest key, so max(v) is v's free column.  c_u are its
+    class coordinates, b_u = z_u - sum_j c_j rho_j is a coboundary, and
+    w_u = X_u - z_u is zero at every free column.
     """
     if k < 1:
         raise PreconditionError("order must be at least 1")
-    hl3 = cohomology(d.algebra, 3)
-    degrees = (k + 1,) if d._flat_through >= k else range(k + 2)
-    by_degree = _defect_in_degrees(d.truncate_terms(k), degrees)
-    defect = by_degree.pop(k + 1)
-    for entries in by_degree.values():
-        nonzero = [m for m, entry in entries.items() if not entry.is_zero()]
-        if nonzero:
-            mono = min(nonzero, key=_render_key)
-            raise PreconditionError(
-                f"defect does not vanish at degree {_degree(mono)} (monomial {render_monomial(d.base, mono)})"
-            )
-    zero_class = (F0,) * hl3.dim
-    classes: dict[Monomial, Vec] = {}
-    tops = _monomials_of_degree(k + 1, d.base.num_generators) if k < d.base.truncation_order else ()
-    for mono in tops:
-        entry = defect.get(mono)
-        if entry is None or entry.is_zero():
-            classes[mono] = zero_class
-            continue
-        if not coboundary(d.algebra, entry).is_zero():
-            raise LeibnizDeformError(
-                f"obstruction candidate at order {k + 1}, monomial {render_monomial(d.base, mono)}, is not closed;"
-                " this signals an internal sign error"
-            )
-        classes[mono] = hl3.project_to_classes(entry)
-    relation_polynomials = []
-    for j in range(hl3.dim):
-        poly = TruncatedPolynomial(d.base, {m: coords[j] for m, coords in classes.items()})
-        if not poly.is_zero():
-            relation_polynomials.append((j, poly))
-    return ObstructionReport(k + 1, classes, tuple(relation_polynomials), defect)
-
-
-class ObstructionReport:
-    """Obstruction classes at one order, the induced base relations, and the
-    defect entries of that order that some product reaches."""
-
-    def __init__(self, order: int, classes: dict[Monomial, Vec],
-                 relation_polynomials: tuple[tuple[int, TruncatedPolynomial], ...], defect: dict[Monomial, Cochain]):
-        self.order = order
-        self.classes = classes
-        self.relation_polynomials = relation_polynomials
-        self.defect = defect
-
-    def all_zero(self) -> bool:
-        return all(not any(c) for c in self.classes.values())
-
-
-def extend_to_order(d: Deformation, k: int) -> "Deformation | ObstructionReport":
-    """Extend a deformation flat to order k by one more order, if unobstructed.
-
-    On success the new degree-(k+1) terms are the deterministic particular
-    solutions of (coboundary) psi = -defect entry; otherwise the obstruction
-    report is returned."""
-    report = obstruction_classes(d, k)
-    return _solve_order(d, k, report.defect) if report.all_zero() else report
-
-
-def _solve_order(d: Deformation, k: int, defect: Mapping[Monomial, Cochain]) -> Deformation:
-    """d to order k plus the solutions psi_u of (coboundary) psi_u = -D_u of its
-    degree-(k+1) entries D_u, whose classes vanish; the post-check adds the only
-    new pairs, (psi_0, psi_u) and (psi_u, psi_0), which land on u."""
     alg = d.algebra
-    added = {m: massey_witness(alg, defect[m])  # the class vanished: the entry is a coboundary
-             for m in sorted(defect, key=_render_key) if _degree(m) == k + 1 and not defect[m].is_zero()}
+    hl3 = cohomology(alg, 3)
+    kernel = {max(v): v for v in kernel_basis(coboundary_matrix(alg, 3)).vectors}
+    split = {}
+    for mono, entry in _defect_in_degrees(d, (k + 1,))[k + 1].items():
+        if entry.is_zero():
+            continue
+        z: Sparse = {}
+        for f, x in entry.entries.items():
+            if f in kernel:
+                _axpy(z, x, kernel[f])
+        coords = hl3.project_to_classes(Cochain(3, alg.dim, z))
+        for c, rho in zip(coords, hl3.class_representatives):
+            if c:
+                _axpy(z, _exact(-c), rho.entries)
+        split[mono] = coords, Cochain(3, alg.dim, z)
+    return split
+
+
+def extend_to_order(d: Deformation, k: int) -> tuple[Deformation, dict[Monomial, Vec]]:
+    """d plus its degree-(k+1) terms, and the class coordinates {u: c_u} of
+    ``obstruction_classes``.  Each nonzero b_u gets the deterministic witness
+    psi_u of (coboundary) psi_u = -b_u, in render order of u; the post-check
+    adds psi_u's only new pairs, (psi_0, psi_u) and (psi_u, psi_0), which
+    land on u and must sum to b_u."""
+    alg = d.algebra
+    split = obstruction_classes(d, k)
+    added = {m: massey_witness(alg, split[m][1]) for m in sorted(split, key=_render_key) if not split[m][1].is_zero()}
     mu = _bracket_cochain(alg)
-    for mono, entry in defect.items():
-        if mono in added:
-            entry = entry - circle(alg, mu, added[mono]) - circle(alg, added[mono], mu)
-        if not entry.is_zero():
+    for mono, psi in added.items():
+        if circle(alg, mu, psi) + circle(alg, psi, mu) != split[mono][1]:
             raise LeibnizDeformError(
                 f"extension failed to kill the defect at order {k + 1}, monomial {render_monomial(d.base, mono)};"
                 " internal error"
             )
-    extended = Deformation(alg, d.base, {**d.truncate_terms(k).terms, **added})
-    extended._flat_through = k + 1
-    return extended
+    return Deformation(alg, d.base, {**d.terms, **added}), {m: coords for m, (coords, _) in split.items()}
 
 
 def massey3(
@@ -346,12 +300,13 @@ def versal_construct(
     """Order-by-order construction of a versal deformation up to max_order.
 
     Starts from the universal first-order deformation on the given (or
-    computed) degree-2 representatives.  At each order the obstruction
-    classes either vanish, yielding correction terms, or their class
-    polynomials are adjoined to the base relation ideal and the report's
-    entries, landed again at the new normal forms of their monomials, are
-    solved there.  Returns the deformation and the relations recorded per
-    order (an empty record means the base is smooth up to max_order).
+    computed) degree-2 representatives, truncated at max_order and without
+    relations.  Each order is one ``extend_to_order``, whose class
+    coordinates c_u add c_j t^u to kappa_j, the relation of HL^3 direction j.
+    The terms then land once on the base modulo the nonzero kappa_j, in j
+    order.  Returns the deformation and those kappa_j over the relation-free
+    base, keyed by the degree of each one's lowest term (an empty record
+    means the base is smooth up to max_order).
     """
     if max_order < 1:
         raise PreconditionError("max_order must be at least 1")
@@ -359,23 +314,15 @@ def versal_construct(
         reps = cohomology(alg, 2).class_representatives
     d = universal_infinitesimal(alg, reps)
     d = d.with_base(d.base.with_truncation(max_order))
-    relations_log: dict[int, tuple[TruncatedPolynomial, ...]] = {}
+    kappa: dict[int, dict[Monomial, Fraction]] = {}
     for k in range(1, max_order):
-        result = extend_to_order(d, k)
-        if isinstance(result, ObstructionReport):
-            index, span = {}, Reducer()  # the class polynomials are normal: keep those that raise the rank
-            polys = tuple(p for _, p in result.relation_polynomials
-                          if span.insert({index.setdefault(m, len(index)): _exact(c) for m, c in p.coeffs.items()}))
-            relations_log[k + 1] = polys
-            d = d.with_base(d.base.with_relations(polys))
-            if not all(TruncatedPolynomial(d.base, p.coeffs).is_zero() for _, p in result.relation_polynomials):
-                raise LeibnizDeformError(
-                    f"the order-{k + 1} obstruction survived its own relations"
-                    f" {', '.join(render_poly(d.base, p.data()) for p in polys)}; internal error"
-                )
-            # relations of degree k+1 change no term of degree 0..k; the new normal form is linear and
-            # zero on the old ideal, which lies in the new one, so NF_new(NF_old(m m')) = NF_new(m m')
-            defect = _land((TruncatedPolynomial(d.base, {mono: F1}), entry) for mono, entry in result.defect.items())
-            result = _solve_order(d, k, defect)
-        d = result
-    return d, relations_log
+        d, classes = extend_to_order(d, k)
+        for mono, coords in classes.items():
+            for j, c in enumerate(coords):
+                if c:
+                    kappa.setdefault(j, {})[mono] = c
+    relations = [TruncatedPolynomial(d.base, kappa[j]) for j in sorted(kappa)]
+    by_degree: dict[int, list[TruncatedPolynomial]] = {}
+    for p in relations:
+        by_degree.setdefault(min(map(_degree, p.coeffs)), []).append(p)
+    return d.with_base(d.base.with_relations(relations)), {low: tuple(ps) for low, ps in sorted(by_degree.items())}

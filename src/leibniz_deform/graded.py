@@ -20,7 +20,7 @@ Massey brackets are built from the degree-2 classes: x_a combines the stored
 representatives with a class's coordinates, and <a, b> is the class of
 [x_a, x_b].  When it vanishes, the witness x_ab solves d x_ab = [x_a, x_b],
 and <a, b, c> is the class of [x_ab, x_c] + [x_a, x_bc] + [x_ac, x_b].  A
-witness is also the correction term of a defect entry with zero class.
+witness also gives the versal term of a defect entry's coboundary part.
 ``_hl2_with_reps`` gives the degree-2 classes that the ``massey`` and the
 deformation commands start from; it loads ``reps``, the ``--reps`` reader,
 only when that option is given.
@@ -149,7 +149,7 @@ def massey2(alg: LeibnizAlgebra, hl2: CohomologySpace, class_a: Sequence, class_
 def massey_witness(alg: LeibnizAlgebra, bracket: Cochain) -> Cochain:
     """The deterministic 2-cochain x with d x = ``bracket``, a superbracket of
     degree-2 classes whose second-order Massey bracket vanishes; also the
-    correction term of a defect entry whose obstruction class vanishes."""
+    versal term of the coboundary part of a defect entry."""
     sol = solve(coboundary_matrix(alg, 2), _scaled(-1, bracket.entries))
     if sol is None:
         raise PreconditionError("no witness exists; contradicts vanishing second-order bracket")

@@ -7,8 +7,9 @@ the bilinear ``bracket_eval``, the coboundary evaluated from its defining
 formula, permutation-filter
 shuffle enumeration and a circle product built on it, the deformation
 defect expanded from the deformed bracket, the equivalence check of two
-deformed brackets under a base-linear map, and membership in a base's ideal
-decided by the rank of its dense Macaulay matrix.  The frozen cocycle
+deformed brackets under a base-linear map, membership in a base's ideal
+decided by the rank of its dense Macaulay matrix, and the Hilbert-Samuel
+function of a base from the ranks of its truncations.  The frozen cocycle
 families certify the computed degree-2 and degree-3 kernels of the builtin
 algebra.  ``matmul`` composes two matrices for the d∘d = 0 tests,
 ``from_rows`` builds a matrix from dense rows, and ``dgla_differential`` is
@@ -35,6 +36,7 @@ from leibniz_deform.cochain import Cochain, coboundary
 from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import Matrix, rank, solve
+from leibniz_deform.poly import LocalBase
 from leibniz_deform.values import F0, F1, Vec
 
 F = Fraction
@@ -525,6 +527,21 @@ def ideal_member(base, *polys) -> bool:
     macaulay = [[row.get(m, 0) for m in columns] for row in rows]
     appended = macaulay + [[row.get(m, 0) for m in columns] for row in targets]
     return bareiss_rank(appended) == bareiss_rank(macaulay)
+
+
+def hilbert_samuel(base) -> tuple[int, ...]:
+    """HS(k) = dim (m^k + J)/(m^(k+1) + J) for k = 0..N, with J the base's
+    ideal I + m^(N+1): the difference of dim K[t]/(J + m^(k+1)) over k.
+
+    That dimension is the number of monomials of degree <= k minus the rank
+    of the Macaulay echelon of the base truncated at k, each relation cut to
+    degree <= k; the ``ideal_member`` tests check that echelon."""
+    dims = [0]
+    for k in range(base.truncation_order + 1):
+        cut = tuple(tuple((m, c) for m, c in rel if sum(m) <= k) for rel in base.relations)
+        truncated = LocalBase(base.generators, k, tuple(filter(None, cut)))
+        dims.append(len(truncated.monomials()) - len(truncated._echelon[2].rows))
+    return tuple(b - a for a, b in itertools.pairwise(dims))
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,23 @@ from helpers import (
     bareiss_rank,
     bracket_defect,
     check_equivalence,
+    conjugate,
     embed_basis,
     flat,
     h3,
+    hilbert_samuel,
     ideal_member,
     nf3,
     nf4,
+    q4,
     random_cochain,
     random_leibniz_algebra,
 )
 from leibniz_deform import deform, graded, pushforward
 from leibniz_deform.algebra import abelian, lambda6
-from leibniz_deform.cochain import Cochain, coboundary, cohomology
+from leibniz_deform.cochain import Cochain, coboundary, coboundary_matrix, cohomology
 from leibniz_deform.deform import (
     Deformation,
-    ObstructionReport,
     default_parameter_names,
     extend_to_order,
     leibniz_defect,
@@ -39,6 +41,7 @@ from leibniz_deform.deform import (
 )
 from leibniz_deform.errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from leibniz_deform.graded import graded_bracket
+from leibniz_deform.linalg import Matrix, rref
 from leibniz_deform.poly import LocalBase, TruncatedPolynomial, render_poly
 from leibniz_deform.pushforward import parse_poly, push_forward
 from leibniz_deform.reps import lambda6_reference_representatives, with_representatives
@@ -436,39 +439,10 @@ def test_versal_loop_uses_one_defect_per_order_and_no_brackets(monkeypatch):
     monkeypatch.setattr(deform, "extend_to_order", counted_extend)
     versal_construct(lambda6(), 20)
     assert brackets == []
-    # order 1 checks degrees 0..1 in the pass of degree 2; every later order
-    # extends a deformation proven flat and computes its own degree alone, and
-    # the post-check reuses that pass
-    assert per_order == {1: [[0, 1, 2]], **{k: [[k + 1]] for k in range(2, 20)}}
-    # psi_0 o psi_0, the four products of psi_0 with a degree-1 term and the
-    # four of two degree-1 terms; every later defect entry is zero
-    assert len(circles) <= 9
-
-
-# Every degree-(k+1) defect entry of lambda6 up to order 20 is zero; NF4 has
-# three nonzero ones at order 2.
-@pytest.mark.parametrize("algebra, max_order, nonzero_entries", [("lambda6", 20, 0), ("nf4", 3, 3)])
-def test_obstruction_closedness_checks_only_nonzero_entries(
-    monkeypatch, algebra, max_order, nonzero_entries
-):
-    calls = []
-    real = deform.coboundary
-    monkeypatch.setattr(deform, "coboundary", lambda alg, f: calls.append(f) or real(alg, f))
-    per_order = []
-    obstruction = deform.obstruction_classes
-
-    def counted_obstruction(d, k):
-        start = len(calls)
-        report = obstruction(d, k)
-        nonzero = sum(1 for entry in report.defect.values() if not entry.is_zero())
-        per_order.append((len(calls) - start, nonzero))
-        return report
-
-    monkeypatch.setattr(deform, "obstruction_classes", counted_obstruction)
-    versal_construct({"lambda6": lambda6, "nf4": nf4}[algebra](), max_order)
-    assert len(per_order) == max_order - 1
-    assert all(checks == nonzero for checks, nonzero in per_order)
-    assert sum(nonzero for _, nonzero in per_order) == nonzero_entries
+    # every order computes its own degree alone, and the post-check reuses that pass
+    assert per_order == {k: [[k + 1]] for k in range(1, 20)}
+    # the four products of two degree-1 terms; every later defect entry is zero
+    assert len(circles) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +454,17 @@ def test_lambda6_obstructions_vanish():
     alg = lambda6()
     d = universal_infinitesimal(alg, lambda6_reference_representatives())
     d = d.with_base(d.base.with_truncation(2))
-    report = obstruction_classes(d, 1)
-    assert report.order == 2
-    assert report.all_zero()
-    assert report.relation_polynomials == ()
+    # every degree-2 defect entry is zero, so none is split
+    assert obstruction_classes(d, 1) == {}
 
 
 def test_extension_of_lambda6_adds_no_terms():
     alg = lambda6()
     d = universal_infinitesimal(alg, lambda6_reference_representatives())
     d = d.with_base(d.base.with_truncation(2))
-    out = extend_to_order(d, 1)
-    assert isinstance(out, Deformation)
+    out, classes = extend_to_order(d, 1)
     assert out.terms == d.terms
+    assert classes == {}
 
 
 def test_obstructed_example_reports_nonzero_class():
@@ -502,91 +474,86 @@ def test_obstructed_example_reports_nonzero_class():
     mu = Cochain.from_entries(2, 1, {(0, 0): {0: 1}})
     d = universal_infinitesimal(alg, [mu])
     d = d.with_base(d.base.with_truncation(2))
-    out = extend_to_order(d, 1)
-    assert isinstance(out, ObstructionReport)
+    out, classes = extend_to_order(d, 1)
     hl3 = cohomology(alg, 3)
     expected = hl3.project_to_classes(
         graded_bracket(alg, mu, mu).scale(F(-1, 2))
     )
-    assert out.classes[(2,)] == expected
+    assert classes == {(2,): expected}
     assert any(expected)
-
-
-@pytest.mark.parametrize("generators, mono, name", [(("t",), (1,), "t"), (("t", "s"), (0, 1), "s")])
-def test_obstruction_requires_flat_defect(generators, mono, name):
-    alg = lambda6()
-    psi = Cochain.from_entries(2, 3, {(0, 0): {0: 1}})  # not a cocycle
-    d = Deformation(alg, LocalBase(generators, 2), {mono: psi})
-    with pytest.raises(PreconditionError) as info:
-        obstruction_classes(d, 1)
-    # the monomial is written as the base writes it, not as an exponent tuple
-    assert str(info.value) == f"defect does not vanish at degree 1 (monomial {name})"
+    # the entry is all class: its coboundary part, and so its new term, is zero
+    assert out.terms == d.terms
 
 
 CORPUS = {
     "lambda6": lambda6,
     "nf4": nf4,
     "h3": h3,
+    "q4": q4,
     "abelian1": lambda: abelian(1),
     "abelian2": lambda: abelian(2),
     "abelian3": lambda: abelian(3),
 }
 
 
-def _nonzero(defect):
-    return {m: entry for m, entry in defect.items() if not entry.is_zero()}
+# Every split of every order: X_u - b_u - sum_j c_j rho_j vanishes at each
+# free column of the degree-3 coboundary, b_u is a cocycle of zero class, and
+# the entries that are not split are zero.
+@pytest.mark.parametrize("algebra, max_order", [("nf4", 3), ("h3", 3), ("q4", 3), ("abelian2", 3)])
+def test_obstruction_classes_split_each_defect_entry(monkeypatch, algebra, max_order):
+    alg = CORPUS[algebra]()
+    hl3 = cohomology(alg, 3)
+    pivots = set(rref(coboundary_matrix(alg, 3))[1])
+    splits = []
+    real = deform.obstruction_classes
+    monkeypatch.setattr(deform, "obstruction_classes", lambda d, k: splits.append((d, k, real(d, k))) or splits[-1][2])
+    versal_construct(alg, max_order)
+    assert [k for _, k, _ in splits] == list(range(1, max_order))
+    for d, k, split in splits:
+        defect = {m: e for m, e in leibniz_defect(d).items() if sum(m) == k + 1 and not e.is_zero()}
+        assert set(split) == set(defect)
+        for mono, (coords, b) in split.items():
+            assert coboundary(alg, b).is_zero() and not any(hl3.project_to_classes(b))
+            w = defect[mono] - b
+            for c, rho in zip(coords, hl3.class_representatives):
+                w = w - rho.scale(c)
+            assert set(w.entries) <= pivots
 
 
 @pytest.mark.parametrize(
     "algebra, max_order",
     [("lambda6", 20), ("nf4", 3), ("h3", 4), ("abelian1", 12), ("abelian2", 4), ("abelian3", 2)],
 )
-def test_obstructions_of_a_proven_extension_equal_the_full_check(monkeypatch, algebra, max_order):
-    real, solve = deform.obstruction_classes, deform._solve_order
-    marked, reports, relanded = [], [], []
-
-    def against_full_check(d, k):
-        report = real(d, k)
-        # an unmarked copy is checked in every degree 0..k
-        full = real(Deformation(d.algebra, d.base, d.terms), k)
-        assert report.classes == full.classes
-        assert report.relation_polynomials == full.relation_polynomials
-        assert report.defect == full.defect
-        marked.append(d._flat_through >= k)
-        reports.append(report)
-        return report
-
-    def against_recomputed(d, k, defect):
-        if defect is not reports[-1].defect:
-            # an obstructed order's entries landed again in the enlarged base
-            # are what an unmarked copy recomputes there
-            assert _nonzero(defect) == _nonzero(real(Deformation(d.algebra, d.base, d.terms), k).defect)
-            relanded.append(k + 1)
-        return solve(d, k, defect)
-
-    monkeypatch.setattr(deform, "obstruction_classes", against_full_check)
-    monkeypatch.setattr(deform, "_solve_order", against_recomputed)
-    _, relations = versal_construct(CORPUS[algebra](), max_order)
-    # one obstruction pass per order, from order 2 on over the previous
-    # extension; an obstructed order lands its pass again in the new base
-    assert len(marked) == max_order - 1
-    assert marked.count(True) == max_order - 2
-    assert not marked[0]
-    assert relanded == list(relations)
+def test_versal_extends_once_per_order_and_relates_the_base_once(monkeypatch, algebra, max_order):
+    orders, related = [], []
+    extend = deform.extend_to_order
+    monkeypatch.setattr(deform, "extend_to_order", lambda d, k: orders.append(k) or extend(d, k))
+    with_relations = LocalBase.with_relations
+    monkeypatch.setattr(
+        LocalBase, "with_relations", lambda base, extra: related.append(len(extra)) or with_relations(base, extra)
+    )
+    d, relations = versal_construct(CORPUS[algebra](), max_order)
+    assert orders == list(range(1, max_order))
+    assert related == [len(d.base.relations)] == [sum(map(len, relations.values()))]
 
 
-# an obstructed order's products are computed in its one pass; a second pass
-# over the enlarged base would make 1513, 517 and 145 of them
-@pytest.mark.parametrize("algebra, max_order, budget", [("abelian3", 2, 784), ("h3", 4, 325), ("abelian2", 6, 81)])
-def test_an_obstructed_order_computes_its_circle_products_once(monkeypatch, algebra, max_order, budget):
-    circles = []
+# Order k computes each product of two terms whose degrees sum to k+1 once,
+# and the post-check two more per new term; nothing is landed or computed
+# again.  h3 makes 1,039 of them, abelian(3) 729 and abelian(2) 64.
+@pytest.mark.parametrize("algebra, max_order", [("abelian3", 2), ("h3", 4), ("abelian2", 6)])
+def test_each_order_computes_its_circle_products_once(monkeypatch, algebra, max_order):
+    circles, extended = [], []
     circle = deform.circle
     monkeypatch.setattr(deform, "circle", lambda *a: circles.append(a) or circle(*a))
+    extend = deform.extend_to_order
+    monkeypatch.setattr(deform, "extend_to_order", lambda d, k: extended.append(extend(d, k)) or extended[-1])
     versal_construct(CORPUS[algebra](), max_order)
-    assert len(circles) <= budget
+    degrees = [sum(m) for m in extended[-1][0].terms]
+    pairs = sum(1 for a in degrees for b in degrees if a + b <= max_order)
+    assert len(circles) == pairs + 2 * sum(1 for a in degrees if a > 1)
 
 
-# terms move into an enlarged base by their monomials' normal forms, never by
+# terms move into the related base by their monomials' normal forms, never by
 # substituting the generators into themselves (52 and 16 calls when they were)
 @pytest.mark.parametrize("algebra", ["h3", "abelian2"])
 def test_versal_construct_substitutes_nothing(monkeypatch, algebra):
@@ -598,28 +565,6 @@ def test_versal_construct_substitutes_nothing(monkeypatch, algebra):
     assert calls == []
 
 
-def test_only_an_extension_skips_the_lower_degrees(monkeypatch):
-    alg = lambda6()
-    d = universal_infinitesimal(alg, lambda6_reference_representatives())
-    d = extend_to_order(d.with_base(d.base.with_truncation(4)), 1)
-    passes = []
-    core = deform._defect_in_degrees
-    monkeypatch.setattr(deform, "_defect_in_degrees", lambda d, js: passes.append(list(js)) or core(d, js))
-    identity = {g: parse_poly(g, d.base) for g in d.base.generators}
-    for copy in (
-        d.with_base(d.base),
-        d.truncate_terms(2),
-        Deformation(alg, d.base, d.terms),
-        push_forward(d, d.base, identity),
-    ):
-        obstruction_classes(copy, 2)
-    assert passes == [[0, 1, 2, 3]] * 4
-    # proven flat through 2 only
-    for k in (1, 2, 3):
-        obstruction_classes(d, k)
-    assert passes[4:] == [[2], [3], [0, 1, 2, 3, 4]]
-
-
 def _nf4_to_order_2():
     alg = nf4()
     d = universal_infinitesimal(alg, cohomology(alg, 2).class_representatives)
@@ -628,32 +573,13 @@ def _nf4_to_order_2():
 
 def test_extension_post_check_rejects_a_wrong_solution(monkeypatch):
     # NF4's order-2 defect has nonzero entries with zero class
-    assert isinstance(extend_to_order(_nf4_to_order_2(), 1), Deformation)
+    assert isinstance(extend_to_order(_nf4_to_order_2(), 1)[0], Deformation)
     solves = []
     real = graded.solve
     monkeypatch.setattr(graded, "solve", lambda m, rhs: solves.append(rhs) or {k: 2 * x for k, x in real(m, rhs).items()})
     with pytest.raises(LeibnizDeformError, match="extension failed to kill the defect"):
         extend_to_order(_nf4_to_order_2(), 1)
     assert solves
-
-
-def test_obstruction_check_names_the_order_and_monomial_of_an_unclosed_entry(monkeypatch):
-    d = _nf4_to_order_2()
-    # a coboundary that is never zero: every nonzero defect entry looks unclosed
-    monkeypatch.setattr(deform, "coboundary", lambda alg, entry: entry)
-    with pytest.raises(LeibnizDeformError) as info:
-        obstruction_classes(d, 1)
-    assert str(info.value) == (
-        "obstruction candidate at order 2, monomial t*u, is not closed; this signals an internal sign error"
-    )
-
-
-def test_versal_error_names_the_relations_the_obstruction_survived(monkeypatch):
-    # adjoining the relations leaves the ideal as it was
-    monkeypatch.setattr(LocalBase, "with_relations", lambda base, extra: base)
-    with pytest.raises(LeibnizDeformError) as info:
-        versal_construct(abelian(1), 3)
-    assert str(info.value) == "the order-2 obstruction survived its own relations t^2; internal error"
 
 
 @pytest.mark.parametrize(
@@ -715,14 +641,17 @@ def test_order_two_obstruction_classes_are_minus_the_massey_pair_brackets(algebr
     alg = CORPUS[algebra]()
     hl2 = cohomology(alg, 2)
     d = universal_infinitesimal(alg, hl2.class_representatives)
-    report = obstruction_classes(d.with_base(d.base.with_truncation(2)), 1)
+    split = obstruction_classes(d.with_base(d.base.with_truncation(2)), 1)
     h = hl2.dim
     expected = {}
     for i, j in itertools.combinations_with_replacement(range(h), 2):
         coords, _ = graded.massey2(alg, hl2, unit(h, i), unit(h, j))
         mono = tuple(int(k == i) + int(k == j) for k in range(h))
         expected[mono] = tuple(-c / 2 if i == j else -c for c in coords)
-    assert report.classes == expected
+    # an entry that is not split is zero, and so is its class
+    zero = (F(0),) * cohomology(alg, 3).dim
+    assert set(split) <= set(expected)
+    assert {m: split[m][0] if m in split else zero for m in expected} == expected
     # lambda6 and NF4 are unobstructed at order 2, the others are not
     assert any(map(any, expected.values())) == (algebra not in ("lambda6", "nf4"))
 
@@ -1002,25 +931,79 @@ def _pairwise_massey_rank(golden):
     return bareiss_rank([[F(x) for x in pair["class"]] for pair in doc["pairwise"]])
 
 
-# The order-2 class polynomials of h3 and abelian(2) span as much as their
-# pairwise Massey classes in the goldens.
+# The quadratic parts of the kappa_j span as much as the pairwise Massey
+# classes in the goldens: the order-2 entries are minus those brackets.  The
+# kappa_j per lowest degree are not pinned, as they depend on the basis: h3
+# has 14 quadratic and 3 cubic ones in its standard basis, 17 quadratic ones
+# under a shear.
 @pytest.mark.parametrize(
-    "algebra, max_order, spans, massey",
-    [
-        ("h3", 4, {2: 11, 4: 12}, "massey-h3"),
-        ("abelian2", 2, {2: 15}, "massey-abelian2"),
-        ("abelian3", 2, {2: 81}, None),
-    ],
+    "algebra, max_order, rank, massey",
+    [("h3", 4, 11, "massey-h3"), ("abelian2", 2, 15, "massey-abelian2"), ("abelian3", 2, 81, None)],
 )
-def test_versal_records_a_basis_of_each_order_s_relations(algebra, max_order, spans, massey):
+def test_versal_relations_have_the_quadratic_rank_of_the_massey_pairs(algebra, max_order, rank, massey):
     d, relations = versal_construct(CORPUS[algebra](), max_order)
-    assert {order: len(polys) for order, polys in relations.items()} == spans
-    monos = d.base.monomials()
-    for polys in relations.values():
-        assert bareiss_rank([[p.coeff(m) for m in monos] for p in polys]) == len(polys)
+    quadratic = [m for m in d.base.monomials() if sum(m) == 2]
+    kappa = [p for polys in relations.values() for p in polys]
+    assert bareiss_rank([[p.coeff(m) for m in quadratic] for p in kappa]) == rank
     if massey:
-        assert spans[2] == _pairwise_massey_rank(massey)
+        assert rank == _pairwise_massey_rank(massey)
     assert all(c.is_zero() for c in leibniz_defect(d).values())
+
+
+# HS(k) = dim (m^k + J)/(m^(k+1) + J) of the versal base ring does not depend
+# on the basis: it is the same at the standard basis and under both shears
+# f_n = e_n +- e_1.
+HILBERT_SAMUEL = {"h3": (1, 8, 25, 56, 103), "q4": (1, 6, 21, 53, 109), "abelian2": (1, 8, 21, 32, 50)}
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+@pytest.mark.parametrize("algebra", sorted(HILBERT_SAMUEL))
+def test_versal_base_has_one_hilbert_samuel_function_in_every_basis(algebra, sign):
+    alg = CORPUS[algebra]()
+    if sign:
+        n = alg.dim
+        alg = conjugate(alg, Matrix(n, n, [{i: 1, **({n - 1: sign} if i == 0 else {})} for i in range(n)]))
+    d, _ = versal_construct(alg, 4)
+    assert hilbert_samuel(d.base) == HILBERT_SAMUEL[algebra]
+
+
+# Every pair bracket of Q4 vanishes, so the coefficient of kappa_j at
+# t_a t_b t_c is a fixed multiple of the triple bracket <a, b, c>_j as the
+# massey command computes it: 1 for three distinct indices, 1/2 for t_a^2 t_b.
+# No t_a^3 carries a nonzero bracket or class.
+def test_q4_cubic_relations_are_its_triple_brackets():
+    alg = q4()
+    hl2, hl3 = cohomology(alg, 2), cohomology(alg, 3)
+    h, reps = hl2.dim, hl2.class_representatives
+    d = universal_infinitesimal(alg, reps)
+    d, quadratic = extend_to_order(d.with_base(d.base.with_truncation(3)), 1)
+    assert not any(map(any, quadratic.values()))
+    _, cubic = extend_to_order(d, 2)
+    pairs = itertools.combinations_with_replacement(range(h), 2)
+    wits = {(a, b): graded.massey_witness(alg, massey2(alg, hl2, unit(h, a), unit(h, b))[1]) for a, b in pairs}
+    zero = (F(0),) * hl3.dim
+    nonzero = 0
+    for a, b, c in itertools.combinations_with_replacement(range(h), 3):
+        triple, _ = graded._triple_bracket(
+            alg, [reps[a], reps[b], reps[c]], {(0, 1): wits[(a, b)], (0, 2): wits[(a, c)], (1, 2): wits[(b, c)]}
+        )
+        factor = {3: 1, 2: F(1, 2), 1: 0}[len({a, b, c})]
+        mono = tuple((a, b, c).count(x) for x in range(h))
+        assert cubic.get(mono, zero) == tuple(factor * x for x in triple)
+        assert factor or not any(triple)
+        nonzero += any(triple)
+    assert nonzero == 12
+    assert set(cubic) <= {m for m in d.base.monomials() if sum(m) == 3}
+
+
+def test_abelian2_twelfth_relation_adds_nothing_to_the_ideal():
+    # a kappa_j that depends on the others stays, and adds nothing to the ideal
+    d, _ = versal_construct(abelian(2), 3)
+    rels = d.base.relations
+    assert render_poly(d.base, rels[11]) == "t2*t7 + t3*t6 - t4*t5 + t4*t8"
+    others = LocalBase(d.base.generators, 3, rels[:11] + rels[12:])
+    assert ideal_member(others, *map(dict, rels))
+    assert ideal_member(d.base, *map(dict, others.relations))
 
 
 # h3 runs to order 3 only: at order 4 its Macaulay matrix has 507 rows, and

@@ -2,7 +2,7 @@
 
 Immutable records (algebras, cochains, bases and subspace bases) compare
 and hash by their fields and refuse assignment;
-the mutable ones (cohomology spaces, deformations, obstruction reports) are
+the mutable ones (cohomology spaces and deformations) are
 plain attribute holders.  All of them take their fields by position or by
 keyword and validate them on construction.
 """
@@ -15,7 +15,7 @@ from helpers import from_flat
 from leibniz_deform import poly
 from leibniz_deform.algebra import LeibnizAlgebra, abelian, lambda6
 from leibniz_deform.cochain import Cochain, CohomologySpace, cohomology
-from leibniz_deform.deform import Deformation, ObstructionReport
+from leibniz_deform.deform import Deformation
 from leibniz_deform.errors import DimensionMismatch, PreconditionError
 from leibniz_deform.linalg import SubspaceBasis
 from leibniz_deform.poly import LocalBase, TruncatedPolynomial
@@ -124,13 +124,6 @@ def test_keyword_and_positional_construction_agree():
     for s in (space, positional):
         assert (s.degree, s.dim, s.dim_cocycles, s.dim_coboundaries) == (2, 2, 8, 6)
         assert s.project_to_classes(hl2.class_representatives[1]) == (F0, F1)
-
-    poly = parse_poly("t", base)
-    report = ObstructionReport(order=2, classes={(2,): (F1,)}, relation_polynomials=((0, poly),), defect={})
-    same = ObstructionReport(2, {(2,): (F1,)}, ((0, poly),), {})
-    for r in (report, same):
-        assert (r.order, r.classes, r.relation_polynomials, r.defect) == (2, {(2,): (F1,)}, ((0, poly),), {})
-        assert not r.all_zero()
 
 
 def test_deformation_terms_default_to_a_fresh_empty_dict():
