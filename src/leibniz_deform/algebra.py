@@ -25,10 +25,6 @@ from . import readers
 from .errors import DimensionMismatch
 from .values import F0, Record, Vec, as_scalar
 
-# The most coordinates of a cochain, or structure constants of an algebra file,
-# that the package allocates: far above its needs, far below what exhausts memory.
-MAX_COORDINATES = 10_000_000
-
 
 class LeibnizAlgebra(Record):
     _fields = ("dim", "structure_constants")

@@ -12,15 +12,15 @@ from .reports import cochain_to_json
 
 
 def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
-    hl2 = graded._hl2_with_reps(alg, args.reps)
+    family = graded._hl2_representatives(alg, args.reps)
     hl3 = cochain.cohomology(alg, 3)
-    h = hl2.dim
+    h = len(family)
     lines = [f"dim HL^2 = {h}, dim HL^3 = {hl3.dim}"]
     pair_docs, pair_reps, all_zero = [], {}, True
     lines.append("second-order brackets:")
     units = [tuple(int(k == i) for k in range(h)) for i in range(h)]
     for i, j in itertools.combinations_with_replacement(range(h), 2):
-        coords, rep = graded.massey2(alg, hl2, units[i], units[j])
+        coords, rep = graded.massey2(alg, family, units[i], units[j])
         pair_reps[(i, j)] = rep
         zero = not any(coords)
         all_zero = all_zero and zero
@@ -35,7 +35,7 @@ def cmd_massey(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
         pair_wits = {pair: graded.massey_witness(alg, rep) for pair, rep in pair_reps.items()}
         for i, j, k in itertools.combinations_with_replacement(range(h), 3):
             wits = {(0, 1): pair_wits[(i, j)], (0, 2): pair_wits[(i, k)], (1, 2): pair_wits[(j, k)]}
-            coords, rep = graded._triple_bracket(alg, [hl2.class_representatives[a] for a in (i, j, k)], wits)
+            coords, rep = graded._triple_bracket(alg, [family[a] for a in (i, j, k)], wits)
             cls = "0" if not any(coords) else "(" + ", ".join(str(c) for c in coords) + ")"
             lines.append(f"  <[{i + 1}],[{j + 1}],[{k + 1}]> = {cls}")
             triple_docs.append({"indices": [i + 1, j + 1, k + 1], "class": [str(c) for c in coords],

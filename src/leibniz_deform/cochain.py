@@ -25,25 +25,15 @@ import itertools
 from collections.abc import Callable, Mapping
 from functools import lru_cache
 
-from .algebra import MAX_COORDINATES, LeibnizAlgebra, nonzero_constants, validate
+from .algebra import LeibnizAlgebra, nonzero_constants, validate
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import Matrix, _axpy, _scaled, quotient_representatives, rank
 from .values import F0, Exact, Record, Sparse, Vec, _exact, _join_terms, as_scalar
 
-# The most rows of a coboundary matrix that are built: a sparse row costs far
-# more than a coordinate.  lambda6 has 59,049 rows in degree 8, 177,147 in 9.
+# The most rows of a coboundary matrix that are built: the only size that is
+# refused, since a cochain holds only its nonzero coordinates.  lambda6 has
+# 59,049 rows in degree 8, 177,147 in 9.
 MAX_ROWS = 100_000
-
-
-def check_shape(arity: int, dim: int) -> None:
-    """Raise DimensionMismatch for a negative arity or dimension, or a shape of
-    more than ``MAX_COORDINATES`` coordinates, without computing the power."""
-    if arity < 0 or dim < 0:
-        raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim}: both must be nonnegative")
-    # a long arity is refused unpowered: dim >= 2 gives dim ** (arity + 1) >= 2 ** 25
-    if dim > 1 and (arity >= MAX_COORDINATES.bit_length() or dim ** (arity + 1) > MAX_COORDINATES):
-        raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim} has {dim}^{arity + 1}"
-                                f" coordinates, more than {MAX_COORDINATES}")
 
 
 class Cochain(Record):
@@ -64,10 +54,11 @@ class Cochain(Record):
     ) -> "Cochain":
         """Build from values at input tuples; 0-based indices throughout.
 
-        A shape that ``check_shape`` refuses raises DimensionMismatch before
-        anything is built.
+        A negative arity or dimension raises DimensionMismatch; no shape is
+        too large, since only the nonzero coordinates are stored.
         """
-        check_shape(arity, dim)
+        if arity < 0 or dim < 0:
+            raise DimensionMismatch(f"a cochain of arity {arity} and dimension {dim}: both must be nonnegative")
         out: Sparse = {}
         for idx, value in entries.items():
             if len(idx) != arity or not all(0 <= i < dim for i in idx):
@@ -143,16 +134,19 @@ def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
     assembled as sparse rows, term by term from the defining formula, visiting
     only the nonzero structure constants: the dense table is never built.
     The tests pin agreement with the direct evaluation ``direct_coboundary``
-    in ``tests/helpers.py``.  A (p+1)-cochain shape that ``check_shape``
-    refuses, or more than ``MAX_ROWS`` rows, raises DimensionMismatch before
-    any row is built.
+    in ``tests/helpers.py``.  More than ``MAX_ROWS`` rows raise
+    DimensionMismatch before any row is built, and a long p does so without
+    computing the power.
     """
     if p < 0:
         raise PreconditionError("degree must be nonnegative")
     n = alg.dim
-    check_shape(p + 1, n)
-    if n ** (p + 2) > MAX_ROWS:
-        raise DimensionMismatch(f"the coboundary of degree {p} on dimension {n} has {n}^{p + 2} = {n ** (p + 2)}"
+    # with p + 2 >= 64 and n >= 2 there are at least 2 ** 64 rows: refused
+    # without computing, or writing, their count
+    long = p + 2 >= 64
+    if n > 1 and (long or n ** (p + 2) > MAX_ROWS):
+        count = "" if long else f" = {n ** (p + 2)}"
+        raise DimensionMismatch(f"the coboundary of degree {p} on dimension {n} has {n}^{p + 2}{count}"
                                 f" rows, more than {MAX_ROWS}")
     # [e_a, e_b] = sum_k v e_k, nonzero terms only, by the left argument a, by
     # the right argument b, and by the pair (a, b); integral v are ints

@@ -36,8 +36,8 @@ above, and terms moved by ``with_base`` or ``pushforward.push_forward`` at
 their monomials' images.
 
 Base elements, their normal form and their text and JSON format are
-``poly``'s.  ``massey3`` is kept only for the tests: the ``massey`` command
-takes its brackets from ``graded``.
+``poly``'s.  No command runs ``massey3``: the ``massey`` command takes its
+brackets from ``graded``, and ``bench/tracing.py`` still wraps it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra
-from .cochain import Cochain, CohomologySpace, coboundary, coboundary_matrix, cohomology
+from .cochain import Cochain, coboundary, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, LeibnizDeformError, PreconditionError
 from .graded import _combine, _triple_bracket, circle, massey2, massey_witness
-from .linalg import _axpy, kernel_basis
+from .linalg import _axpy, kernel_lift
 from .poly import (AVector, LocalBase, Monomial, TruncatedPolynomial, _degree, _mono_mul,
                    _render_key, _unit, render_monomial, render_poly)
 from .values import F0, F1, Sparse, Vec, _exact
@@ -202,25 +202,20 @@ def obstruction_classes(d: Deformation, k: int) -> dict[Monomial, tuple[Vec, Coc
     """The split (c_u, b_u) of each nonzero degree-(k+1) defect entry X_u of d.
 
     X_u = b_u + sum_j c_j rho_j + w_u, with rho_j the HL^3 representatives.
-    z_u, the sum of X_u[max(v)] v over the kernel basis of the degree-3
-    coboundary, is the cocycle with X_u's free coordinates: a reduced row
-    pivots on its smallest key, so max(v) is v's free column.  c_u are its
-    class coordinates, b_u = z_u - sum_j c_j rho_j is a coboundary, and
-    w_u = X_u - z_u is zero at every free column.
+    z_u, the ``kernel_lift`` of X_u through the degree-3 coboundary, is the
+    cocycle with X_u's free coordinates.  c_u are its class coordinates,
+    b_u = z_u - sum_j c_j rho_j is a coboundary, and w_u = X_u - z_u is zero
+    at every free column.
     """
     if k < 1:
         raise PreconditionError("order must be at least 1")
     alg = d.algebra
-    hl3 = cohomology(alg, 3)
-    kernel = {max(v): v for v in kernel_basis(coboundary_matrix(alg, 3)).vectors}
+    hl3, delta = cohomology(alg, 3), coboundary_matrix(alg, 3)
     split = {}
     for mono, entry in _defect_in_degrees(d, (k + 1,))[k + 1].items():
         if entry.is_zero():
             continue
-        z: Sparse = {}
-        for f, x in entry.entries.items():
-            if f in kernel:
-                _axpy(z, x, kernel[f])
+        z = kernel_lift(delta, entry.entries)
         coords = hl3.project_to_classes(Cochain(3, alg.dim, z))
         for c, rho in zip(coords, hl3.class_representatives):
             if c:
@@ -249,35 +244,26 @@ def extend_to_order(d: Deformation, k: int) -> tuple[Deformation, dict[Monomial,
 
 
 def massey3(
-    alg: LeibnizAlgebra, hl2: CohomologySpace, classes: Sequence[Sequence],
-    witnesses: Mapping[tuple[int, int], Cochain] | None = None,
+    alg: LeibnizAlgebra, family: Sequence[Cochain], classes: Sequence[Sequence],
 ) -> tuple[Vec, Cochain, tuple[tuple[tuple[int, int], Cochain], ...]]:
-    """Third-order bracket [x12,x3] + [x1,x23] + [x13,x2] as a class.
+    """Third-order bracket [x12,x3] + [x1,x23] + [x13,x2] of three classes
+    given by coordinates on ``family``, as a class.
 
-    Defined only when all pairwise second-order brackets vanish; witnesses
-    x_ij satisfying d x_ij = [x_i, x_j] are found by the deterministic solver
-    when not supplied, and verified exactly when they are.  Returns the class
-    coordinates, the representative and the (pair, witness) tuples in pair
-    order.
+    Defined only when all pairwise second-order brackets vanish; the
+    witnesses x_ij of d x_ij = [x_i, x_j] are the deterministic solver's.
+    Returns the class coordinates, the representative and the (pair,
+    witness) tuples in pair order.
     """
     if len(classes) != 3:
         raise PreconditionError("need exactly three classes")
-    xs = [_combine(hl2.class_representatives, c) for c in classes]
-    brackets = {}
+    xs = [_combine(family, c) for c in classes]
+    witnesses = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        coords, rep = massey2(alg, hl2, classes[i], classes[j])
+        coords, rep = massey2(alg, family, classes[i], classes[j])
         if any(coords):
             raise PreconditionError(f"second-order bracket of classes {i} and {j} does not vanish")
-        brackets[(i, j)] = rep
-    chosen: dict[tuple[int, int], Cochain] = {}
-    for key, rep in brackets.items():
-        w = witnesses.get(key) if witnesses else None
-        if w is None:
-            w = massey_witness(alg, rep)
-        elif -coboundary(alg, w) != rep:  # d w = -(coboundary of w) in degree 1
-            raise PreconditionError(f"supplied witness for pair {key} fails its equation")
-        chosen[key] = w
-    return (*_triple_bracket(alg, xs, chosen), tuple(sorted(chosen.items())))
+        witnesses[(i, j)] = massey_witness(alg, rep)
+    return (*_triple_bracket(alg, xs, witnesses), tuple(witnesses.items()))
 
 
 def _transport(d: Deformation, base: LocalBase, image: Callable[[dict], TruncatedPolynomial]) -> Deformation:

@@ -21,9 +21,10 @@ representatives with a class's coordinates, and <a, b> is the class of
 [x_a, x_b].  When it vanishes, the witness x_ab solves d x_ab = [x_a, x_b],
 and <a, b, c> is the class of [x_ab, x_c] + [x_a, x_bc] + [x_ac, x_b].  A
 witness also gives the versal term of a defect entry's coboundary part.
-``_hl2_with_reps`` gives the degree-2 classes that the ``massey`` and the
-deformation commands start from; it loads ``reps``, the ``--reps`` reader,
-only when that option is given.
+The classes are given by coordinates on a family of representatives:
+``_hl2_representatives`` gives the family that the ``massey`` and the
+deformation commands start from, HL^2's own or the checked ``--reps``; it
+loads ``reps``, the ``--reps`` reader, only when that option is given.
 """
 
 from __future__ import annotations
@@ -34,18 +35,10 @@ from functools import lru_cache
 
 from .algebra import LeibnizAlgebra
 from . import reps
-from .cochain import Cochain, CohomologySpace, coboundary_matrix, cohomology
+from .cochain import Cochain, coboundary_matrix, cohomology
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import _axpy, _scaled, solve
 from .values import Exact, Sparse, Vec, _exact
-
-
-def _parity_sign(perm: tuple[int, ...]) -> int:
-    inversions = 0
-    for a, b in itertools.combinations(perm, 2):
-        if a > b:
-            inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +48,9 @@ def shuffles(p: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     positions; its permutation holds the images of 1..p+q, 1-based.
 
     Generated by choosing the image set of the first block; the count is
-    binomial(p+q, p).
+    binomial(p+q, p).  The i-th image of the first block, first[i-1], is
+    larger than first[i-1] - i images of the second, and no other pair is an
+    inversion, so the sign is (-1)^(sum(first) - p(p+1)/2).
     """
     if p < 0 or q < 0:
         raise PreconditionError("shuffle block sizes must be nonnegative")
@@ -63,8 +58,7 @@ def shuffles(p: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     out = []
     for first in itertools.combinations(letters, p):
         rest = tuple(x for x in letters if x not in first)
-        perm = first + rest
-        out.append((perm, _parity_sign(perm)))
+        out.append((first + rest, -1 if (sum(first) - p * (p + 1) // 2) % 2 else 1))
     return tuple(out)
 
 
@@ -117,12 +111,13 @@ def graded_bracket(alg: LeibnizAlgebra, a: Cochain, b: Cochain) -> Cochain:
     return ab + ba if ((a.arity - 1) * (b.arity - 1) + 1) % 2 == 0 else ab - ba
 
 
-def _hl2_with_reps(alg: LeibnizAlgebra, reps_spec: str | None) -> CohomologySpace:
-    """HL^2, presented on the representatives of ``--reps reps_spec`` when given."""
+def _hl2_representatives(alg: LeibnizAlgebra, reps_spec: str | None) -> tuple[Cochain, ...]:
+    """The representatives of HL^2's classes: those of ``--reps reps_spec``
+    when given, else the stored ones."""
     hl2 = cohomology(alg, 2)
-    if reps_spec is not None:
-        hl2 = reps.with_representatives(hl2, reps._load_reps(reps_spec, alg), alg)
-    return hl2
+    if reps_spec is None:
+        return hl2.class_representatives
+    return reps.with_representatives(hl2, reps._load_reps(reps_spec, alg), alg)
 
 
 def _combine(family: Sequence[Cochain], coords: Sequence) -> Cochain:
@@ -138,10 +133,13 @@ def _combine(family: Sequence[Cochain], coords: Sequence) -> Cochain:
     return Cochain(2, family[0].dim, out)
 
 
-def massey2(alg: LeibnizAlgebra, hl2: CohomologySpace, class_a: Sequence, class_b: Sequence) -> tuple[Vec, Cochain]:
-    """The second-order bracket <a, b>: its degree-3 class coordinates and the representing [x_a, x_b]."""
-    xa = _combine(hl2.class_representatives, class_a)
-    xb = _combine(hl2.class_representatives, class_b)
+def massey2(
+    alg: LeibnizAlgebra, family: Sequence[Cochain], class_a: Sequence, class_b: Sequence
+) -> tuple[Vec, Cochain]:
+    """The second-order bracket <a, b> of two classes given by coordinates on
+    ``family``: its degree-3 class coordinates and the representing [x_a, x_b]."""
+    xa = _combine(family, class_a)
+    xb = _combine(family, class_b)
     rep = graded_bracket(alg, xa, xb)
     return cohomology(alg, 3).project_to_classes(rep), rep
 

@@ -47,11 +47,6 @@ def _check_keys(v: Sparse, n: int, what: str) -> None:
         raise DimensionMismatch(f"{what}: a key outside 0..{n - 1}")
 
 
-def _dense(v: Sparse, n: int) -> Vec:
-    """The length-n Fraction vector with v's entries."""
-    return tuple(as_scalar(v.get(j, F0)) for j in range(n))
-
-
 def _axpy(y: Sparse, a: Exact, x: Sparse) -> None:
     """y += a * x in place, dropping entries that cancel and demoting
     integral Fractions to int; a must be nonzero."""
@@ -152,7 +147,7 @@ class Matrix:
 
     @cached_property
     def entries(self) -> tuple[Vec, ...]:
-        return tuple(_dense(r, self.cols) for r in self._row_dicts)
+        return tuple(tuple(as_scalar(r.get(j, F0)) for j in range(self.cols)) for r in self._row_dicts)
 
     @cached_property
     def _columns(self) -> tuple[Sparse, ...]:
@@ -169,9 +164,6 @@ class Matrix:
         for j, x in v.items():
             _axpy(out, x, columns[j])
         return out
-
-    def is_zero(self) -> bool:
-        return not any(self._row_dicts)
 
     @cached_property
     def _row_echelon(self) -> Reducer:
@@ -240,6 +232,17 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(m.cols, tuple(m._kernel.values()))
 
 
+def kernel_lift(m: Matrix, v: Sparse) -> Sparse:
+    """The vector of ker m with v's entries at m's free columns: the
+    combination of ``kernel_basis(m)`` that they give.  It is v exactly when
+    v is in ker m, and a new dict that the caller may modify."""
+    kernel, lift = m._kernel, {}
+    for f, x in v.items():
+        if f in kernel:
+            _axpy(lift, x, kernel[f])
+    return lift
+
+
 def image_basis(m: Matrix) -> SubspaceBasis:
     """Basis of the column space: the original columns at the pivots of the
     reduced row echelon form, which are the greedily independent columns."""
@@ -271,39 +274,31 @@ def quotient_representatives(
     coordinates, and the dimension of im d_prev.
 
     Only d's reduced rows are eliminated at ambient length.  A vector of
-    ker d is the combination of ``kernel_basis(d)`` given by its entries at
-    d's free columns, so restricting to those is injective on ker d, and the
-    restricted image of d_prev has the rank of im d_prev.  The
-    representatives, the kernel basis vectors chosen greedily in order
-    modulo the image, are at the free columns that are not pivots of the
-    restricted image eliminated in descending column order.  It is a fault
-    if a column of d_prev, or a projected vector, is not in ker d.
+    ker d is its own ``kernel_lift``, so restricting to d's free columns is
+    injective on ker d, and the restricted image of d_prev has the rank of
+    im d_prev.  The representatives, the kernel basis vectors chosen
+    greedily in order modulo the image, are at the free columns that are not
+    pivots of the restricted image eliminated in descending column order.
+    It is a fault if a column of d_prev, or a projected vector, is not in
+    ker d.
     """
     if d_prev.rows != d.cols:
         raise DimensionMismatch(f"d has {d.cols} columns but d_prev has {d_prev.rows} rows")
     n, kernel = d.cols, d._kernel
-
-    def in_kernel(v: Sparse) -> bool:
-        # v is in ker d iff it is the combination of its free coordinates
-        rebuilt: Sparse = {}
-        for f, x in v.items():
-            if f in kernel:
-                _axpy(rebuilt, x, kernel[f])
-        return rebuilt == v
 
     def restricted(v: Sparse) -> Sparse:
         # keyed by -f, so that the reducer pivots on the largest free column
         return {-f: x for f, x in v.items() if f in kernel}
 
     columns = d_prev._columns
-    if not all(map(in_kernel, columns)):
+    if any(kernel_lift(d, c) != c for c in columns):
         raise PreconditionError("a column of d_prev is not in the kernel of d")
     image = _eliminate(map(restricted, columns))
     reps = [f for f in kernel if -f not in image.rows]
 
     def project(v: Sparse) -> Vec:
         _check_keys(v, n, "project")
-        if not in_kernel(v):
+        if kernel_lift(d, v) != v:
             raise PreconditionError("vector is not in the kernel of d")
         residual = image._reduce(restricted(v))
         return tuple(as_scalar(residual[-f]) if -f in residual else F0 for f in reps)

@@ -193,12 +193,6 @@ class TruncatedPolynomial:
             out[m] = out.get(m, F0) + c
         return TruncatedPolynomial(self.base, out)
 
-    def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self.base, {m: -c for m, c in self.coeffs.items()})
-
     def __mul__(self, other) -> "TruncatedPolynomial":
         if isinstance(other, TruncatedPolynomial):
             self._check_base(other)
@@ -221,9 +215,6 @@ class TruncatedPolynomial:
         if not isinstance(other, TruncatedPolynomial):
             return NotImplemented
         return self.base == other.base and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.base, self.data()))
 
     def substitute(self, target_base: LocalBase, images: Mapping[str, "TruncatedPolynomial"]) -> "TruncatedPolynomial":
         """Evaluate under a generator substitution into another base."""

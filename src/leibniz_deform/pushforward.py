@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import LeibnizAlgebra
 from .deform import Deformation, _transport, versal_construct
 from .errors import DimensionMismatch, FormatError, PreconditionError
-from .graded import _hl2_with_reps
+from .graded import _hl2_representatives
 from .poly import _NAME, LocalBase, Monomial, TruncatedPolynomial
 from .reports import deformation_report
 from .values import F0, F1
@@ -95,8 +95,7 @@ def cmd_pushforward(alg: LeibnizAlgebra, args) -> tuple[str, dict]:
             raise FormatError(f"--sub gives generator {name!r} a second image")
         images[name] = parse_poly(expr, target)
         substitution[name] = expr
-    hl2 = _hl2_with_reps(alg, args.reps)
-    d, _ = versal_construct(alg, args.max_order, hl2.class_representatives)
+    d, _ = versal_construct(alg, args.max_order, _hl2_representatives(alg, args.reps))
     out = push_forward(d, target, images)
     text, doc = deformation_report(out, alg)
     doc["command"] = "pushforward"

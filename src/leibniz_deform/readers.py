@@ -7,8 +7,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import MAX_COORDINATES, LeibnizAlgebra
+from .algebra import LeibnizAlgebra
 from .errors import FormatError
+
+# The most structure constants of an algebra file that are allocated: far
+# above the package's needs, far below what exhausts memory.
+MAX_CONSTANTS = 10_000_000
 
 
 def json_index(x, what: str) -> int:
@@ -75,8 +79,8 @@ def algebra_from_json(text: str) -> LeibnizAlgebra:
     dim = doc.get("dim")
     if type(dim) is not int or dim < 1:  # a bool or float is no dimension
         raise FormatError("'dim' must be a positive integer")
-    if dim ** 3 > MAX_COORDINATES:
-        raise FormatError(f"'dim' is {dim}: more than {MAX_COORDINATES} structure constants")
+    if dim ** 3 > MAX_CONSTANTS:
+        raise FormatError(f"'dim' is {dim}: more than {MAX_CONSTANTS} structure constants")
     items = doc.get("brackets", [])
     if not isinstance(items, list):
         raise FormatError("'brackets' must be a list")

@@ -1,6 +1,7 @@
 """The ``--reps`` reader, ``paper`` (``lambda6_reference_representatives``) or a
-JSON file of ``reports.cochain_to_json`` documents, and HL^2 presented on them
-(``with_representatives``).  Only ``--reps`` loads it, and only a file ``readers``.
+JSON file of ``reports.cochain_to_json`` documents, and the check that they
+represent HL^2 (``with_representatives``).  Only ``--reps`` loads it, and only
+a file ``readers``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from .algebra import LeibnizAlgebra, load_algebra
 from . import readers
 from .cochain import Cochain, CohomologySpace, coboundary
 from .errors import DimensionMismatch, FormatError, PreconditionError
-from .linalg import Matrix, _dense, rank, solve
-from .values import Sparse, Vec
+from .linalg import Matrix, rank
 
 
 def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
@@ -25,28 +25,20 @@ def lambda6_reference_representatives() -> tuple[Cochain, Cochain]:
     return mu1, mu2
 
 
-def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> CohomologySpace:
-    """The same cohomology space presented on user-chosen representative cocycles.
-
-    Each representative must be a cocycle and the family must be independent
-    modulo coboundaries and of the right size.
+def with_representatives(space: CohomologySpace, reps: Sequence[Cochain], alg: LeibnizAlgebra) -> tuple[Cochain, ...]:
+    """User-chosen representative cocycles of ``space``, checked: one per
+    class, each a cocycle, and independent modulo coboundaries, so that their
+    change of basis from ``space``'s own representatives is invertible.
     """
     if len(reps) != space.dim:
         raise PreconditionError(f"need exactly {space.dim} representatives, got {len(reps)}")
     for r in reps:
         if not coboundary(alg, r).is_zero():
             raise PreconditionError("representative is not a cocycle")
-    change = Matrix(space.dim, space.dim, [dict(enumerate(row)) for row in zip(*map(space.project_to_classes, reps))])
+    change = Matrix(space.dim, space.dim, [dict(enumerate(space.project_to_classes(r))) for r in reps])
     if rank(change) != space.dim:
         raise PreconditionError("representatives are dependent modulo coboundaries")
-    old_project = space._project
-
-    def project(v: Sparse) -> Vec:
-        sol = solve(change, {j: x for j, x in enumerate(old_project(v)) if x})
-        assert sol is not None  # change of basis is invertible
-        return _dense(sol, space.dim)
-
-    return CohomologySpace(space.degree, space.dim_cocycles, space.dim_coboundaries, tuple(reps), project)
+    return tuple(reps)
 
 
 def cochain_from_json(doc: dict) -> Cochain:

@@ -28,8 +28,9 @@ Sparse = dict[int, Exact]
 class Record:
     """An immutable value with the fields named in ``_fields``.
 
-    ``__init__`` sets them in order; instances of one class compare and hash
-    by them, and assigning an attribute raises AttributeError.
+    ``__init__`` sets them in order; instances of one class compare by them,
+    and assigning an attribute raises AttributeError.  A record has no hash:
+    a subclass that keys a cache defines its own, as ``LeibnizAlgebra`` does.
     """
 
     __slots__ = ()
@@ -53,18 +54,8 @@ class Record:
             return NotImplemented
         return self is other or self._values() == other._values()
 
-    def __hash__(self):
-        return hash(_frozen(self._values()))
-
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
-
-
-def _frozen(x):
-    """x with each dict in it, at any depth of tuples, replaced by the frozen set of its items."""
-    if type(x) is dict:
-        return frozenset(x.items())
-    return tuple(map(_frozen, x)) if type(x) is tuple else x
 
 
 def as_scalar(x) -> Fraction:

@@ -452,7 +452,7 @@ def bracket_defect(d: Deformation) -> dict:
         t1 = d.bracket(embeds[a], pair[(b, c)])
         t2 = d.bracket(pair[(a, b)], embeds[c])
         t3 = d.bracket(pair[(a, c)], embeds[b])
-        jet = tuple(t1[k] - t2[k] + t3[k] for k in range(n))
+        jet = tuple(t1[k] + -1 * t2[k] + t3[k] for k in range(n))
         for m in monos:
             tables[m].extend(p.coeff(m) for p in jet)
     return {m: from_flat(3, n, tables[m]) for m in monos}
@@ -549,15 +549,20 @@ def hilbert_samuel(base) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def nf(n: int) -> LeibnizAlgebra:
+    """The n-dimensional null-filiform algebra NF_n: [e_i,e_1] = e_{i+1} for i = 1..n-1."""
+    return LeibnizAlgebra.from_brackets(n, {(i, 0): {i + 1: 1} for i in range(n - 1)})
+
+
 def nf3() -> LeibnizAlgebra:
     """The null-filiform algebra [e_1,e_1] = e_2, [e_2,e_1] = e_3: lambda6
     with its basis renamed (e_3, e_1, e_2) -> (e_1, e_2, e_3)."""
-    return LeibnizAlgebra.from_brackets(3, {(0, 0): {1: 1}, (1, 0): {2: 1}})
+    return nf(3)
 
 
 def nf4() -> LeibnizAlgebra:
     """The null-filiform algebra [e_i,e_1] = e_{i+1} for i = 1..3."""
-    return LeibnizAlgebra.from_brackets(4, {(i, 0): {i + 1: 1} for i in range(3)})
+    return nf(4)
 
 
 def h3() -> LeibnizAlgebra:

@@ -27,6 +27,7 @@ from helpers import (
     random_matrix,
     reference_degree3_family,
     shuffles_by_filter,
+    zero_matrix,
 )
 from leibniz_deform.algebra import lambda6, validate
 from leibniz_deform.cochain import (
@@ -195,7 +196,7 @@ def test_criterion_6a_coboundary_squares_to_zero():
         assert validate(alg) == []
         for p in (0, 1, 2):
             prod = matmul(coboundary_matrix(alg, p + 1), coboundary_matrix(alg, p))
-            assert prod.is_zero()
+            assert prod == zero_matrix(prod.rows, prod.cols)
         cases += 1
     assert cases == 100
     print("ACCEPTANCE 6a PASS: coboundary composed with itself vanishes, p <= 2, 100 random validated algebras")

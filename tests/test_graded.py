@@ -253,6 +253,6 @@ def test_massey2_equals_the_bracket_of_dense_combinations(alg):
         xa, xb = dense_combination(reps, a), dense_combination(reps, b)
         # in graded degree 1 the superbracket is x o y + y o x
         rep = circle_by_filter(alg, xa, xb) + circle_by_filter(alg, xb, xa)
-        assert massey2(alg, hl2, a, b) == (cohomology(alg, 3).project_to_classes(rep), rep)
+        assert massey2(alg, reps, a, b) == (cohomology(alg, 3).project_to_classes(rep), rep)
     # a unit coordinate vector selects the stored representative itself
     assert all(_combine(reps, u) is rep for u, rep in zip(units, reps))

@@ -1,8 +1,8 @@
 """Value semantics of the package's record classes.
 
 Immutable records (algebras, cochains, bases and subspace bases) compare
-and hash by their fields and refuse assignment;
-the mutable ones (cohomology spaces and deformations) are
+by their fields and refuse assignment, and only algebras, which key the
+caches, hash; the mutable ones (cohomology spaces and deformations) are
 plain attribute holders.  All of them take their fields by position or by
 keyword and validate them on construction.
 """
@@ -74,14 +74,17 @@ EQUAL_AND_DIFFERENT = {
 
 
 @pytest.mark.parametrize("name", sorted(EQUAL_AND_DIFFERENT))
-def test_equal_records_compare_and_hash_equal(name):
+def test_equal_records_compare_equal_and_only_algebras_hash(name):
     a, b, c = EQUAL_AND_DIFFERENT[name]()
     assert a is not b
     assert a == b and not (a != b)
-    assert hash(a) == hash(b)
     assert a != c and not (a == c)
-    assert len({a, b, c}) == 2
     assert a != object()
+    if isinstance(a, LeibnizAlgebra):
+        assert hash(a) == hash(b) and len({a, b, c}) == 2
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
 
 def test_records_differ_from_other_classes_and_from_tuples():
@@ -186,7 +189,7 @@ def test_local_base_echelon_is_built_once_per_instance(monkeypatch):
     assert len(built) == 1
     # an equal instance builds its own, and equality ignores the cache
     twin = LocalBase(base.generators, base.truncation_order, base.relations)
-    assert twin == base and hash(twin) == hash(base)
+    assert twin == base
     assert twin._echelon is not first
     assert len(built) == 2
 
