@@ -22,6 +22,7 @@ BL^p and HL^p denote cocycles, coboundaries and their quotient.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from collections.abc import Callable, Mapping
 from functools import lru_cache
 
@@ -127,65 +128,54 @@ def coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
 
 @lru_cache(maxsize=None)
 def coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
-    """Matrix of the coboundary from p-cochains to (p+1)-cochains.
+    """Matrix of the coboundary from p-cochains to (p+1)-cochains, in the
+    module docstring's flat coordinates: n^{p+2} rows and n^{p+1} columns.
 
-    Rows and columns use the flattened coordinates described in the module
-    docstring; the matrix has n^{p+2} rows and n^{p+1} columns.  It is
-    assembled as sparse rows, term by term from the defining formula, visiting
-    only the nonzero structure constants: the dense table is never built.
-    The tests pin agreement with the direct evaluation ``direct_coboundary``
-    in ``tests/helpers.py``.  More than ``MAX_ROWS`` rows raise
-    DimensionMismatch before any row is built, and a long p does so without
-    computing the power.
+    Each nonzero structure constant [e_a, e_b] = v e_k is placed wherever it
+    enters the formula, by inserting arguments into the flat index of each
+    input tuple t of f, or of each (p-1)-tuple r of the other arguments:
+    v at row (a at 1 of t, k), column (t, b); (-1)^i v at row (b at i of t,
+    k), column (t, a), for i = 2..p+1; and (-1)^{j+1} v at row (a at i and b
+    at j of r, o), column (k at i of r, o), for i < j and each output o.
+    That writes O(nnz p^2 n^p) entries, where a pass over the (p+1)-tuples
+    makes n^{p+1} p^2 visits at any sparsity.  ``direct_coboundary`` in
+    ``tests/helpers.py`` is the oracle.  More than ``MAX_ROWS`` rows, or a
+    degree above 61, raise DimensionMismatch before any row is built, and a
+    long p does so without computing the power.
     """
     if p < 0:
         raise PreconditionError("degree must be nonnegative")
     n = alg.dim
-    # with p + 2 >= 64 and n >= 2 there are at least 2 ** 64 rows: refused
-    # without computing, or writing, their count
+    # p + 2 >= 64 is refused without computing, or writing, the row count: at
+    # least 2 ** 64 rows when n >= 2, and one row at most when n <= 1
     long = p + 2 >= 64
-    if n > 1 and (long or n ** (p + 2) > MAX_ROWS):
+    if long and n < 2:
+        raise DimensionMismatch(f"the coboundary of degree {p} on dimension {n} is not built:"
+                                " the degree must be at most 61")
+    if long or n ** (p + 2) > MAX_ROWS:
         count = "" if long else f" = {n ** (p + 2)}"
         raise DimensionMismatch(f"the coboundary of degree {p} on dimension {n} has {n}^{p + 2}{count}"
                                 f" rows, more than {MAX_ROWS}")
-    # [e_a, e_b] = sum_k v e_k, nonzero terms only, by the left argument a, by
-    # the right argument b, and by the pair (a, b); integral v are ints
-    nonzero, by_left, by_right = nonzero_constants(alg)
-    by_pair = [[[] for _ in range(n)] for _ in range(n)]
-    for a, b, k, v in nonzero:
-        by_pair[a][b].append((k, v))
+    m = n ** p  # the number of input tuples of f
 
-    rows: list[dict[int, object]] = []
-    for x in itertools.product(range(n), repeat=p + 1):
-        out = [{} for _ in range(n)]  # the rows of the outputs e_1 .. e_n at x
+    def insert(t, d, w):  # the flat input t with argument d inserted at place value w
+        return (t // w * n + d) * w + t % w
 
-        # [x_1, f(x_2 .. x_{p+1})]: reads f at x[1:], acts by the left bracket
-        col_base = Cochain._flat_input(n, x[1:]) * n
-        for c, k, v in by_left[x[0]]:
-            row = out[k]
-            row[col_base + c] = row.get(col_base + c, 0) + v
-
-        # (-1)^i [f(x_1 .. ^x_i ..), x_i]
-        for i1 in range(2, p + 2):
-            col_base = Cochain._flat_input(n, x[: i1 - 1] + x[i1:]) * n
-            sign = 1 if i1 % 2 == 0 else -1
-            for c, k, v in by_right[x[i1 - 1]]:
-                row = out[k]
-                row[col_base + c] = row.get(col_base + c, 0) + sign * v
-
-        # (-1)^{j+1} f(x_1,..,[x_i,x_j],..,^x_j,..): output passes through
-        for i1 in range(1, p + 1):
-            for j1 in range(i1 + 1, p + 2):
-                sign = 1 if (j1 + 1) % 2 == 0 else -1
-                prefix = x[: i1 - 1]
-                suffix = x[i1: j1 - 1] + x[j1:]
-                for c, v in by_pair[x[i1 - 1]][x[j1 - 1]]:
-                    col_base = Cochain._flat_input(n, prefix + (c,) + suffix) * n
-                    for k, row in enumerate(out):
-                        row[col_base + k] = row.get(col_base + k, 0) + sign * v
-        rows.extend(out)
-
-    return Matrix(n ** (p + 1) * n, n ** p * n, rows)
+    rows = [defaultdict(int) for _ in range(m * n * n)]
+    for a, b, k, v in nonzero_constants(alg)[0]:  # integral v are ints
+        for i in range(1, p + 2):
+            d, c, s = (a, b, v) if i == 1 else (b, a, v if i % 2 == 0 else -v)
+            w = n ** (p + 1 - i)
+            for t in range(m):
+                rows[insert(t, d, w) * n + k][t * n + c] += s
+        for i, j in itertools.combinations(range(1, p + 2), 2):
+            s, wi, wj = (v if j % 2 else -v), n ** (p - i), n ** (p + 1 - j)
+            for r in range(m // n):
+                u = insert(r, 0, wi)
+                x, y = insert(u + a * wi, b, wj) * n, (u + k * wi) * n
+                for o in range(n):
+                    rows[x + o][y + o] += s
+    return Matrix(m * n * n, m * n, rows)
 
 
 class CohomologySpace:

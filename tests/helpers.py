@@ -328,6 +328,17 @@ def direct_coboundary(alg: LeibnizAlgebra, f: Cochain) -> Cochain:
     return from_flat(p + 1, n, values)
 
 
+def direct_coboundary_matrix(alg: LeibnizAlgebra, p: int) -> Matrix:
+    """The matrix whose column j is ``direct_coboundary`` of the unit
+    p-cochain at flat coordinate j."""
+    n = alg.dim
+    rows = [{} for _ in range(n ** (p + 2))]
+    for j in range(n ** (p + 1)):
+        for i, x in direct_coboundary(alg, Cochain(p, n, {j: 1})).entries.items():
+            rows[i][j] = x
+    return Matrix(n ** (p + 2), n ** (p + 1), rows)
+
+
 # ---------------------------------------------------------------------------
 # Dense Leibniz identity oracle: the bracket extended bilinearly, evaluated on
 # every basis triple
@@ -633,6 +644,16 @@ def random_leibniz_algebra(rng: random.Random, dims=(2, 3)) -> LeibnizAlgebra:
         )
     assert validate(out) == []
     return out
+
+
+def random_algebra(rng: random.Random, n: int, density: float) -> LeibnizAlgebra:
+    """An n-dimensional bracket with rational structure constants, each
+    nonzero with probability ``density``; the Leibniz identity is not imposed."""
+    return LeibnizAlgebra.from_brackets(n, {
+        (i, j): {k: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                 for k in range(n) if rng.random() < density}
+        for i in range(n) for j in range(n)
+    })
 
 
 def random_matrix(rng: random.Random, max_rows=6, max_cols=6) -> Matrix:

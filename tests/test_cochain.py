@@ -13,20 +13,24 @@ from helpers import (
     constraint_vector,
     dense,
     direct_coboundary,
+    direct_coboundary_matrix,
     expected_delta_g,
     flat,
     from_rows,
+    h3,
     matmul,
     misoriented_nf4,
     nf,
     nf3,
+    nf4,
     q4,
+    random_algebra,
     random_cochain,
     random_leibniz_algebra,
     sl2,
     zero_matrix,
 )
-from leibniz_deform.algebra import abelian, lambda6
+from leibniz_deform.algebra import abelian, lambda6, validate
 from leibniz_deform.cochain import (
     Cochain,
     cocycle_relations,
@@ -244,6 +248,30 @@ def test_matrix_agrees_with_coboundary_on_random_cochains():
             expected = direct_coboundary(alg, f)
             assert coboundary_matrix(alg, p).matvec(f.entries) == expected.entries
             assert coboundary(alg, f) == expected
+
+
+# (algebra, whether it satisfies the Leibniz identity): the assembly places
+# each structure constant by the formula alone and must not rely on it
+ORACLE_ALGEBRAS = {
+    "lambda6": (lambda6, True),
+    "nf4": (nf4, True),
+    "h3": (h3, True),
+    "q4": (q4, True),
+    "random1": (lambda: random_algebra(random.Random(0), 1, 1.0), False),
+    "random2": (lambda: random_algebra(random.Random(0), 2, 0.5), False),
+    "random3": (lambda: random_algebra(random.Random(0), 3, 0.3), False),
+    "random4": (lambda: random_algebra(random.Random(1), 4, 0.05), False),
+    "conjugate2": (lambda: random_leibniz_algebra(random.Random(5), dims=(2,)), True),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_coboundary_matrix_is_the_direct_coboundary_of_each_unit_cochain(name):
+    build, leibniz = ORACLE_ALGEBRAS[name]
+    alg = build()
+    assert (validate(alg) == []) == leibniz
+    for p in range(4):
+        assert coboundary_matrix(alg, p) == direct_coboundary_matrix(alg, p), p
 
 
 @pytest.mark.parametrize("k", [-1, 3])
